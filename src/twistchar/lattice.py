@@ -174,25 +174,25 @@ def _cycles_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def _fraction_det(rows: Sequence[Sequence[int]]) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
+def _check_positive_definite(gram: Sequence[Sequence[int]]) -> None:
+    # Sylvester's criterion from one elimination without row swaps: while
+    # every earlier leading minor is positive, the leading minor of order r
+    # is the product of the first r pivots.
+    n = len(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
+    minor = Fraction(1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
+        pivot = m[col][col]
+        minor *= pivot
+        if minor <= 0:
+            raise NotPositiveDefinite(
+                f"leading principal minor of order {col + 1} is {minor}"
+            )
         for r in range(col + 1, n):
             if m[r][col]:
-                f = m[r][col] * inv
+                f = m[r][col] / pivot
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
-    return det
 
 
 def validate(inp: LatticeInput) -> OrbitData:
@@ -213,12 +213,7 @@ def validate(inp: LatticeInput) -> OrbitData:
         for j in range(rank):
             if gram[i][j] < 0:
                 raise NegativeEntry(f"gram[{i}][{j}] = {gram[i][j]} < 0")
-    for order in range(1, rank + 1):
-        minor = _fraction_det([row[:order] for row in gram[:order]])
-        if minor <= 0:
-            raise NotPositiveDefinite(
-                f"leading principal minor of order {order} is {minor}"
-            )
+    _check_positive_definite(gram)
     for i in range(rank):
         for j in range(rank):
             if gram[perm[i]][perm[j]] != gram[i][j]:
@@ -275,16 +270,7 @@ def eigenspace_dim(orbits: OrbitData, j: int) -> int:
     """Dimension of the eta^j eigenspace of the isometry on the ambient space."""
     if not 0 <= j < orbits.k:
         raise ValueError(f"eigenvalue exponent {j} outside 0..{orbits.k - 1}")
-    return sum(1 for l in orbits.lengths if j % (orbits.k // l) == 0)
-
-
-def vacuum_weight(orbits: OrbitData) -> Fraction:
-    """Conformal weight of the twisted vacuum vector."""
-    k = orbits.k
-    total = sum(
-        j * (k - j) * eigenspace_dim(orbits, j) for j in range(1, k)
-    )
-    return Fraction(total, 4 * k * k)
+    return _eigenspace_dims(orbits.lengths, orbits.k)[j]
 
 
 def pairings(inp: LatticeInput, orbits: OrbitData) -> PairingTables:
@@ -347,27 +333,6 @@ def pairings(inp: LatticeInput, orbits: OrbitData) -> PairingTables:
         a_half=a_half,
         rotated=rotated,
     )
-
-
-def twisted_gram_invertible(tables: PairingTables) -> bool:
-    """Whether the orbit-sum Gram matrix has nonzero determinant."""
-    return _fraction_det(tables.twisted_gram) != 0
-
-
-def n_min(inp: LatticeInput, i: int, j: int) -> int:
-    """max(0, -min over r of the (nu^r alpha_i, alpha_j) pairing), 0-based i, j.
-
-    Always 0 under the standing entrywise non-negativity assumption; computed
-    honestly and asserted.
-    """
-    order = lcm(*(len(c) for c in _cycles_of(inp.perm)))
-    a = i
-    worst = 0
-    for _ in range(order):
-        worst = max(worst, -inp.gram[a][j])
-        a = inp.perm[a]
-    assert worst == 0
-    return worst
 
 
 def analyze(inp: LatticeInput) -> tuple[OrbitData, PairingTables]:

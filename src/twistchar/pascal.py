@@ -15,18 +15,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import (
     CyclotomicField,
     CyclotomicScalar,
+    Entry,
     ExactMatrix,
+    Rational,
+    _coerce_entry,
     get_field,
     rational_binomial,
 )
-
-Rational = Union[int, Fraction]
-Scalar = Union[int, Fraction, CyclotomicScalar]
 
 
 class PascalIdentityError(AssertionError):
@@ -81,18 +81,7 @@ class PascalSpec:
         return sum(self.block_sizes)
 
 
-def _coerce(field: CyclotomicField, value: Scalar) -> CyclotomicScalar:
-    if isinstance(value, CyclotomicScalar):
-        if value.field.conductor != field.conductor:
-            raise ValueError(
-                f"scalar from conductor {value.field.conductor} used in "
-                f"conductor {field.conductor} computation"
-            )
-        return value
-    return field.from_rational(value)
-
-
-def _common_field(*values: Scalar) -> CyclotomicField:
+def _common_field(*values: Entry) -> CyclotomicField:
     for v in values:
         if isinstance(v, CyclotomicScalar):
             return v.field
@@ -107,10 +96,10 @@ def _powers(x: CyclotomicScalar, count: int) -> list[CyclotomicScalar]:
 
 
 def a_matrix(
-    field: CyclotomicField, x: Scalar, z: Rational, w: Rational, p: int, q: int
+    field: CyclotomicField, x: Entry, z: Rational, w: Rational, p: int, q: int
 ) -> ExactMatrix:
     """p x q matrix with entries x^j * binomial(z + j*w, i)."""
-    xs = _powers(_coerce(field, x), q)
+    xs = _powers(_coerce_entry(field, x), q)
     rows = tuple(
         tuple(
             xs[j] * rational_binomial(Fraction(z) + j * Fraction(w), i)
@@ -121,23 +110,6 @@ def a_matrix(
     return ExactMatrix(field, rows, q)
 
 
-def a_prime_matrix(
-    field: CyclotomicField, x: Scalar, p: int, q: int
-) -> ExactMatrix:
-    """p x q matrix with entries x^j * binomial(j, i)."""
-    xs = _powers(_coerce(field, x), max(q, 1))
-    rows = tuple(
-        tuple(xs[j] * rational_binomial(j, i) for j in range(q)) for i in range(p)
-    )
-    return ExactMatrix(field, rows, q)
-
-
-def pascal_matrix(field: CyclotomicField, p: int, q: int) -> ExactMatrix:
-    return ExactMatrix.from_rows(
-        field, [[rational_binomial(j, i) for j in range(q)] for i in range(p)]
-    )
-
-
 def _z_matrix(field: CyclotomicField, z: Rational, p: int) -> ExactMatrix:
     return ExactMatrix.from_rows(
         field,
@@ -145,14 +117,6 @@ def _z_matrix(field: CyclotomicField, z: Rational, p: int) -> ExactMatrix:
             [rational_binomial(z, i - j) if i >= j else 0 for j in range(p)]
             for i in range(p)
         ],
-    )
-
-
-def _m_matrix(field: CyclotomicField, w: Rational, p: int, q: int) -> ExactMatrix:
-    wf = Fraction(w)
-    return ExactMatrix.from_rows(
-        field,
-        [[rational_binomial(j * wf, i) for j in range(q)] for i in range(p)],
     )
 
 
@@ -177,12 +141,18 @@ def _m_stage_matrix(
     return ExactMatrix.from_rows(field, rows)
 
 
-def _h_matrix(field: CyclotomicField, x: Scalar, q: int) -> ExactMatrix:
-    xs = _powers(_coerce(field, x), max(q, 1))
+def _diagonal(
+    field: CyclotomicField, entries: Sequence[CyclotomicScalar]
+) -> ExactMatrix:
     zero = field.zero()
-    return ExactMatrix.from_rows(
+    n = len(entries)
+    return ExactMatrix(
         field,
-        [[xs[j] if i == j else zero for j in range(q)] for i in range(q)],
+        tuple(
+            tuple(e if i == j else zero for j in range(n))
+            for i, e in enumerate(entries)
+        ),
+        n,
     )
 
 
@@ -229,7 +199,7 @@ def _reduction_matrix(
     and checking every intermediate stage."""
     if p == 1:
         return ExactMatrix.identity(field, 1)
-    m = _m_matrix(field, w, p, q)
+    m = a_matrix(field, 1, 0, w, p, q)
     part = ExactMatrix.identity(field, p)
     for n in range(p - 2):
         q_n = _q_stage_matrix(field, w, n, p)
@@ -247,21 +217,9 @@ def _reduction_matrix(
     p_full = _final_q_matrix(field, w, p) * part
     if replay:
         _assert_equal(
-            "reduced form (P*M = Pascal)", p_full * m, pascal_matrix(field, p, q)
+            "reduced form (P*M = Pascal)", p_full * m, a_matrix(field, 1, 0, 1, p, q)
         )
     return p_full
-
-
-def build_block(spec: PascalSpec, r: int) -> ExactMatrix:
-    """Block r of the stacked matrix: N_r rows over all N columns."""
-    if not 0 <= r < spec.conductor:
-        raise ValueError(f"block index {r} outside 0..{spec.conductor - 1}")
-    field = get_field(spec.conductor)
-    root = field.root_of_unity(spec.conductor)
-    return stacked_with_root(
-        field, root, (spec.block_sizes[r],), spec.z, spec.w, total=spec.size,
-        first_power=r,
-    )
 
 
 def stacked_with_root(
@@ -270,15 +228,12 @@ def stacked_with_root(
     block_sizes: Sequence[int],
     z: Rational,
     w: Rational,
-    total: int | None = None,
-    first_power: int = 0,
 ) -> ExactMatrix:
     """Stack blocks built from successive powers of ``root``.
 
-    Block r (starting at power ``first_power``) has entries
-    root^(p*(first_power + r)) * binomial(z + p*w, i).
+    Block r has entries root^(p*r) * binomial(z + p*w, i).
     """
-    n = total if total is not None else sum(block_sizes)
+    n = sum(block_sizes)
     zf, wf = Fraction(z), Fraction(w)
     binoms = [
         [rational_binomial(zf + p * wf, i) for p in range(n)]
@@ -286,7 +241,7 @@ def stacked_with_root(
     ]
     rows = []
     for r, height in enumerate(block_sizes):
-        x = root ** (first_power + r)
+        x = root ** r
         xs = _powers(x, n)
         for i in range(height):
             rows.append([xs[p] * binoms[i][p] for p in range(n)])
@@ -326,7 +281,7 @@ class FactorizationReport:
 
 
 def factorization_check(
-    x: Scalar, z: Rational, w: Rational, p: int, q: int
+    x: Entry, z: Rational, w: Rational, p: int, q: int
 ) -> FactorizationReport:
     """Replay the factorization A = Z*M*H and the reduction of M to Pascal.
 
@@ -341,13 +296,13 @@ def factorization_check(
     if Fraction(w) == 0:
         raise ValueError("w must be nonzero")
     field = _common_field(x)
-    xc = _coerce(field, x)
+    xc = _coerce_entry(field, x)
     if not xc:
         raise ValueError("x must be nonzero")
     a = a_matrix(field, xc, z, w, p, q)
     zm = _z_matrix(field, z, p)
-    m = _m_matrix(field, w, p, q)
-    h = _h_matrix(field, xc, q)
+    m = a_matrix(field, 1, 0, w, p, q)
+    h = _diagonal(field, _powers(xc, q))
     _assert_equal("product decomposition (A = Z*M*H)", zm * m * h, a)
     p_full = _reduction_matrix(field, w, p, q, replay=True)
     if not p_full.det():
@@ -381,7 +336,7 @@ def _block_diag(
 
 
 def two_blocks_check(
-    x: Scalar, y: Scalar, n: int, s: int, t: int
+    x: Entry, y: Entry, n: int, s: int, t: int
 ) -> TwoBlocksReport:
     """Replay the row equivalence of two stacked power-Pascal blocks.
 
@@ -393,7 +348,7 @@ def two_blocks_check(
     s + t <= n.
     """
     field = _common_field(x, y)
-    xc, yc = _coerce(field, x), _coerce(field, y)
+    xc, yc = _coerce_entry(field, x), _coerce_entry(field, y)
     if not xc or not yc:
         raise ValueError("x and y must be nonzero")
     if xc == yc:
@@ -404,7 +359,8 @@ def two_blocks_check(
         )
     d = yc - xc
 
-    b = a_prime_matrix(field, xc, s, n).stack(a_prime_matrix(field, yc, t, n))
+    upper = a_matrix(field, xc, 0, 1, s, n)
+    b = upper.stack(a_matrix(field, yc, 0, 1, t, n))
     # C = [0 | C'] with C'[i][j] = binomial(s+j, s+i) * x^(j-i) above the diagonal.
     zero = field.zero()
     xs = _powers(xc, max(n - s, 1))
@@ -420,9 +376,7 @@ def two_blocks_check(
     c = ExactMatrix.from_rows(field, c_rows) if n - s else ExactMatrix.zeros(
         field, 0, n
     )
-    b_prime = a_prime_matrix(field, xc, s, n).stack(
-        a_prime_matrix(field, d, t, n - s) * c
-    )
+    b_prime = upper.stack(a_matrix(field, d, 0, 1, t, n - s) * c)
 
     if t == 0:
         _assert_equal("degenerate stack (B = B')", b, b_prime)
@@ -466,36 +420,34 @@ def two_blocks_check(
     _assert_equal(
         "eliminated lower block (Q'B = [A'; W*C])",
         q_prime * b,
-        a_prime_matrix(field, xc, s, n).stack(w_direct * c),
+        upper.stack(w_direct * c),
     )
 
     inner = a_matrix(field, d, s, 1, t, n - s)
-    v = ExactMatrix.from_rows(
-        field,
-        [
-            [
-                (yc ** i) * (d ** (s - i)) if i == j else zero
-                for j in range(t)
-            ]
-            for i in range(t)
-        ],
-    )
+    v_diag = [(yc ** i) * (d ** (s - i)) for i in range(t)]
+    v = _diagonal(field, v_diag)
     _assert_equal("diagonal extraction (W = V*A)", v * inner, w_direct)
 
-    u = _reduction_matrix(field, 1, t, n - s, replay=True) * _z_matrix(
-        field, s, t
-    ).inverse()
+    # Z(s)^-1 = Z(-s) by Vandermonde's identity; replayed, not assumed.
+    z_inv = _z_matrix(field, -s, t)
+    _assert_equal(
+        "Toeplitz inverse (Z(s)*Z(-s) = I)",
+        _z_matrix(field, s, t) * z_inv,
+        ExactMatrix.identity(field, t),
+    )
+    u = _reduction_matrix(field, 1, t, n - s, replay=True) * z_inv
     _assert_equal(
         "inner block reduction (U*A = A')",
         u * inner,
-        a_prime_matrix(field, d, t, n - s),
+        a_matrix(field, d, 0, 1, t, n - s),
     )
 
-    v_prime = _block_diag(field, s, v)
-    u_prime = _block_diag(field, s, u.inverse())
+    # U' = blockdiag(I, U^-1) and V' = blockdiag(I, V), so
+    # (U')^-1 (V')^-1 = blockdiag(I, U * V^-1) with V^-1 diagonal.
+    v_inv = _diagonal(field, [e.inverse() for e in v_diag])
     _assert_equal(
         "full chain ((U')^-1 (V')^-1 Q' B = B')",
-        u_prime.inverse() * v_prime.inverse() * q_prime * b,
+        _block_diag(field, s, u * v_inv) * q_prime * b,
         b_prime,
     )
     if b.stack(b_prime).rank() != b.rank() or b.rank() != b_prime.rank():

@@ -14,17 +14,10 @@ integer, and the zero-charge series is exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Mapping, Sequence, Union
 
-from .lattice import (
-    NotPositiveDefinite,
-    OrbitData,
-    PairingTables,
-    _fraction_det,
-)
+from .lattice import OrbitData, PairingTables
 
 NORMALIZATION = "k-weight-shifted"
 
@@ -290,16 +283,6 @@ def quadratic_value(
     )
 
 
-def _assert_positive_definite(matrix: Sequence[Sequence[int]]) -> None:
-    n = len(matrix)
-    for order in range(1, n + 1):
-        minor = _fraction_det([row[:order] for row in matrix[:order]])
-        if minor <= 0:
-            raise NotPositiveDefinite(
-                f"character matrix leading minor of order {order} is {minor}"
-            )
-
-
 def enumerate_charges(
     matrix: Sequence[Sequence[int]], truncation: int
 ) -> list[tuple[int, ...]]:
@@ -335,18 +318,12 @@ def character(
     """Multigraded character with normalized integer exponents.
 
     Each charge m contributes q^((m^T A m)/2) times a product of inverse
-    Pochhammer factors with exponent step k / length_i.  Requires the
-    orbit-sum Gram matrix to be invertible (equivalently the charge matrix
-    to be positive definite); otherwise the charge sum would not converge
-    coefficientwise.
+    Pochhammer factors with exponent step k / length_i.  The charge matrix
+    is positive definite, so each coefficient is a finite sum: orbit-sum
+    vectors have disjoint supports, so their Gram matrix inherits the
+    positive definiteness ``validate`` proved for the lattice.
     """
     matrix = tables.char_matrix
-    if _fraction_det(tables.twisted_gram) == 0:
-        raise NotPositiveDefinite(
-            "orbit-sum Gram matrix is singular; the character does not "
-            "terminate per coefficient"
-        )
-    _assert_positive_definite(matrix)
     steps = tuple(orbits.k // l for l in orbits.lengths)
     table = CharacterTable(
         d=orbits.d,
@@ -429,28 +406,30 @@ def check_coefficient_recursion(table: CharacterTable, i: int) -> RecursionCheck
     return RecursionCheck("adjacent-charge", i, table.truncation, cells)
 
 
-@lru_cache(maxsize=None)
-def _bounded_separated(n: int, p: int) -> int:
-    # Partitions of n into parts <= p, no part more than twice, no two
-    # parts differing by exactly 1.  Branch on the multiplicity of p.
-    if n == 0:
-        return 1
-    if p <= 0:
-        return 0
-    total = _bounded_separated(n, p - 1)
-    if n >= p:
-        total += _bounded_separated(n - p, p - 2)
-    if n >= 2 * p:
-        total += _bounded_separated(n - 2 * p, p - 2)
-    return total
+def separated_partition_counts(truncation: int) -> list[int]:
+    """Counts for n = 0..truncation of partitions of n with no part repeated
+    more than twice and no two parts differing by exactly 1."""
+    if truncation < 0:
+        raise ValueError(f"n must be >= 0, got {truncation}")
+    # Row p holds the counts with every part <= p; branching on the
+    # multiplicity (0, 1 or 2) of p leaves parts <= p - 2 for the rest.
+    width = truncation + 1
+    below2 = [1] + [0] * truncation  # parts <= p - 2
+    below1 = list(below2)  # parts <= p - 1
+    for p in range(1, width):
+        row = list(below1)
+        for n in range(p, width):
+            row[n] += below2[n - p]
+            if n >= 2 * p:
+                row[n] += below2[n - 2 * p]
+        below2, below1 = below1, row
+    return below1
 
 
 def separated_partition_count(n: int) -> int:
     """Partitions of n with no part repeated more than twice and no two
     parts differing by exactly 1."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _bounded_separated(n, n)
+    return separated_partition_counts(n)[n]
 
 
 def rogers_ramanujan_sum(truncation: int) -> QSeries:
@@ -540,8 +519,7 @@ def verify_partition_identity(name: str, truncation: int) -> IdentityReport:
     )
     if name == "x3":
         counts = QSeries(
-            truncation,
-            {n: separated_partition_count(n) for n in range(truncation + 1)},
+            truncation, dict(enumerate(separated_partition_counts(truncation)))
         )
         comparisons = (
             _compare("separated-partition count (parts repeat <= 2, no gap-1 pairs)",

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from twistchar.cli import RunConfig, InputError, main
+import twistchar
+from twistchar.cli import InputError, RunConfig, _config_from_args, build_parser, main
 
 
 def run(capsys, *argv):
@@ -253,3 +258,48 @@ def test_argparse_requires_source(capsys):
     with pytest.raises(SystemExit) as err:
         main(["character"])
     assert err.value.code == 2
+
+
+def test_unset_options_take_run_config_defaults():
+    args = build_parser().parse_args(["verify", "--preset", "x3"])
+    assert _config_from_args(args) == RunConfig("preset", "x3")
+    args = build_parser().parse_args(
+        ["pascal-check", "--seed", "7", "--format", "json", "--out", "r.json"]
+    )
+    assert _config_from_args(args) == RunConfig(
+        "none", "", seed=7, out_format="json", out_path="r.json"
+    )
+
+
+# --------------------------------------------------------------------- logging
+
+PASCAL_ARGS = ["--pascal", "--max-k", "1", "--max-n", "2", "--samples", "1",
+               "--proof-samples", "0"]
+
+
+def _cli_process(*argv):
+    # A fresh interpreter, so that -v configures logging as it does for a user.
+    src = Path(twistchar.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "twistchar.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-v", "verify", "--preset", "x3", *PASCAL_ARGS],
+        ["verify", "-v", "--preset", "x3", *PASCAL_ARGS],
+        ["verify", "--preset", "x3", *PASCAL_ARGS, "--verbose"],
+    ],
+    ids=["before", "after", "last"],
+)
+def test_verbose_on_either_side_of_the_subcommand(argv):
+    quiet = _cli_process("verify", "--preset", "x3", *PASCAL_ARGS)
+    loud = _cli_process(*argv)
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stderr == ""
+    assert "INFO twistchar: pascal sweep:" in loud.stderr
+    assert loud.stdout == quiet.stdout

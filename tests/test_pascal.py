@@ -9,12 +9,10 @@ from twistchar.pascal import (
     PascalIdentityError,
     PascalSpec,
     a_matrix,
-    build_block,
     build_stacked,
     compositions,
     factorization_check,
     pascal_check,
-    pascal_matrix,
     stacked_with_root,
     two_blocks_check,
     verify_invertible,
@@ -50,7 +48,8 @@ def test_single_block_with_trivial_root_is_upper_pascal():
 
 def test_pascal_matrix_rectangular():
     field = get_field(1)
-    assert pascal_matrix(field, 3, 4) == ExactMatrix.from_rows(
+    # The Pascal matrix is A at x = 1, z = 0, w = 1.
+    assert a_matrix(field, 1, 0, 1, 3, 4) == ExactMatrix.from_rows(
         field, [[1, 1, 1, 1], [0, 1, 2, 3], [0, 0, 1, 3]]
     )
 
@@ -65,15 +64,6 @@ def test_a_matrix_values():
     assert a_matrix(field, 2, 0, 1, 2, 3) == ExactMatrix.from_rows(
         field, [[1, 2, 4], [0, 2, 8]]
     )
-
-
-def test_blocks_concatenate_to_stack():
-    spec = PascalSpec(2, (2, 1), Fraction(1, 2), Fraction(1, 3))
-    stacked = build_stacked(spec)
-    top = build_block(spec, 0)
-    bottom = build_block(spec, 1)
-    assert stacked.rows == top.rows + bottom.rows
-    assert stacked.ncols == 3
 
 
 def test_stacked_with_root_powers():
@@ -180,7 +170,7 @@ def test_replay_detects_forged_stage():
     from twistchar.pascal import _assert_equal
 
     field = get_field(1)
-    good = pascal_matrix(field, 2, 2)
+    good = a_matrix(field, 1, 0, 1, 2, 2)
     bad = ExactMatrix.from_rows(field, [[1, 1], [1, 1]])
     with pytest.raises(PascalIdentityError) as err:
         _assert_equal("forged", good, bad)
