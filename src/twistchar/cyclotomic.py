@@ -2,8 +2,10 @@
 
 A scalar is an element of Q(eta) with eta a fixed primitive k-th root of
 unity, stored as a coefficient vector of length phi(k) reduced modulo the
-k-th cyclotomic polynomial.  The representation is canonical, so equality
-and zero tests are plain coefficient comparisons.  All coefficients are
+k-th cyclotomic polynomial Phi_k by synthetic division.  The representation
+is canonical, so equality and zero tests are plain coefficient comparisons.
+The inverse of a is the product of its Galois conjugates a(eta**j), j a
+unit mod k other than 1, divided by the norm of a.  All coefficients are
 ``fractions.Fraction``; nothing here ever touches floating point.
 """
 
@@ -47,22 +49,26 @@ def rational_binomial(z: Rational, m: int) -> Fraction:
     return num / math.factorial(m)
 
 
-def _poly_divide_exact(num: list[int], den: Sequence[int]) -> list[int]:
-    # Exact division of integer polynomials, coefficients low-to-high,
-    # divisor monic.  Remainder must vanish.
-    num = list(num)
-    dd = len(den) - 1
-    qd = len(num) - 1 - dd
-    quot = [0] * (qd + 1)
-    for i in range(qd, -1, -1):
-        c = num[i + dd]
-        quot[i] = c
+def _divide_monic(vec: list, terms: Sequence[tuple[int, Rational]], n: int) -> None:
+    # Synthetic division, in place, of vec (coefficients low-to-high) by
+    # x^n + sum(m * x^j for j, m in terms), terms holding the nonzero lower
+    # coefficients.  Afterwards vec[:n] is the remainder, vec[n:] the quotient.
+    # Cyclotomic coefficients are almost always +-1, which need no product.
+    for i in range(len(vec) - 1, n - 1, -1):
+        c = vec[i]
         if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return quot
+            base = i - n
+            for j, m in terms:
+                if m == 1:
+                    vec[base + j] -= c
+                elif m == -1:
+                    vec[base + j] += c
+                else:
+                    vec[base + j] -= c * m
+
+
+def _lower_terms(monic: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((j, m) for j, m in enumerate(monic[:-1]) if m)
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +79,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_divide_exact(poly, cyclotomic_polynomial(d))
+            den = cyclotomic_polynomial(d)
+            deg = len(den) - 1
+            _divide_monic(poly, _lower_terms(den), deg)
+            if any(poly[:deg]):
+                raise ArithmeticError("inexact polynomial division")
+            poly = poly[deg:]
     return tuple(poly)
 
 
@@ -89,19 +100,14 @@ class CyclotomicField:
         modulus = cyclotomic_polynomial(conductor)
         self.conductor = conductor
         self.degree = len(modulus) - 1
-        self.modulus = modulus
-        # x^degree reduced, then x^(degree+i) for folding products back down.
-        top = tuple(Fraction(-c) for c in modulus[:-1])
-        rows = [top]
-        for _ in range(self.degree - 2):
-            prev = rows[-1]
-            shifted = [_ZERO] + list(prev[:-1])
-            lead = prev[-1]
-            if lead:
-                shifted = [a + lead * b for a, b in zip(shifted, top)]
-            rows.append(tuple(shifted))
-        self._reduction = tuple(rows)
-        self._eta_power_cache: list[tuple[Fraction, ...]] = []
+        self._terms = _lower_terms(modulus)
+        # eta**e for 0 <= e < conductor, and the units j > 1 mod conductor.
+        self._eta_powers = tuple(
+            tuple(self._reduce([_ZERO] * e + [_ONE])) for e in range(conductor)
+        )
+        self._units = tuple(
+            j for j in range(2, conductor) if math.gcd(j, conductor) == 1
+        )
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.conductor})"
@@ -129,37 +135,14 @@ class CyclotomicField:
         return self._make(coeffs)
 
     def from_coeffs(self, coeffs: Iterable[Rational]) -> "CyclotomicScalar":
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            vec = self._reduce(vec)
-        vec += [_ZERO] * (self.degree - len(vec))
-        return self._make(vec)
+        return self._make(self._reduce([Fraction(c) for c in coeffs]))
 
     def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        out = vec[: self.degree] + [_ZERO] * (self.degree - len(vec))
-        for i, c in enumerate(vec[self.degree :]):
-            if c:
-                row = self._reduction[i]
-                for j in range(self.degree):
-                    out[j] += c * row[j]
-        return out
-
-    def _eta_power(self, e: int) -> tuple[Fraction, ...]:
-        # Reduced coefficient vector of eta**e for 0 <= e < conductor.
-        cache = self._eta_power_cache
-        if not cache:
-            first = [_ZERO] * self.degree
-            first[0] = _ONE
-            cache.append(tuple(first))
-        while len(cache) <= e:
-            prev = cache[-1]
-            shifted = [_ZERO] + list(prev[:-1])
-            lead = prev[-1]
-            if lead:
-                top = self._reduction[0]
-                shifted = [a + lead * b for a, b in zip(shifted, top)]
-            cache.append(tuple(shifted))
-        return cache[e]
+        # vec modulo the cyclotomic polynomial, padded to the field degree;
+        # vec itself is overwritten.
+        vec += [_ZERO] * (self.degree - len(vec))
+        _divide_monic(vec, self._terms, self.degree)
+        return vec[: self.degree]
 
     def root_of_unity(self, order: int) -> "CyclotomicScalar":
         """A primitive ``order``-th root of unity: eta**(conductor/order)."""
@@ -171,7 +154,7 @@ class CyclotomicField:
 
     def eta_to(self, e: int) -> "CyclotomicScalar":
         """eta**e for any integer e."""
-        return self._make(self._eta_power(e % self.conductor))
+        return self._make(self._eta_powers[e % self.conductor])
 
     @property
     def eta(self) -> "CyclotomicScalar":
@@ -223,33 +206,36 @@ class CyclotomicScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        n = self.field.degree
-        conv = [_ZERO] * (2 * n - 1) if n else []
+        field, a, b = self.field, self.coeffs, o.coeffs
+        n = field.degree
+        conv = [_ZERO] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        return self.field._make(self.field._reduce(conv))
+        _divide_monic(conv, field._terms, n)
+        return field._make(conv[:n])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicScalar":
         if not self:
             raise ZeroDivisionError("cyclotomic scalar is zero")
-        # Extended Euclid in Q[x] against the (irreducible) modulus.
-        r0 = [Fraction(c) for c in self.field.modulus]
-        r1 = _trim(list(self.coeffs))
-        t0: list[Fraction] = [_ZERO]
-        t1: list[Fraction] = [_ONE]
-        while len(r1) > 1 or r1[0]:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        g = r0[0]
-        inv = [c / g for c in t0]
-        return self.field.from_coeffs(inv)
+        # adj is the product of the Galois conjugates of a, sigma_j: eta ->
+        # eta**j for the units j > 1; a * adj is the norm of a, a rational.
+        field = self.field
+        adj = None
+        for j in field._units:
+            conj = [_ZERO] * field.conductor
+            for e, c in enumerate(self.coeffs):
+                conj[j * e % field.conductor] = c
+            conj = field._make(field._reduce(conj))
+            adj = conj if adj is None else adj * conj
+        if adj is None:
+            return field._make([_ONE / self.coeffs[0]])
+        norm = (self * adj).coeffs[0]
+        return field._make([c / norm for c in adj.coeffs])
 
     def __truediv__(self, other: object) -> "CyclotomicScalar":
         o = self._coerce(other)
@@ -322,47 +308,6 @@ class CyclotomicScalar:
         return f"<{self} in Q(eta_{self.field.conductor})>"
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_divmod(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    if len(a) - 1 < db:
-        return [_ZERO], _trim(a)
-    quot = [_ZERO] * (len(a) - db)
-    for i in range(len(quot) - 1, -1, -1):
-        c = a[i + db] / lead
-        quot[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _trim(quot), _trim(a[:db] if db else [_ZERO])
-
-
 Entry = Union[int, Fraction, CyclotomicScalar]
 
 
@@ -416,9 +361,6 @@ class ExactMatrix:
     def zeros(cls, field: CyclotomicField, nrows: int, ncols: int) -> "ExactMatrix":
         zero = field.zero()
         return cls(field, tuple((zero,) * ncols for _ in range(nrows)), ncols)
-
-    def entry(self, i: int, j: int) -> CyclotomicScalar:
-        return self.rows[i][j]
 
     def transpose(self) -> "ExactMatrix":
         if self.rows:

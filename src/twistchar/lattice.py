@@ -50,6 +50,11 @@ class NonIntegralCharacterMatrix(LatticeError):
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def _is_int(value: object) -> bool:
+    """Whether value is an integer proper; bools and floats are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_permutation(spec: PermSpec, rank: int) -> tuple[int, ...]:
     """Normalize a permutation given in cycle notation or one-line form.
 
@@ -64,7 +69,10 @@ def parse_permutation(spec: PermSpec, rank: int) -> tuple[int, ...]:
         image = list(range(rank))
         seen: set[int] = set()
         for body in _CYCLE_RE.findall(stripped):
-            entries = [int(tok) for tok in body.split()]
+            try:
+                entries = [int(tok) for tok in body.split()]
+            except ValueError:
+                raise LatticeError(f"non-integer cycle entry in {spec!r}") from None
             if not entries:
                 continue
             for e in entries:
@@ -76,7 +84,11 @@ def parse_permutation(spec: PermSpec, rank: int) -> tuple[int, ...]:
             for pos, e in enumerate(entries):
                 image[e - 1] = entries[(pos + 1) % len(entries)] - 1
         return tuple(image)
-    one_line = [int(x) for x in spec]
+    if not isinstance(spec, (list, tuple)) or not all(map(_is_int, spec)):
+        raise LatticeError(
+            f"permutation must be a cycle string or a list of integers, got {spec!r}"
+        )
+    one_line = list(spec)
     if sorted(one_line) != list(range(1, rank + 1)):
         raise LatticeError(
             f"one-line permutation must be a rearrangement of 1..{rank}, got {one_line}"
@@ -94,7 +106,11 @@ class LatticeInput:
 
     @classmethod
     def make(cls, gram: Sequence[Sequence[int]], perm: PermSpec) -> "LatticeInput":
-        rows = tuple(tuple(int(x) for x in row) for row in gram)
+        if not isinstance(gram, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and all(map(_is_int, row)) for row in gram
+        ):
+            raise LatticeError("Gram matrix must be an array of integer rows")
+        rows = tuple(tuple(row) for row in gram)
         rank = len(rows)
         if rank == 0:
             raise LatticeError("empty Gram matrix")
@@ -314,8 +330,10 @@ def pairings(inp: LatticeInput, orbits: OrbitData) -> PairingTables:
     a_half = tuple(zero_mode[i][i] / 2 for i in range(d))
     for i in range(d):
         # The lowest admissible degree -a_i always lies in the mode set.
-        assert orbits.contains_mode(i, -a_half[i]), (i, a_half[i])
-        assert (a_half[i] * orbits.root_orders[i]).denominator == 1
+        if not orbits.contains_mode(i, -a_half[i]) or (
+            (a_half[i] * orbits.root_orders[i]).denominator != 1
+        ):
+            raise ArithmeticError(f"-a_{i} = {-a_half[i]} is not an admissible mode")
     rotated = tuple(
         tuple(
             tuple(gram[a][orbits.reps[j]] for a in orbits.cycles[i])
@@ -325,7 +343,8 @@ def pairings(inp: LatticeInput, orbits: OrbitData) -> PairingTables:
     )
     for i in range(d):
         for j in range(d):
-            assert sum(rotated[i][j]) == orbits.lengths[i] * zero_mode[i][j]
+            if sum(rotated[i][j]) != orbits.lengths[i] * zero_mode[i][j]:
+                raise ArithmeticError(f"rotated pairings of ({i}, {j}) miss their sum")
     return PairingTables(
         zero_mode=zero_mode,
         char_matrix=tuple(char_rows),

@@ -42,11 +42,15 @@ def preset(name: str) -> LatticeInput:
 
 def lattice_from_config(data: dict) -> LatticeInput:
     try:
-        rank = int(data["rank"])
+        rank = data["rank"]
         gram = data["gram"]
         perm = data["perm"]
     except KeyError as missing:
         raise LatticeError(f"config missing key {missing}") from None
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise LatticeError(f"rank must be an integer, got {rank!r}")
+    if not isinstance(gram, list):
+        raise LatticeError(f"gram must be an array, got {gram!r}")
     if gram and not isinstance(gram[0], list):
         if len(gram) != rank * rank:
             raise LatticeError(

@@ -333,9 +333,9 @@ def character(
         steps=steps,
     )
     for m in enumerate_charges(matrix, truncation):
-        base = quadratic_value(matrix, m)
-        assert base % 2 == 0
-        base //= 2
+        base, odd = divmod(quadratic_value(matrix, m), 2)
+        if odd:
+            raise ArithmeticError(f"charge {m} has odd norm {2 * base + 1}")
         series = QSeries.one(truncation - base)
         for i, mult in enumerate(m):
             if mult:

@@ -160,6 +160,38 @@ def _mode_pairs(
     return pairs
 
 
+def _integral(value: Fraction, what: str) -> int:
+    if value.denominator != 1:
+        raise ArithmeticError(f"{what} {value} is not an integer")
+    return int(value)
+
+
+def _pair_monomial(
+    orbits: OrbitData, i: int, j: int, n1: Fraction, n2: Fraction
+) -> Monomial:
+    # x_i(n1) * x_j(n2) as a sorted monomial of normalized weights.
+    k = orbits.k
+    return tuple(sorted((
+        TwistedVariable(i, _integral(-n1 * k, "variable weight")),
+        TwistedVariable(j, _integral(-n2 * k, "variable weight")),
+    )))
+
+
+def _relation_coeff(
+    orbits: OrbitData, tables: PairingTables, i: int, r: int, m: int, n: Fraction
+) -> CyclotomicScalar:
+    # Weight of x_i(n) in relation (rotation r, power m) of orbit i: the
+    # rotation's root of unity of order L_i at mode n, times
+    # binomial(-n - gram_ii/2, m - 1).
+    k, big_l = orbits.k, orbits.root_orders[i]
+    root = get_field(k).eta_to(
+        r * _integral(n * big_l, "root exponent") * (k // big_l)
+    )
+    return root * rational_binomial(
+        -n - Fraction(tables.rotated[i][i][0], 2), m - 1
+    )
+
+
 def _generators(
     orbits: OrbitData,
     tables: PairingTables,
@@ -168,36 +200,20 @@ def _generators(
     t: Fraction,
     pairs: list[tuple[Fraction, Fraction]],
 ) -> list[RelationGenerator]:
-    k = orbits.k
-    field = get_field(k)
-    l_i = orbits.lengths[i]
-    big_l = orbits.root_orders[i]
-    eta_l = field.root_of_unity(big_l)
-    gram_ii = Fraction(tables.rotated[i][i][0], 2)
-    weight = t * k
-    assert weight.denominator == 1
+    field = get_field(orbits.k)
+    weight = _integral(t * orbits.k, "relation weight")
+    monos = [(n1, _pair_monomial(orbits, i, j, n1, n2)) for n1, n2 in pairs]
     gens = []
-    for r in range(l_i):
+    for r in range(orbits.lengths[i]):
         for m in range(1, tables.rotated[i][j][r] + 1):
             acc: dict[Monomial, CyclotomicScalar] = {}
-            for n1, n2 in pairs:
-                exponent = r * n1 * big_l
-                assert exponent.denominator == 1
-                coeff = eta_l ** (int(exponent) % big_l) * rational_binomial(
-                    -n1 - gram_ii, m - 1
-                )
-                w1, w2 = -n1 * k, -n2 * k
-                assert w1.denominator == 1 and w2.denominator == 1
-                mono = tuple(
-                    sorted((TwistedVariable(i, int(w1)), TwistedVariable(j, int(w2))))
-                )
+            for n1, mono in monos:
+                coeff = _relation_coeff(orbits, tables, i, r, m, n1)
                 acc[mono] = acc.get(mono, field.zero()) + coeff
             terms = tuple(
                 (c, mono) for mono, c in sorted(acc.items()) if c
             )
-            gens.append(
-                RelationGenerator((i, j), r, m, int(weight), terms)
-            )
+            gens.append(RelationGenerator((i, j), r, m, weight, terms))
     return gens
 
 
@@ -450,12 +466,6 @@ def compare_with_character(
     )
 
 
-def _relation_label_count(tables: PairingTables, i: int, j: int) -> int:
-    # lengths[i] times the zero-mode pairing of orbit i with orbit j; also
-    # the total number of (rotation, power) relation labels for the pair.
-    return sum(tables.rotated[i][j])
-
-
 def new_relations_membership(
     orbits: OrbitData,
     tables: PairingTables,
@@ -473,30 +483,27 @@ def new_relations_membership(
     decided by solving for the monomial in the span of the ideal's
     bidegree slice over the cyclotomic field.
     """
-    bound = _relation_label_count(tables, i, j)
+    # lengths[i] times the zero-mode pairing of i with j: the number of
+    # (rotation, power) relation labels of the pair.
+    bound = sum(tables.rotated[i][j])
     if s < 0 or t < 0 or s + t > bound - 1:
         raise PreconditionViolated(
             f"(s, t) = ({s}, {t}) outside the range s, t >= 0, "
             f"s + t <= {bound - 1}"
         )
-    k = orbits.k
     l_i = orbits.lengths[i]
     n1 = -tables.a_half[i] - Fraction(s, l_i)
     n2 = -tables.a_half[j] - Fraction(t, l_i)
     if not orbits.contains_mode(j, n2):
         return True
-    w1, w2 = -n1 * k, -n2 * k
-    assert w1.denominator == 1 and w2.denominator == 1
-    target = tuple(
-        sorted((TwistedVariable(i, int(w1)), TwistedVariable(j, int(w2))))
-    )
+    target = _pair_monomial(orbits, i, j, n1, n2)
     charge = monomial_charge(target, orbits.d)
     weight = monomial_weight(target)
     monomials = enumerate_monomials(orbits, tables, charge, weight)
     rows = _relation_rows(orbits, tables, charge, weight, monomials)
     if not rows:
         return False
-    field = get_field(k)
+    field = get_field(orbits.k)
     span = ExactMatrix(
         field, tuple(tuple(r) for r in rows), len(monomials)
     ).transpose()
@@ -538,7 +545,7 @@ def new_relations_sweep(
     cells = []
     for i in range(orbits.d):
         for j in range(orbits.d):
-            bound = _relation_label_count(tables, i, j)
+            bound = sum(tables.rotated[i][j])
             l_i = orbits.lengths[i]
             for s in range(bound):
                 for t in range(bound - s):
@@ -566,28 +573,18 @@ def membership_matrix(
     -a_i - p/l_i times binomial(a_i + p/l_i - gram_ii/2, m - 1).  Square of
     size l_i * (zero-mode pairing), and always invertible.
     """
-    k = orbits.k
-    field = get_field(k)
     l_i = orbits.lengths[i]
-    big_l = orbits.root_orders[i]
-    eta_l = field.root_of_unity(big_l)
     a_i = tables.a_half[i]
-    gram_ii = Fraction(tables.rotated[i][i][0], 2)
-    size = _relation_label_count(tables, i, j)
-    rows = []
-    for r in range(l_i):
-        for m in range(1, tables.rotated[i][j][r] + 1):
-            row = []
-            for p in range(size):
-                mode = -a_i - Fraction(p, l_i)
-                exponent = r * mode * big_l
-                assert exponent.denominator == 1
-                row.append(
-                    eta_l ** (int(exponent) % big_l)
-                    * rational_binomial(-mode - gram_ii, m - 1)
-                )
-            rows.append(tuple(row))
-    return ExactMatrix(field, tuple(rows), size)
+    size = sum(tables.rotated[i][j])
+    rows = [
+        tuple(
+            _relation_coeff(orbits, tables, i, r, m, -a_i - Fraction(p, l_i))
+            for p in range(size)
+        )
+        for r in range(l_i)
+        for m in range(1, tables.rotated[i][j][r] + 1)
+    ]
+    return ExactMatrix(get_field(orbits.k), tuple(rows), size)
 
 
 def membership_matrix_decomposition(
@@ -602,18 +599,14 @@ def membership_matrix_decomposition(
     k = orbits.k
     field = get_field(k)
     l_i = orbits.lengths[i]
-    big_l = orbits.root_orders[i]
-    eta_l = field.root_of_unity(big_l)
     a_i = tables.a_half[i]
     gram_ii = Fraction(tables.rotated[i][i][0], 2)
-    # The p-dependent part of the root weight is a power of a primitive
-    # l_i-th root; the remainder is a per-row scalar.
-    zeta = eta_l ** ((-(big_l // l_i)) % big_l) if l_i > 1 else field.one()
+    # The p-dependent part of the root weight is a power of the primitive
+    # l_i-th root eta^(-k/l_i); the remainder is a per-row scalar.
+    zeta = field.eta_to(-k // l_i)
     scalars = []
     for r in range(l_i):
-        exponent = -r * a_i * big_l
-        assert exponent.denominator == 1
-        scalar = eta_l ** (int(exponent) % big_l)
+        scalar = field.eta_to(_integral(-r * a_i * k, "root exponent"))
         scalars.extend([scalar] * tables.rotated[i][j][r])
     pascal_form = stacked_with_root(
         field,

@@ -223,6 +223,33 @@ def test_invalid_lattice_in_config(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"gram": [[2, "x"], ["x", 2]]},
+        {"rank": "two"},
+        {"perm": "(a b)"},
+        {"perm": None},
+        {"perm": 5},
+        {"gram": 5},
+        {"gram": [[2, 0], 2]},
+        {"rank": 1, "gram": [[2.5]], "perm": "(1)"},
+        {"rank": 1.9, "gram": [[2]], "perm": "(1)"},
+        {"rank": 1, "gram": [[2]], "perm": [1.7]},
+        {"rank": 1, "gram": [[2]], "perm": [True]},
+    ],
+)
+def test_malformed_config_values_exit_2(capsys, tmp_path, override):
+    # Wrong types and shapes are input errors: never a traceback, never a
+    # silent coercion of a float or a bool to an integer.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"rank": 2, "gram": [[2, 0], [0, 2]], "perm": "(1)(2)", **override}))
+    code, out, err = run(capsys, "analyze", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_negative_truncation_is_rejected(capsys):
     code, _, err = run(capsys, "character", "--preset", "rank1", "-T", "-3")
     assert code == 2

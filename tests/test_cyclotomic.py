@@ -17,8 +17,11 @@ from twistchar.cyclotomic import (
 )
 
 CONDUCTORS = (2, 3, 4, 6, 12)
+# Arithmetic is also checked at degrees 1, 4, 4 and 8, where the inverse
+# multiplies up to seven Galois conjugates.
+ARITHMETIC_CONDUCTORS = CONDUCTORS + (1, 5, 8, 30)
 # phi(k) for the conductors used throughout.
-DEGREES = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
+DEGREES = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 8: 4, 12: 4, 30: 8}
 
 
 def _scalars(conductor):
@@ -96,6 +99,23 @@ def test_eta_to_wraps_exponents():
     assert field.eta_to(13) == field.eta
     assert field.eta_to(-1) == field.eta_to(11)
     assert field.eta_to(-1) * field.eta == field.one()
+    for k in CONDUCTORS:
+        field = get_field(k)
+        for e in range(-2 * k, 2 * k):
+            assert field.eta_to(e) == field.eta ** e
+
+
+@pytest.mark.parametrize("conductor", (1, 2, 3, 4, 5, 6, 8, 12))
+def test_from_coeffs_reduces_vectors_of_any_length(conductor):
+    # Vectors up to length 3k, i.e. well past the 2*degree - 1 terms of a
+    # product, are reduced modulo the cyclotomic polynomial.
+    field = get_field(conductor)
+    for length in range(1, 3 * conductor + 1):
+        vec = [Fraction((3 * e) % 7 - 3, 1 + e % 4) for e in range(length)]
+        expected = sum(
+            (field.eta_to(e) * c for e, c in enumerate(vec)), field.zero()
+        )
+        assert field.from_coeffs(vec) == expected, length
 
 
 def test_fourth_root_squares_to_minus_one():
@@ -164,7 +184,7 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert eta - eta == field.zero()
 
 
-@pytest.mark.parametrize("conductor", CONDUCTORS)
+@pytest.mark.parametrize("conductor", ARITHMETIC_CONDUCTORS)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_field_axioms(conductor, data):
@@ -178,7 +198,7 @@ def test_field_axioms(conductor, data):
     assert a + (-a) == get_field(conductor).zero()
 
 
-@pytest.mark.parametrize("conductor", CONDUCTORS)
+@pytest.mark.parametrize("conductor", ARITHMETIC_CONDUCTORS)
 @given(data=st.data())
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_inverse_roundtrip(conductor, data):
