@@ -22,7 +22,6 @@ from typing import NamedTuple, Sequence
 from .cyclotomic import (
     CyclotomicScalar,
     ExactMatrix,
-    NoSolution,
     get_field,
     rational_binomial,
 )
@@ -479,9 +478,9 @@ def new_relations_membership(
     The allowed range is s, t >= 0 with s + t <= l_i * (zero-mode pairing
     of i with j) - 1; outside it PreconditionViolated is raised.  When the
     second mode is not admissible for orbit j the monomial vanishes by
-    convention and membership holds trivially.  Otherwise membership is
-    decided by solving for the monomial in the span of the ideal's
-    bidegree slice over the cyclotomic field.
+    convention and membership holds trivially.  Otherwise the monomial is a
+    member iff appending it to the rows of the ideal's bidegree slice leaves
+    their rank over the cyclotomic field unchanged.
     """
     # lengths[i] times the zero-mode pairing of i with j: the number of
     # (rotation, power) relation labels of the pair.
@@ -501,18 +500,15 @@ def new_relations_membership(
     weight = monomial_weight(target)
     monomials = enumerate_monomials(orbits, tables, charge, weight)
     rows = _relation_rows(orbits, tables, charge, weight, monomials)
-    if not rows:
-        return False
     field = get_field(orbits.k)
-    span = ExactMatrix(
-        field, tuple(tuple(r) for r in rows), len(monomials)
-    ).transpose()
-    rhs = [1 if mono == target else 0 for mono in monomials]
-    try:
-        span.solve(rhs)
-        return True
-    except NoSolution:
-        return False
+    one, zero = field.one(), field.zero()
+    relations = ExactMatrix(field, tuple(tuple(r) for r in rows), len(monomials))
+    with_target = ExactMatrix(
+        field,
+        relations.rows + (tuple(one if m == target else zero for m in monomials),),
+        len(monomials),
+    )
+    return with_target.rank() == relations.rank()
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twistchar
 from twistchar.cli import InputError, RunConfig, _config_from_args, build_parser, main
@@ -248,6 +252,72 @@ def test_malformed_config_values_exit_2(capsys, tmp_path, override):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=20,
+)
+_ENTRY = st.integers(min_value=-1, max_value=4) | _JSON
+
+
+def _symmetric(n, values):
+    # The symmetric n x n matrix with upper triangle (diagonal doubled, so
+    # even) read row by row from values.
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = values[i * n + j] * (2 if i == j else 1)
+    return rows
+
+
+_CYCLES = st.text(alphabet="()12345 ,-x", max_size=12)
+
+
+@st.composite
+def _near_valid(draw):
+    # Even, symmetric and small, so that some inputs pass validation and
+    # reach the orbit analysis; the permutation need not preserve the form.
+    n = draw(st.integers(min_value=1, max_value=4))
+    values = draw(st.lists(st.sampled_from((1, 1, 0, 2, -1)), min_size=n * n, max_size=n * n))
+    perm = draw(st.just("()") | st.permutations(list(range(1, n + 1))) | _CYCLES)
+    return {"rank": n, "gram": _symmetric(n, values), "perm": perm}
+
+
+@st.composite
+def _malformed(draw):
+    # Arbitrary JSON in any slot, missing keys, wrong shapes and types.
+    rank = draw(st.integers(min_value=-1, max_value=4) | _JSON)
+    n = rank if isinstance(rank, int) and not isinstance(rank, bool) and 0 <= rank <= 4 else 2
+    nested = st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+    flat = st.lists(_ENTRY, min_size=n * n, max_size=n * n)
+    gram = draw(nested | flat | _JSON)
+    perm = draw(st.permutations(list(range(1, n + 1))) | st.lists(_ENTRY, max_size=n + 1)
+                | _CYCLES | _JSON)
+    data = {"rank": rank, "gram": gram, "perm": perm}
+    data.pop(draw(st.none() | st.sampled_from(sorted(data))), None)
+    return draw(st.just(data) | _JSON)
+
+
+@given(data=_near_valid() | _malformed())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_analyze_config_fuzz_exits_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lattice.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--config", str(path)])
+    assert code in (0, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_negative_truncation_is_rejected(capsys):

@@ -1,11 +1,13 @@
 """Field arithmetic and exact linear algebra, pinned against hand values."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistchar import modular
 from twistchar.cyclotomic import (
     DimensionMismatch,
     ExactMatrix,
@@ -340,3 +342,86 @@ def test_solve_returns_actual_solutions(data):
         for r in range(3)
     ]
     assert back == rhs
+
+
+# --------------------------------------------------- certified modular rank
+
+PRIME = modular.PRIME
+
+
+def _pivot_count(matrix):
+    return len(matrix._echelon()[1])
+
+
+@pytest.mark.parametrize("conductor", (1, 2, 3, 4, 5, 8, 12))
+def test_certified_rank_of_rank_deficient_products(conductor):
+    # A (m x r) times B (r x n) with r < min(m, n) has rank at most r, so the
+    # certificate has to lift and check a kernel.  Entries and shapes are
+    # small, so the kernel's fractions stay inside the reconstruction bound;
+    # taller kernels fall back, as the tests below check.
+    field = get_field(conductor)
+    rng = random.Random(conductor)
+
+    def scalar():
+        return field.from_coeffs(
+            Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+            for _ in range(field.degree)
+        )
+
+    deficient = 0
+    for _ in range(12):
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        r = rng.randint(1, min(m, n) - 1)
+        a = ExactMatrix(field, tuple(tuple(scalar() for _ in range(r)) for _ in range(m)), r)
+        b = ExactMatrix(field, tuple(tuple(scalar() for _ in range(n)) for _ in range(r)), n)
+        product = a * b
+        expected = _pivot_count(product)
+        assert product._certified_rank() == expected
+        assert product.rank() == expected
+        deficient += expected < min(m, n)
+    assert deficient == 12
+
+
+def test_certified_rank_rejects_an_entry_equal_to_the_prime():
+    # [[p, 1], [0, 1]] has rank 2 but rank 1 mod p; the lifted kernel
+    # vector (1, 0) fails the exact check.
+    field = get_field(1)
+    m = ExactMatrix.from_rows(field, [[PRIME, 1], [0, 1]])
+    assert m._certified_rank() is None
+    assert m.rank() == 2 == _pivot_count(m)
+
+
+def test_certified_rank_rejects_a_denominator_divisible_by_the_prime():
+    field = get_field(3)
+    m = ExactMatrix.from_rows(field, [[Fraction(1, PRIME), 1], [1, 1]])
+    assert m._certified_rank() is None
+    assert m.rank() == 2 == _pivot_count(m)
+
+
+def test_certified_rank_rejects_a_kernel_too_tall_to_lift():
+    # The kernel vector (-(2**40 + 3), 1) is beyond the reconstruction bound.
+    field = get_field(1)
+    m = ExactMatrix.from_rows(field, [[1, 2**40 + 3], [2, 2**41 + 6]])
+    assert m._certified_rank() is None
+    assert m.rank() == 1 == _pivot_count(m)
+
+
+def test_certified_rank_on_empty_and_full_rank_shapes():
+    field = get_field(4)
+    assert ExactMatrix.zeros(field, 0, 3)._certified_rank() == 0
+    assert ExactMatrix.zeros(field, 3, 0)._certified_rank() == 0
+    assert ExactMatrix.zeros(field, 2, 3)._certified_rank() == 0
+    eta = field.eta
+    wide = ExactMatrix.from_rows(field, [[1, eta, 0], [eta, 0, 1]])
+    assert wide._certified_rank() == 2
+
+
+@pytest.mark.parametrize("conductor", (1, 2, 3, 4, 6, 12))
+def test_rational_scalars_hash_as_their_value(conductor):
+    field = get_field(conductor)
+    for value in (0, 1, -3, Fraction(2, 3), Fraction(-7, 4)):
+        scalar = field.from_rational(value)
+        assert scalar == value and hash(scalar) == hash(value)
+        assert hash(scalar) == hash(Fraction(value))
+        assert len({scalar, value}) == 1
+    assert len({field.one(), 1, Fraction(1)}) == 1

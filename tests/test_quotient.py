@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from twistchar import quotient
+from twistchar.cyclotomic import ExactMatrix, NoSolution, get_field
 from twistchar.lattice import analyze
 from twistchar.pascal import verify_invertible
-from twistchar.presets import preset
+from twistchar.presets import lattice_from_config, preset
 from twistchar.qseries import character
 from twistchar.quotient import (
     BudgetExceeded,
@@ -246,6 +248,71 @@ def test_membership_sweeps(name, total, trivial, data):
     assert all(c.member for c in cells)
     sample = cells[0].to_json_dict()
     assert set(sample) == {"pair", "s", "t", "member", "trivial"}
+
+
+def _solve_membership(orbits, tables, i, j, s, t):
+    # Reference: the target monomial is a combination of the relation rows
+    # iff the transposed system has a solution.
+    l_i = orbits.lengths[i]
+    n1 = -tables.a_half[i] - Fraction(s, l_i)
+    n2 = -tables.a_half[j] - Fraction(t, l_i)
+    if not orbits.contains_mode(j, n2):
+        return True
+    target = quotient._pair_monomial(orbits, i, j, n1, n2)
+    charge = monomial_charge(target, orbits.d)
+    weight = monomial_weight(target)
+    monomials = enumerate_monomials(orbits, tables, charge, weight)
+    rows = quotient._relation_rows(orbits, tables, charge, weight, monomials)
+    if not rows:
+        return False
+    span = ExactMatrix(
+        get_field(orbits.k), tuple(tuple(r) for r in rows), len(monomials)
+    ).transpose()
+    try:
+        span.solve([1 if mono == target else 0 for mono in monomials])
+        return True
+    except NoSolution:
+        return False
+
+
+@pytest.mark.parametrize("name", PRESETS + ("3-cycle",))
+def test_membership_by_rank_matches_solving(name, data):
+    if name == "3-cycle":
+        orbits, tables = analyze(lattice_from_config(
+            {"rank": 3, "gram": [[2, 1, 1], [1, 2, 1], [1, 1, 2]], "perm": "(1 2 3)"}
+        ))
+    else:
+        orbits, tables = data[name]
+    cells = new_relations_sweep(orbits, tables)
+    assert cells
+    for c in cells:
+        assert c.member == _solve_membership(orbits, tables, c.i, c.j, c.s, c.t)
+
+
+def test_membership_by_rank_matches_solving_on_thinned_relations(data, monkeypatch):
+    # With only every third relation row, some monomials leave the span, so
+    # both answers are compared on non-members too.
+    full = quotient._relation_rows
+    monkeypatch.setattr(
+        quotient, "_relation_rows", lambda *args, **kw: full(*args, **kw)[::3]
+    )
+    orbits, tables = data["swap2"]
+    cells = new_relations_sweep(orbits, tables)
+    assert not all(c.member for c in cells)
+    for c in cells:
+        assert c.member == _solve_membership(orbits, tables, c.i, c.j, c.s, c.t)
+
+
+def test_oracle_ranks_are_all_certified(data, monkeypatch):
+    # A certificate that stopped proving ranks would only cost speed, since
+    # rank() falls back to exact elimination; here the fallback is an error.
+    def no_fallback(self):
+        pytest.fail("rank fell back to exact elimination")
+
+    monkeypatch.setattr(ExactMatrix, "_echelon", no_fallback)
+    orbits, tables = data["rank1"]
+    report = compare_with_character(orbits, tables, 3, 24)
+    assert report.all_ok and report.cells
 
 
 # ------------------------------------------------------- membership as Pascal

@@ -17,3 +17,19 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_no_floats_in_the_package():
+    # Every value is exact: no float literal and no float() conversion.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        )
+    ]
+    assert SOURCES and not found, found
