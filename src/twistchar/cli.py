@@ -294,6 +294,11 @@ def _check_pascal(cfg: RunConfig):
     report = pascal_check(
         cfg.max_k, cfg.max_n, cfg.samples, cfg.seed, cfg.proof_samples
     )
+    log.info(
+        "pascal sweep: %d specs proved mod p, %d by exact elimination",
+        report.proved_mod_p,
+        report.proved_exact,
+    )
     lines = [
         f"  {report.specs_checked} stacked specs, "
         f"{report.factorizations_checked} factorization replays, "

@@ -1,4 +1,4 @@
-"""Ranks of rational matrices, proved by elimination modulo one prime.
+"""Ranks and determinants proved by arithmetic modulo a prime.
 
 The rank r of a matrix mod p is a lower bound on its rank over Q, since a
 minor that is nonzero mod p is nonzero over Q.  It is the rank when r is
@@ -7,12 +7,20 @@ echelon form mod p, lifted to Q by rational reconstruction (Wang, Guy and
 Davenport 1982), satisfy M * v = 0 exactly.  Each such vector is 1 on its
 own free column and 0 on the other free columns, so they are independent.
 Otherwise there is no answer, and the caller eliminates exactly.
+
+For a root order k, ``root_prime(k)`` gives the first prime p = 1 (mod k)
+above 2^61 with an element omega of exact order k, so that eta -> omega
+maps Z[eta] (and every fraction whose denominator p does not divide) to
+F_p as a ring homomorphism.  A determinant nonzero mod p is then nonzero
+over Q(eta), and two determinants that differ mod p differ over Q(eta);
+agreement mod p proves nothing.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 PRIME = (1 << 61) - 1
 # Numerators and denominators up to this bound are recovered from a residue.
@@ -123,3 +131,73 @@ def _lift(residue: int) -> Fraction | None:
     if abs(t1) > _LIFT_BOUND:
         return None
     return Fraction(r1, t1)
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def root_prime(k: int) -> tuple[int, int]:
+    """(p, omega): the first prime p = 1 (mod k) above 2^61, and
+    omega = g^((p-1)/k) for the least g >= 2 that gives exact order k."""
+    p = (1 << 61) + 1 + (-(1 << 61)) % k
+    while not is_prime(p):
+        p += k
+    factors = [q for q in range(2, k + 1) if k % q == 0 and is_prime(q)]
+    g = 2
+    while True:
+        omega = pow(g, (p - 1) // k, p)
+        if all(pow(omega, k // q, p) != 1 for q in factors):
+            return p, omega
+        g += 1
+
+
+def residue(x: Fraction, p: int) -> int | None:
+    """x mod p, or None when p divides the denominator of x."""
+    den = x.denominator % p
+    return x.numerator * pow(den, -1, p) % p if den else None
+
+
+def det_mod(rows: list[list[int]], p: int) -> int:
+    """Determinant mod p of a square matrix of residues; rows are consumed."""
+    n = len(rows)
+    det = 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        top = rows[c]
+        det = det * top[c] % p
+        inv = pow(top[c], -1, p)
+        for row in rows[c + 1:]:
+            factor = row[c] * inv % p
+            if factor:
+                for j in range(c + 1, n):
+                    row[j] = (row[j] - factor * top[j]) % p
+    return det

@@ -3,8 +3,13 @@
 A block spec fixes a root order k, block heights N_0..N_{k-1} summing to N,
 and rationals z and w (w nonzero).  Block r has entries
 eta^(p*r) * binomial(z + p*w, i) for row i < N_r and column p < N; the
-stacked N x N matrix is invertible for every such choice, and this module
-both checks that exactly (determinant over the cyclotomic field) and
+stacked N x N matrix is invertible for every such choice: with x_r = eta^r,
+its determinant is the confluent Vandermonde closed form (Krattenthaler,
+"Advanced determinant calculus", 1999)
+prod_r (w*x_r)^C(N_r, 2) * prod_{r<s} (x_s - x_r)^(N_r*N_s).  This module
+proves det != 0 modulo a prime (``modular``), or exactly over the
+cyclotomic field where the residue is 0 or undefined; a residue that
+differs from the closed form's proves the determinant wrong.  It also
 replays, entry by entry, the two row-reduction arguments behind it.  A
 failed identity raises PascalIdentityError naming the first bad entry;
 nothing is ever patched to force agreement.
@@ -15,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import (
@@ -27,6 +33,7 @@ from .cyclotomic import (
     get_field,
     rational_binomial,
 )
+from .modular import det_mod, residue, root_prime
 
 
 class PascalIdentityError(AssertionError):
@@ -76,10 +83,6 @@ class PascalSpec:
         if self.w == 0:
             raise ValueError("w must be nonzero")
 
-    @property
-    def size(self) -> int:
-        return sum(self.block_sizes)
-
 
 def _common_field(*values: Entry) -> CyclotomicField:
     for v in values:
@@ -100,24 +103,18 @@ def a_matrix(
 ) -> ExactMatrix:
     """p x q matrix with entries x^j * binomial(z + j*w, i)."""
     xs = _powers(_coerce_entry(field, x), q)
+    zf, wf = Fraction(z), Fraction(w)
     rows = tuple(
-        tuple(
-            xs[j] * rational_binomial(Fraction(z) + j * Fraction(w), i)
-            for j in range(q)
-        )
+        tuple(xs[j] * rational_binomial(zf + j * wf, i) for j in range(q))
         for i in range(p)
     )
     return ExactMatrix(field, rows, q)
 
 
 def _z_matrix(field: CyclotomicField, z: Rational, p: int) -> ExactMatrix:
-    return ExactMatrix.from_rows(
-        field,
-        [
-            [rational_binomial(z, i - j) if i >= j else 0 for j in range(p)]
-            for i in range(p)
-        ],
-    )
+    rows = [[rational_binomial(z, i - j) if i >= j else 0 for j in range(p)]
+            for i in range(p)]
+    return ExactMatrix.from_rows(field, rows)
 
 
 def _m_stage_matrix(
@@ -144,16 +141,10 @@ def _m_stage_matrix(
 def _diagonal(
     field: CyclotomicField, entries: Sequence[CyclotomicScalar]
 ) -> ExactMatrix:
-    zero = field.zero()
-    n = len(entries)
-    return ExactMatrix(
-        field,
-        tuple(
-            tuple(e if i == j else zero for j in range(n))
-            for i, e in enumerate(entries)
-        ),
-        n,
-    )
+    zero, n = field.zero(), len(entries)
+    return ExactMatrix(field, tuple(
+        tuple(e if i == j else zero for j in range(n)) for i, e in enumerate(entries)
+    ), n)
 
 
 def _q_stage_matrix(field: CyclotomicField, w: Rational, n: int, p: int) -> ExactMatrix:
@@ -245,9 +236,7 @@ def stacked_with_root(
         xs = _powers(x, n)
         for i in range(height):
             rows.append([xs[p] * binoms[i][p] for p in range(n)])
-    return ExactMatrix(
-        field, tuple(tuple(row) for row in rows), n
-    )
+    return ExactMatrix(field, tuple(tuple(row) for row in rows), n)
 
 
 def build_stacked(spec: PascalSpec) -> ExactMatrix:
@@ -259,13 +248,66 @@ def build_stacked(spec: PascalSpec) -> ExactMatrix:
 
 class InvertibilityResult(NamedTuple):
     invertible: bool
-    determinant: CyclotomicScalar
+    # False: det_p differs from the closed form mod p, which proves the
+    # determinant is not the closed form.  True: they agree mod p, which
+    # proves nothing more.  None: nothing was compared.
+    closed_form: bool | None
+    method: str  # what proved `invertible`: "mod-p" or "exact"
+
+
+def _stacked_mod(
+    sizes: tuple[int, ...], z: int, w: int, p: int, omega: int
+) -> list[list[int]]:
+    # The stacked matrix mod p with eta -> omega: block r, row i, column c
+    # holds omega^(c*r) * binomial(z + c*w, i), i! a unit since i < N < p.
+    n = sum(sizes)
+    binoms = [[1] * n]
+    for i in range(1, max(sizes)):
+        inv = pow(i, -1, p)
+        binoms.append(
+            [b * (z + c * w - i + 1) * inv % p for c, b in enumerate(binoms[-1])]
+        )
+    rows = []
+    for r, height in enumerate(sizes):
+        x, xs = pow(omega, r, p), [1] * n
+        for c in range(1, n):
+            xs[c] = xs[c - 1] * x % p
+        rows += ([a * b % p for a, b in zip(xs, binoms[i])] for i in range(height))
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _root_factor(k: int, sizes: tuple[int, ...]) -> int:
+    # The closed form's part free of z and w, mod p, with x_r = omega^r:
+    # prod_r x_r^C(N_r, 2) * prod_{r<s} (x_s - x_r)^(N_r*N_s).
+    p, omega = root_prime(k)
+    xs = [pow(omega, r, p) for r in range(k)]
+    out = 1
+    for r, n_r in enumerate(sizes):
+        out = out * pow(xs[r], n_r * (n_r - 1) // 2, p) % p
+        for s in range(r + 1, k):
+            out = out * pow(xs[s] - xs[r], n_r * sizes[s], p) % p
+    return out
 
 
 def verify_invertible(spec: PascalSpec) -> InvertibilityResult:
-    """Exact determinant test of the stacked matrix."""
-    det = build_stacked(spec).det()
-    return InvertibilityResult(bool(det), det)
+    """Invertibility of the stacked matrix, proved mod p or exactly.
+
+    The matrix is built modulo the prime p of ``root_prime(k)``, and
+    det_p != 0 proves det != 0.  det_p is compared with the closed form mod
+    p.  When p divides the denominator of z or w, or det_p = 0, the exact
+    determinant over Q(eta) decides invertibility.
+    """
+    k, sizes = spec.conductor, spec.block_sizes
+    p, omega = root_prime(k)
+    z, w = residue(spec.z, p), residue(spec.w, p)
+    if z is None or w is None:
+        return InvertibilityResult(bool(build_stacked(spec).det()), None, "exact")
+    det = det_mod(_stacked_mod(sizes, z, w, p, omega), p)
+    w_power = sum(n * (n - 1) // 2 for n in sizes)
+    agrees = det == _root_factor(k, sizes) * pow(w, w_power, p) % p
+    invertible = bool(det) or bool(build_stacked(spec).det())
+    return InvertibilityResult(invertible, agrees, "mod-p" if det else "exact")
 
 
 @dataclass(frozen=True)
@@ -364,15 +406,13 @@ def two_blocks_check(
     # C = [0 | C'] with C'[i][j] = binomial(s+j, s+i) * x^(j-i) above the diagonal.
     zero = field.zero()
     xs = _powers(xc, max(n - s, 1))
-    c_rows = []
-    for i in range(n - s):
-        row = [zero] * s
-        for j in range(n - s):
-            if j >= i:
-                row.append(xs[j - i] * rational_binomial(s + j, s + i))
-            else:
-                row.append(zero)
-        c_rows.append(row)
+    c_rows = [
+        [zero] * s + [
+            xs[j - i] * rational_binomial(s + j, s + i) if j >= i else zero
+            for j in range(n - s)
+        ]
+        for i in range(n - s)
+    ]
     c = ExactMatrix.from_rows(field, c_rows) if n - s else ExactMatrix.zeros(
         field, 0, n
     )
@@ -384,39 +424,24 @@ def two_blocks_check(
 
     # Q eliminates the upper block from the lower one.
     x_inv = xc.inverse()
-    q_rows = []
-    for i in range(t):
-        row = []
-        for j in range(s):
-            if j < i:
-                row.append(zero)
-            else:
-                row.append(
-                    -((yc * x_inv) ** i)
-                    * rational_binomial(j, i)
-                    * ((d * x_inv) ** (j - i))
-                )
-        q_rows.append(row)
-    q = ExactMatrix.from_rows(field, q_rows)
-    q_prime_rows = [
-        row + (zero,) * t for row in ExactMatrix.identity(field, s).rows
-    ]
-    ident_t = ExactMatrix.identity(field, t)
-    q_prime_rows += [
-        tuple(q.rows[i]) + tuple(ident_t.rows[i]) for i in range(t)
-    ]
-    q_prime = ExactMatrix(field, tuple(q_prime_rows), s + t)
-
-    w_direct = ExactMatrix.from_rows(
-        field,
+    q = ExactMatrix.from_rows(field, [
         [
-            [
-                rational_binomial(s + j, i) * (yc ** i) * (d ** (s + j - i))
-                for j in range(n - s)
-            ]
-            for i in range(t)
-        ],
+            -((yc * x_inv) ** i) * rational_binomial(j, i) * ((d * x_inv) ** (j - i))
+            if j >= i else zero
+            for j in range(s)
+        ]
+        for i in range(t)
+    ])
+    # Q' = [[I, 0], [Q, I]].
+    ident = ExactMatrix.identity(field, s + t).rows
+    q_prime = ExactMatrix(
+        field, ident[:s] + tuple(q.rows[i] + ident[s + i][s:] for i in range(t)), s + t
     )
+
+    w_direct = ExactMatrix.from_rows(field, [
+        [rational_binomial(s + j, i) * yc ** i * d ** (s + j - i) for j in range(n - s)]
+        for i in range(t)
+    ])
     _assert_equal(
         "eliminated lower block (Q'B = [A'; W*C])",
         q_prime * b,
@@ -494,6 +519,10 @@ class PascalSweepReport:
     factorizations_checked: int
     two_blocks_checked: int
     failures: tuple[SweepFailure, ...]
+    # Specs whose invertibility was proved mod p and by exact elimination;
+    # not part of the JSON report.
+    proved_mod_p: int = 0
+    proved_exact: int = 0
 
     @property
     def ok(self) -> bool:
@@ -524,30 +553,32 @@ def pascal_check(
 
     For every root order k <= max_k and every composition of every total
     N <= max_n into k blocks, draws ``samples`` random (z, w) pairs and
-    checks the stacked determinant is nonzero; then replays the
-    factorization and two-stack arguments on ``proof_samples`` random
-    instances each.  Identical arguments produce identical reports.
+    proves the stacked determinant nonzero (``verify_invertible``), failing
+    the spec as ``closed-form`` when it provably differs from the closed
+    form; then replays the factorization and two-stack arguments on
+    ``proof_samples`` random instances each.  Identical arguments produce
+    identical reports.
     """
     rng = random.Random(seed)
     failures: list[SweepFailure] = []
-    specs = 0
+    methods = {"mod-p": 0, "exact": 0}
     for k in range(1, max_k + 1):
         for total in range(1, max_n + 1):
             for shape in compositions(total, k):
                 for _ in range(samples):
                     z = random_rational(rng)
                     w = random_rational(rng, nonzero=True)
-                    spec = PascalSpec(k, shape, z, w)
-                    specs += 1
-                    result = verify_invertible(spec)
+                    result = verify_invertible(PascalSpec(k, shape, z, w))
+                    methods[result.method] += 1
+                    params = f"k={k} blocks={shape} z={z} w={w}"
                     if not result.invertible:
-                        failures.append(
-                            SweepFailure(
-                                "invertibility",
-                                f"k={k} blocks={shape} z={z} w={w}",
-                                "determinant is zero",
-                            )
-                        )
+                        failures.append(SweepFailure(
+                            "invertibility", params, "determinant is zero"
+                        ))
+                    if result.closed_form is False:
+                        failures.append(SweepFailure(
+                            "closed-form", params, "not the closed form mod p"
+                        ))
     fact = 0
     for _ in range(proof_samples):
         p = rng.randint(1, 6)
@@ -589,8 +620,10 @@ def pascal_check(
         samples=samples,
         proof_samples=proof_samples,
         seed=seed,
-        specs_checked=specs,
+        specs_checked=sum(methods.values()),
         factorizations_checked=fact,
         two_blocks_checked=twob,
         failures=tuple(failures),
+        proved_mod_p=methods["mod-p"],
+        proved_exact=methods["exact"],
     )

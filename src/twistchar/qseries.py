@@ -188,10 +188,16 @@ def poch_inverse(b: int, m: int, truncation: int) -> QSeries:
     """
     if b < 1 or m < 0:
         raise ValueError(f"need b >= 1 and m >= 0, got b={b}, m={m}")
+    return _partition_series([j * b for j in range(1, m + 1)], truncation)
+
+
+def _partition_series(parts: Iterable[int], truncation: int) -> QSeries:
+    # Truncated prod over the parts of 1 / (1 - q^part), the generating
+    # series of partitions into the parts, a part listed twice counting as
+    # two distinct parts: one partition-count pass per part.
     coeffs = [0] * (truncation + 1)
     coeffs[0] = 1
-    for j in range(1, m + 1):
-        part = j * b
+    for part in parts:
         for n in range(part, truncation + 1):
             coeffs[n] += coeffs[n - part]
     return QSeries(truncation, {n: c for n, c in enumerate(coeffs) if c})
@@ -215,15 +221,12 @@ def inverse_poch_product(
     Computed as a partition-count table: each factor contributes parts
     start, start+step, ... each with its own unlimited multiplicity.
     """
-    coeffs = [0] * (truncation + 1)
-    coeffs[0] = 1
+    factors = list(factors)
     for start, step in factors:
         if start < 1 or step < 1:
             raise ValueError(f"need start >= 1 and step >= 1, got {start}, {step}")
-        for part in range(start, truncation + 1, step):
-            for n in range(part, truncation + 1):
-                coeffs[n] += coeffs[n - part]
-    return QSeries(truncation, {n: c for n, c in enumerate(coeffs) if c})
+    parts = [a for start, step in factors for a in range(start, truncation + 1, step)]
+    return _partition_series(parts, truncation)
 
 
 @dataclass
@@ -317,8 +320,9 @@ def character(
 ) -> CharacterTable:
     """Multigraded character with normalized integer exponents.
 
-    Each charge m contributes q^((m^T A m)/2) times a product of inverse
-    Pochhammer factors with exponent step k / length_i.  The charge matrix
+    Each charge m contributes q^((m^T A m)/2) times the product over i of
+    1 / (q^s_i; q^s_i)_(m_i), s_i = k / length_i, built as one partition
+    count over the parts j * s_i, 1 <= j <= m_i.  The charge matrix
     is positive definite, so each coefficient is a finite sum: orbit-sum
     vectors have disjoint supports, so their Gram matrix inherits the
     positive definiteness ``validate`` proved for the lattice.
@@ -336,11 +340,8 @@ def character(
         base, odd = divmod(quadratic_value(matrix, m), 2)
         if odd:
             raise ArithmeticError(f"charge {m} has odd norm {2 * base + 1}")
-        series = QSeries.one(truncation - base)
-        for i, mult in enumerate(m):
-            if mult:
-                series = series * poch_inverse(steps[i], mult, truncation - base)
-        table.entries[m] = series.shifted(base)
+        parts = [j * steps[i] for i, mult in enumerate(m) for j in range(1, mult + 1)]
+        table.entries[m] = _partition_series(parts, truncation - base).shifted(base)
     return table
 
 

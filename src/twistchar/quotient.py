@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .cyclotomic import (
-    CyclotomicScalar,
-    ExactMatrix,
-    get_field,
-    rational_binomial,
-)
+from .cyclotomic import CyclotomicScalar, ExactMatrix, get_field, rational_binomial
 from .lattice import OrbitData, PairingTables
 from .pascal import PascalSpec, stacked_with_root
 from .qseries import character
@@ -246,7 +241,10 @@ def _relation_rows(
     weight: int,
     monomials: list[Monomial],
     max_rows: int | None = None,
+    families: dict | None = None,
 ) -> list[list[CyclotomicScalar]]:
+    # ``families`` caches the relation family per (i, j, t) across calls.
+    families = {} if families is None else families
     field = get_field(orbits.k)
     index = {mono: pos for pos, mono in enumerate(monomials)}
     rows: list[list[CyclotomicScalar]] = []
@@ -267,10 +265,12 @@ def _relation_rows(
                 if not cofs:
                     continue
                 t = Fraction(weight - cof_weight, orbits.k)
-                pairs = _mode_pairs(orbits, tables, i, j, t)
-                if not pairs:
-                    continue
-                gens = _generators(orbits, tables, i, j, t, pairs)
+                if (i, j, t) not in families:
+                    pairs = _mode_pairs(orbits, tables, i, j, t)
+                    families[i, j, t] = pairs and _generators(
+                        orbits, tables, i, j, t, pairs
+                    )
+                gens = families[i, j, t]
                 if max_rows is not None and len(rows) + len(cofs) * len(gens) > max_rows:
                     raise BudgetExceeded(
                         f"relation row count exceeds budget ({max_rows}) at "
@@ -292,6 +292,7 @@ def _bidegree_data(
     charge: tuple[int, ...],
     weight: int,
     budget: OracleBudget,
+    families: dict | None = None,
 ) -> tuple[int, int, int]:
     """(monomial count, relation row count, rank) for one bidegree."""
     if sum(charge) > budget.charge_total or weight > budget.weight:
@@ -308,7 +309,7 @@ def _bidegree_data(
             f"weight={weight}) exceed the column budget ({budget.max_cols})"
         )
     rows = _relation_rows(
-        orbits, tables, charge, weight, monomials, max_rows=budget.max_rows
+        orbits, tables, charge, weight, monomials, budget.max_rows, families
     )
     if not rows:
         return len(monomials), 0, 0
@@ -436,11 +437,12 @@ def compare_with_character(
     table = character(orbits, tables, weight_bound)
     cells = []
     empty = 0
+    families: dict = {}
     for charge in _charges_up_to(orbits.d, charge_total):
         series = table.series(charge)
         for weight in range(weight_bound + 1):
             n_monos, n_rows, rank = _bidegree_data(
-                orbits, tables, charge, weight, budget
+                orbits, tables, charge, weight, budget, families
             )
             coeff = series.coeff(weight)
             if n_monos == 0 and coeff == 0:

@@ -400,3 +400,17 @@ def test_verbose_on_either_side_of_the_subcommand(argv):
     assert quiet.stderr == ""
     assert "INFO twistchar: pascal sweep:" in loud.stderr
     assert loud.stdout == quiet.stdout
+
+
+def test_verbose_pascal_check_logs_the_proof_methods():
+    argv = ["pascal-check", "--max-k", "2", "--max-n", "3", "--samples", "1",
+            "--proof-samples", "0"]
+    quiet = _cli_process(*argv)
+    loud = _cli_process(*argv, "-v")
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stderr == ""
+    assert (
+        "INFO twistchar: pascal sweep: 12 specs proved mod p, "
+        "0 by exact elimination\n"
+    ) in loud.stderr
+    assert loud.stdout == quiet.stdout

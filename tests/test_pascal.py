@@ -1,9 +1,12 @@
 """Root-of-unity Pascal stacks: hand examples, proof replays, sweep."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from twistchar import modular, pascal
 from twistchar.cyclotomic import ExactMatrix, get_field
 from twistchar.pascal import (
     PascalIdentityError,
@@ -13,6 +16,7 @@ from twistchar.pascal import (
     compositions,
     factorization_check,
     pascal_check,
+    random_rational,
     stacked_with_root,
     two_blocks_check,
     verify_invertible,
@@ -43,7 +47,7 @@ def test_single_block_with_trivial_root_is_upper_pascal():
     m = build_stacked(spec)
     assert m == expected
     assert verify_invertible(spec).invertible
-    assert verify_invertible(spec).determinant == field.one()
+    assert build_stacked(spec).det() == field.one()
 
 
 def test_pascal_matrix_rectangular():
@@ -175,3 +179,142 @@ def test_replay_detects_forged_stage():
     with pytest.raises(PascalIdentityError) as err:
         _assert_equal("forged", good, bad)
     assert err.value.row == 1 and err.value.col == 0
+
+
+# ------------------------------------------------------- mod-p certificate
+
+
+def _closed_form(spec):
+    # The exact closed form over Q(eta), x_r = eta^r:
+    # prod_r (w*x_r)^C(N_r, 2) * prod_{r<s} (x_s - x_r)^(N_r*N_s).
+    k, sizes = spec.conductor, spec.block_sizes
+    field = get_field(k)
+    xs = [field.root_of_unity(k) ** r for r in range(k)]
+    w = field.from_rational(spec.w)
+    out = field.one()
+    for r, n_r in enumerate(sizes):
+        out = out * (w * xs[r]) ** (n_r * (n_r - 1) // 2)
+        for s in range(r + 1, k):
+            out = out * (xs[s] - xs[r]) ** (n_r * sizes[s])
+    return out
+
+
+def _image_mod_p(scalar, k):
+    # The image of an element of Q(eta_k) under eta -> omega in F_p.
+    p, omega = modular.root_prime(k)
+    return sum(
+        modular.residue(c, p) * pow(omega, e, p) for e, c in enumerate(scalar.coeffs)
+    ) % p
+
+
+def _seeded_specs(seed, orders, max_n):
+    rng = random.Random(seed)
+    for k in orders:
+        for total in range(1, max_n + 1):
+            for shape in compositions(total, k):
+                z = random_rational(rng)
+                yield PascalSpec(k, shape, z, random_rational(rng, nonzero=True))
+
+
+@pytest.mark.parametrize(
+    "orders, max_n", [((1, 2, 3, 4, 5), 5), ((6, 8), 3)], ids=["k<=5", "k=6,8"]
+)
+def test_closed_form_equals_exact_determinant(orders, max_n):
+    specs = list(_seeded_specs(29, orders, max_n))
+    assert len(specs) > 100
+    for spec in specs:
+        assert build_stacked(spec).det() == _closed_form(spec), spec
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_root_prime_has_a_root_of_exact_order(k):
+    p, omega = modular.root_prime(k)
+    assert p > 2 ** 61 and (p - 1) % k == 0 and modular.is_prime(p)
+    # p is the first such prime: every smaller candidate is composite.
+    start = 2 ** 61 + 1 + (-(2 ** 61)) % k
+    assert not any(modular.is_prime(q) for q in range(start, p, k))
+    assert pow(omega, k, p) == 1
+    assert all(pow(omega, j, p) != 1 for j in range(1, k))
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if modular.is_prime(n)] == [
+        n for n in range(3000) if trial(n)
+    ]
+    # Strong pseudoprimes to several of the smaller bases.
+    assert not modular.is_prime(3215031751)
+    assert not modular.is_prime(3825123056546413051)
+    assert modular.is_prime(2 ** 61 - 1)
+
+
+def test_det_mod_p_is_the_image_of_the_exact_det():
+    for spec in _seeded_specs(3, (1, 2, 3, 4), 4):
+        p, omega = modular.root_prime(spec.conductor)
+        z, w = modular.residue(spec.z, p), modular.residue(spec.w, p)
+        rows = pascal._stacked_mod(spec.block_sizes, z, w, p, omega)
+        det = build_stacked(spec).det()
+        assert modular.det_mod(rows, p) == _image_mod_p(det, spec.conductor), spec
+        assert verify_invertible(spec) == (True, True, "mod-p")
+
+
+def test_det_mod_swaps_rows_and_finds_singular_matrices():
+    p = 101
+    assert modular.det_mod([[0, 1], [1, 0]], p) == p - 1
+    assert modular.det_mod([[2, 4], [1, 2]], p) == 0
+    assert modular.det_mod([[0, 0, 1], [0, 3, 0], [5, 0, 0]], p) == (-15) % p
+
+
+def test_forged_determinant_fails_the_sweep(monkeypatch):
+    honest = pascal_check(2, 3, 1, seed=1, proof_samples=0)
+    assert honest.ok and honest.proved_mod_p == honest.specs_checked
+    monkeypatch.setattr(
+        pascal, "det_mod", lambda rows, p: 2 * modular.det_mod(rows, p) % p
+    )
+    forged = pascal_check(2, 3, 1, seed=1, proof_samples=0)
+    assert not forged.ok
+    assert [f.kind for f in forged.failures] == ["closed-form"] * forged.specs_checked
+    assert forged.to_json_dict()["failures"][0]["kind"] == "closed-form"
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(pascal, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pascal, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["z", "w"])
+def test_denominator_divisible_by_p_falls_back_to_exact(monkeypatch, which):
+    p, _ = modular.root_prime(3)
+    params = {"z": Fraction(2, 3), "w": Fraction(-1, 2)}
+    params[which] = Fraction(1, p)
+    spec = PascalSpec(3, (2, 0, 1), params["z"], params["w"])
+    built = _counting(monkeypatch, "build_stacked")
+    result = verify_invertible(spec)
+    assert result == (bool(build_stacked(spec).det()), None, "exact")
+    assert result.invertible and len(built) == 1
+
+
+def test_zero_det_mod_p_falls_back_to_exact(monkeypatch):
+    spec = PascalSpec(2, (2, 1), Fraction(1, 3), Fraction(2, 5))
+    monkeypatch.setattr(pascal, "det_mod", lambda rows, p: 0)
+    built = _counting(monkeypatch, "build_stacked")
+    # The closed form is nonzero mod p, so det_p = 0 also proves it wrong.
+    assert verify_invertible(spec) == (True, False, "exact")
+    assert len(built) == 1
+    # The exact determinant decides: a singular matrix is reported singular.
+    field = get_field(2)
+    singular = ExactMatrix.from_rows(field, [[1, 1, 1], [1, 1, 1], [0, 1, 2]])
+    monkeypatch.setattr(pascal, "build_stacked", lambda spec: singular)
+    assert verify_invertible(spec) == (False, False, "exact")
+    report = pascal_check(2, 2, 1, seed=1, proof_samples=0)
+    assert report.proved_exact == report.specs_checked == 7
+    assert {f.kind for f in report.failures} == {"invertibility", "closed-form"}

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistchar.lattice import analyze
-from twistchar.presets import preset
+from twistchar.presets import lattice_from_config, preset
 from twistchar.qseries import (
     QSeries,
     RecursionMismatch,
@@ -354,3 +354,36 @@ def test_ring_laws(a, b, c):
 def test_truncation_stability(a, b, t):
     assert (a + b).truncated(t) == a.truncated(t) + b.truncated(t)
     assert (a * b).truncated(t) == a.truncated(t) * b.truncated(t)
+
+
+def _character_by_products(orbits, tables, truncation):
+    # Reference: each charge's series as a product of truncated series,
+    # one poch_inverse factor per orbit, multiplied with QSeries.__mul__.
+    matrix = tables.char_matrix
+    steps = [orbits.k // l for l in orbits.lengths]
+    out = {}
+    for m in enumerate_charges(matrix, truncation):
+        base = quadratic_value(matrix, m) // 2
+        product = QSeries.one(truncation - base)
+        for i, mult in enumerate(m):
+            if mult:
+                product = product * poch_inverse(steps[i], mult, truncation - base)
+        out[m] = product.shifted(base)
+    return out
+
+
+@pytest.mark.parametrize("name", PRESETS + ("3-cycle",))
+def test_character_equals_product_of_series(name):
+    if name == "3-cycle":
+        lattice = lattice_from_config(
+            {"rank": 3, "gram": [[2, 1, 1], [1, 2, 1], [1, 1, 2]], "perm": "(1 2 3)"}
+        )
+    else:
+        lattice = preset(name)
+    orbits, tables = analyze(lattice)
+    table = character(orbits, tables, 200)
+    reference = _character_by_products(orbits, tables, 200)
+    assert table.entries.keys() == reference.keys()
+    for m, series_m in reference.items():
+        got = table.entries[m]
+        assert (got.truncation, got.coeffs) == (series_m.truncation, series_m.coeffs), m
