@@ -225,18 +225,12 @@ def stacked_with_root(
     Block r has entries root^(p*r) * binomial(z + p*w, i).
     """
     n = sum(block_sizes)
-    zf, wf = Fraction(z), Fraction(w)
-    binoms = [
-        [rational_binomial(zf + p * wf, i) for p in range(n)]
-        for i in range(max(block_sizes, default=0))
-    ]
-    rows = []
-    for r, height in enumerate(block_sizes):
-        x = root ** r
-        xs = _powers(x, n)
-        for i in range(height):
-            rows.append([xs[p] * binoms[i][p] for p in range(n)])
-    return ExactMatrix(field, tuple(tuple(row) for row in rows), n)
+    rows = tuple(
+        row
+        for r, height in enumerate(block_sizes)
+        for row in a_matrix(field, root ** r, z, w, height, n).rows
+    )
+    return ExactMatrix(field, rows, n)
 
 
 def build_stacked(spec: PascalSpec) -> ExactMatrix:

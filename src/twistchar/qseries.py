@@ -1,10 +1,10 @@
 """Truncated q-series, multigraded characters, and partition identities.
 
-A QSeries is a sparse map from non-negative integer exponents to integer
-coefficients, exact through a truncation order T (series are known modulo
-q^(T+1)).  Binary operations produce a result whose truncation is the
-smaller of the operands'; shifting by q^c extends the truncation by c, so
-no operation ever invents unknown coefficients or drops known ones.
+A QSeries is a dense list of the T + 1 integer coefficients of q^0..q^T,
+exact through its truncation order T (series are known modulo q^(T+1)).
+Binary operations produce a result whose truncation is the smaller of the
+operands'; shifting by q^c extends the truncation by c, so no operation
+ever invents unknown coefficients or drops known ones.
 
 Character exponents are normalized: the stored exponent is k times the
 conformal weight above the twisted vacuum, which is always a non-negative
@@ -14,12 +14,19 @@ integer, and the zero-charge series is exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
-from typing import Iterable, Mapping, Sequence, Union
+from math import isqrt, prod
+from typing import Iterable, Sequence, Union
 
 from .lattice import OrbitData, PairingTables
 
 NORMALIZATION = "k-weight-shifted"
+
+# Refusal threshold for a character table: charge search box x (T + 1).
+MAX_TABLE_CELLS = 10 ** 7
+
+
+class BudgetExceeded(RuntimeError):
+    """The requested table, bidegree or matrix exceeds its budget."""
 
 
 class RecursionMismatch(AssertionError):
@@ -42,140 +49,106 @@ class RecursionMismatch(AssertionError):
 
 
 class QSeries:
-    """Truncated power series in q with integer coefficients."""
+    """Truncated power series in q: ``coeffs[n]`` is the integer coefficient
+    of q^n for n = 0..truncation, zeros included."""
 
-    __slots__ = ("truncation", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, truncation: int, coeffs: Mapping[int, int] | None = None):
-        if truncation < 0:
-            raise ValueError(f"truncation must be >= 0, got {truncation}")
-        self.truncation = truncation
-        data = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if e < 0:
-                    raise ValueError(f"negative exponent {e}")
-                if c and e <= truncation:
-                    data[e] = c
-        self.coeffs = data
+    def __init__(self, coeffs: list[int]):
+        if not coeffs:
+            raise ValueError("a series needs at least its q^0 coefficient")
+        self.coeffs = coeffs
+
+    @property
+    def truncation(self) -> int:
+        return len(self.coeffs) - 1
 
     @classmethod
     def zero(cls, truncation: int) -> "QSeries":
-        return cls(truncation)
+        return cls([0] * (truncation + 1))
 
     @classmethod
     def one(cls, truncation: int) -> "QSeries":
-        return cls(truncation, {0: 1})
+        out = cls.zero(truncation)
+        out.coeffs[0] = 1
+        return out
 
     def coeff(self, n: int) -> int:
         if n > self.truncation:
             raise ValueError(
                 f"coefficient {n} beyond truncation {self.truncation}"
             )
-        return self.coeffs.get(n, 0)
+        return self.coeffs[n] if n >= 0 else 0
 
     def items(self) -> list[tuple[int, int]]:
-        return sorted(self.coeffs.items())
+        """The nonzero terms (exponent, coefficient), in ascending order."""
+        return [(e, c) for e, c in enumerate(self.coeffs) if c]
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.coeffs)
 
     def truncated(self, truncation: int) -> "QSeries":
-        if truncation > self.truncation:
+        if not 0 <= truncation <= self.truncation:
             raise ValueError(
-                f"cannot extend truncation {self.truncation} to {truncation}"
+                f"cannot truncate order {self.truncation} to {truncation}"
             )
-        return QSeries(truncation, self.coeffs)
+        return QSeries(self.coeffs[: truncation + 1])
 
     def shifted(self, c: int) -> "QSeries":
         """Multiply by q^c (c >= 0); the truncation grows with the shift."""
         if c < 0:
             raise ValueError(f"shift must be >= 0, got {c}")
-        return QSeries(
-            self.truncation + c, {e + c: v for e, v in self.coeffs.items()}
-        )
+        return QSeries([0] * c + self.coeffs)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        t = min(self.truncation, other.truncation)
-        out = {e: c for e, c in self.coeffs.items() if e <= t}
-        for e, c in other.coeffs.items():
-            if e <= t:
-                out[e] = out.get(e, 0) + c
-        return QSeries(t, out)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.truncation, {e: -c for e, c in self.coeffs.items()})
+        return QSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self + (-other)
+        return QSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: Union["QSeries", int]) -> "QSeries":
         if isinstance(other, int):
-            return QSeries(
-                self.truncation, {e: c * other for e, c in self.coeffs.items()}
-            )
+            return QSeries([c * other for c in self.coeffs])
         if not isinstance(other, QSeries):
             return NotImplemented
         t = min(self.truncation, other.truncation)
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            if e1 > t:
-                continue
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e <= t:
-                    out[e] = out.get(e, 0) + c1 * c2
-        return QSeries(t, out)
+        out = [0] * (t + 1)
+        for e1, c1 in enumerate(self.coeffs[: t + 1]):
+            if c1:
+                for e2, c2 in enumerate(other.coeffs[: t + 1 - e1]):
+                    out[e1 + e2] += c1 * c2
+        return QSeries(out)
 
-    def __rmul__(self, other: int) -> "QSeries":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.truncation == other.truncation and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def first_difference(self, other: "QSeries") -> tuple[int, int, int] | None:
         """(exponent, self coeff, other coeff) at the lowest differing
         exponent within both truncations, or None."""
-        t = min(self.truncation, other.truncation)
-        for e in sorted(
-            set(self.coeffs) | set(other.coeffs)
-        ):
-            if e > t:
-                break
-            a, b = self.coeffs.get(e, 0), other.coeffs.get(e, 0)
-            if a != b:
-                return e, a, b
-        return None
+        n = min(len(self.coeffs), len(other.coeffs))
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        if a == b:
+            return None
+        return next((e, x, y) for e, (x, y) in enumerate(zip(a, b)) if x != y)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for e, c in self.items():
-                if e == 0:
-                    parts.append(str(c))
-                else:
-                    mon = "q" if e == 1 else f"q^{e}"
-                    if c == 1:
-                        parts.append(mon)
-                    elif c == -1:
-                        parts.append(f"-{mon}")
-                    else:
-                        parts.append(f"{c}*{mon}")
-            body = parts[0]
-            for p in parts[1:]:
-                body += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return f"{body} + O(q^{self.truncation + 1})"
+        body = ""
+        for e, c in self.items():
+            mon = "" if e == 0 else "q" if e == 1 else f"q^{e}"
+            num = str(abs(c))
+            term = num if not mon else mon if num == "1" else f"{num}*{mon}"
+            sign = "-" if c < 0 else ""
+            body += f" {sign or '+'} {term}" if body else sign + term
+        return f"{body or '0'} + O(q^{self.truncation + 1})"
 
     __repr__ = __str__
 
@@ -195,12 +168,12 @@ def _partition_series(parts: Iterable[int], truncation: int) -> QSeries:
     # Truncated prod over the parts of 1 / (1 - q^part), the generating
     # series of partitions into the parts, a part listed twice counting as
     # two distinct parts: one partition-count pass per part.
-    coeffs = [0] * (truncation + 1)
-    coeffs[0] = 1
+    out = QSeries.one(truncation)
+    coeffs = out.coeffs
     for part in parts:
         for n in range(part, truncation + 1):
             coeffs[n] += coeffs[n - part]
-    return QSeries(truncation, {n: c for n, c in enumerate(coeffs) if c})
+    return out
 
 
 def poch_infinite(start: int, step: int, truncation: int) -> QSeries:
@@ -208,8 +181,11 @@ def poch_infinite(start: int, step: int, truncation: int) -> QSeries:
     if start < 1 or step < 1:
         raise ValueError(f"need start >= 1 and step >= 1, got {start}, {step}")
     out = QSeries.one(truncation)
+    coeffs = out.coeffs
     for a in range(start, truncation + 1, step):
-        out = out * QSeries(truncation, {0: 1, a: -1})
+        # Multiply by (1 - q^a) in place, highest exponent first.
+        for n in range(truncation, a - 1, -1):
+            coeffs[n] -= coeffs[n - a]
     return out
 
 
@@ -249,16 +225,14 @@ class CharacterTable:
         return sorted(self.entries)
 
     def series(self, m: Sequence[int]) -> QSeries:
-        return self.entries.get(tuple(m), QSeries.zero(self.truncation))
+        found = self.entries.get(tuple(m))
+        return found if found is not None else QSeries.zero(self.truncation)
 
     def coefficient(self, m: Sequence[int], n: int) -> int:
         return self.series(m).coeff(n)
 
     def evaluate_at_one(self) -> QSeries:
-        total = QSeries.zero(self.truncation)
-        for m in self.charges():
-            total = total + self.entries[m].truncated(self.truncation)
-        return total
+        return sum(self.entries.values(), QSeries.zero(self.truncation))
 
     def to_json_dict(self) -> dict:
         return {
@@ -286,6 +260,11 @@ def quadratic_value(
     )
 
 
+def _charge_bounds(matrix: Sequence[Sequence[int]], truncation: int) -> list[int]:
+    # Largest m_i with A_ii m_i^2 / 2 <= truncation, per orbit.
+    return [isqrt(2 * truncation // matrix[i][i]) for i in range(len(matrix))]
+
+
 def enumerate_charges(
     matrix: Sequence[Sequence[int]], truncation: int
 ) -> list[tuple[int, ...]]:
@@ -295,7 +274,7 @@ def enumerate_charges(
     for the quadratic form because the matrix is entrywise non-negative.
     """
     d = len(matrix)
-    bounds = [isqrt(2 * truncation // matrix[i][i]) for i in range(d)]
+    bounds = _charge_bounds(matrix, truncation)
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], diag_sum: int) -> None:
@@ -326,8 +305,17 @@ def character(
     is positive definite, so each coefficient is a finite sum: orbit-sum
     vectors have disjoint supports, so their Gram matrix inherits the
     positive definiteness ``validate`` proved for the lattice.
+
+    Raises BudgetExceeded, before building anything, when the charge search
+    box times T + 1 exceeds MAX_TABLE_CELLS.
     """
     matrix = tables.char_matrix
+    cells = (truncation + 1) * prod(b + 1 for b in _charge_bounds(matrix, truncation))
+    if cells > MAX_TABLE_CELLS:
+        raise BudgetExceeded(
+            f"character table needs {cells} cells (charge search box x (T+1)), "
+            f"over the budget of {MAX_TABLE_CELLS}"
+        )
     steps = tuple(orbits.k // l for l in orbits.lengths)
     table = CharacterTable(
         d=orbits.d,
@@ -436,22 +424,17 @@ def separated_partition_count(n: int) -> int:
 def rogers_ramanujan_sum(truncation: int) -> QSeries:
     """Truncated sum over m of q^(m^2) / (q; q)_m."""
     total = QSeries.zero(truncation)
-    m = 0
-    while m * m <= truncation:
+    for m in range(isqrt(truncation) + 1):
         total = total + poch_inverse(1, m, truncation - m * m).shifted(m * m)
-        m += 1
     return total
 
 
 def halved_exponents(series: QSeries) -> QSeries:
     """Substitute q^2 -> q; every exponent must be even."""
-    for e in series.coeffs:
+    for e, _ in series.items():
         if e % 2:
             raise ValueError(f"odd exponent {e} present; cannot halve")
-    return QSeries(
-        series.truncation // 2,
-        {e // 2: c for e, c in series.coeffs.items()},
-    )
+    return QSeries(series.coeffs[::2])
 
 
 @dataclass(frozen=True)
@@ -492,9 +475,7 @@ class IdentityReport:
 
 def _compare(label: str, lhs: QSeries, rhs: QSeries) -> IdentityComparison:
     diff = lhs.first_difference(rhs)
-    if diff is None:
-        return IdentityComparison(label, True, None, None, None)
-    return IdentityComparison(label, False, diff[0], diff[1], diff[2])
+    return IdentityComparison(label, diff is None, *(diff or (None, None, None)))
 
 
 def verify_partition_identity(name: str, truncation: int) -> IdentityReport:
@@ -519,9 +500,7 @@ def verify_partition_identity(name: str, truncation: int) -> IdentityReport:
         character(orbits, tables, 2 * truncation).evaluate_at_one()
     )
     if name == "x3":
-        counts = QSeries(
-            truncation, dict(enumerate(separated_partition_counts(truncation)))
-        )
+        counts = QSeries(separated_partition_counts(truncation))
         comparisons = (
             _compare("separated-partition count (parts repeat <= 2, no gap-1 pairs)",
                      summed, counts),

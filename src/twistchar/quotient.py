@@ -22,11 +22,7 @@ from typing import NamedTuple, Sequence
 from .cyclotomic import CyclotomicScalar, ExactMatrix, get_field, rational_binomial
 from .lattice import OrbitData, PairingTables
 from .pascal import PascalSpec, stacked_with_root
-from .qseries import character
-
-
-class BudgetExceeded(RuntimeError):
-    """The requested bidegree or matrix exceeds the configured budget."""
+from .qseries import BudgetExceeded, character
 
 
 class PreconditionViolated(ValueError):

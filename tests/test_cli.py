@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -339,6 +340,24 @@ def test_budget_overrun_exits_2(capsys, monkeypatch):
     assert "too big" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["character", "--preset", "rank1"],
+        ["verify", "--preset", "rank1", "--recursion"],
+        ["verify", "--preset", "x3", "--identities"],
+    ],
+    ids=["character", "recursion", "identities"],
+)
+def test_oversized_character_table_exits_2(argv):
+    # Refused from the charge box before any coefficient list is allocated.
+    proc = _cli_process(*argv, "-T", "99999999999")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_argparse_rejects_unknown_preset(capsys):
     with pytest.raises(SystemExit) as err:
         main(["analyze", "--preset", "bogus"])
@@ -414,3 +433,39 @@ def test_verbose_pascal_check_logs_the_proof_methods():
         "0 by exact elimination\n"
     ) in loud.stderr
     assert loud.stdout == quiet.stdout
+
+
+# --------------------------------------------------------------- byte identity
+
+# SHA-256 of stdout, with the exit code, for reports whose bytes must stay
+# the same across internal rewrites: any changed byte fails here.
+PINNED_OUTPUTS = [
+    (("character", "--preset", "rank1", "-T", "60", "--format", "json"), 0,
+     "fc772244c5d218e52081f81ebfeca10a5f02e615d908be693529182cae603bbd"),
+    (("character", "--preset", "swap2", "-T", "60", "--format", "json"), 0,
+     "d2d536567d32583edce5d38b90915063ae34b5daf7f3013db5158992bd827b92"),
+    (("character", "--preset", "x3", "-T", "60", "--format", "json"), 0,
+     "b8abc7d4b232d78866bb47a5516f336b7d962eeeb7c79089f084cf9f3a2cf68c"),
+    (("character", "--preset", "x4", "-T", "60", "--format", "json"), 0,
+     "21532ed0c1fa6e459e0d7e777eb6af010989a96560430b3bb5384456cb0367bd"),
+    (("character", "--preset", "x4", "-T", "30"), 0,
+     "a5beb7284c380d4d80d7f0a606b395626d2c0904f87251bc576e72328d66d079"),
+    (("verify", "--preset", "x3", "--recursion", "--identities", "-T", "60",
+      "--format", "json"), 0,
+     "764f185a7cd0e7a6438749e324e8231220f2142a6a4f05169613002c6335d24d"),
+    (("verify", "--preset", "x4", "--identities", "--strict-identities", "-T", "40",
+      "--format", "json"), 1,
+     "6585e42ad0d577781551cee7114b4cbaa14bafa4aef6c0935ca93994c4b5a1e2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, digest", PINNED_OUTPUTS,
+    ids=["character-rank1", "character-swap2", "character-x3", "character-x4",
+         "character-x4-text", "verify-x3-recursion-identities",
+         "verify-x4-strict-identities"],
+)
+def test_output_bytes_are_pinned(capsys, argv, expected_code, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (expected_code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
