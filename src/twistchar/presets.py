@@ -65,7 +65,7 @@ def lattice_from_config(data: dict) -> LatticeInput:
 def load_lattice(path: Union[str, Path]) -> LatticeInput:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise LatticeError(f"cannot read lattice config {path}: {exc}") from None
     if not isinstance(data, dict):
         raise LatticeError("lattice config must be a JSON object")

@@ -9,6 +9,13 @@ computes the quotient dimension by exact rank over the ambient cyclotomic
 field.  Matching those dimensions against the character coefficients is
 the ground-truth test that the relations present the graded algebra.
 
+Each call builds its slices through one memo (``_Slices``) holding the
+basis B(m, w) of each bidegree, also the cofactor set of larger charges,
+each relation family and the (row count, rank) of each I(m, w); rows are
+never kept.  A window with a bidegree over MAX_COLUMNS monomials, counted
+as partitions, is refused before any basis is built, and a bidegree whose
+rows would exceed MAX_ROWS before its rows are built.
+
 Weights are normalized exactly as in the character tables: a variable of
 mode n has integer weight -n * k.
 """
@@ -22,21 +29,16 @@ from typing import NamedTuple, Sequence
 from .cyclotomic import CyclotomicScalar, ExactMatrix, get_field, rational_binomial
 from .lattice import OrbitData, PairingTables
 from .pascal import PascalSpec, stacked_with_root
-from .qseries import BudgetExceeded, character
+from .qseries import BudgetExceeded, _partition_series, character
+
+# Refusal thresholds per bidegree: monomials (matrix columns) and relation
+# rows.
+MAX_COLUMNS = 2000
+MAX_ROWS = 20000
 
 
 class PreconditionViolated(ValueError):
     """Arguments fall outside the precondition of the requested operation."""
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Refusal thresholds for oracle computations."""
-
-    charge_total: int = 3
-    weight: int = 24
-    max_rows: int = 20000
-    max_cols: int = 2000
 
 
 class TwistedVariable(NamedTuple):
@@ -230,51 +232,103 @@ def build_relations(
     return _generators(orbits, tables, i, j, t, pairs)
 
 
+class _Slices:
+    """Per-call memo of the bidegree slices of one lattice: bases by
+    (charge, weight), relation families by (i, j, t), and (row count, rank)
+    of I(m, w) by (charge, weight); basis sizes are counted, not built."""
+
+    def __init__(self, orbits: OrbitData, tables: PairingTables):
+        self.orbits, self.tables = orbits, tables
+        self.field = get_field(orbits.k)
+        self.bases, self.families, self.ranks = {}, {}, {}
+        self.start_step = [
+            _var_start_step(orbits, tables, i) for i in range(orbits.d)
+        ]
+
+    def sizes(self, charge: tuple[int, ...], bound: int) -> list[int]:
+        """|B(charge, w)| for w = 0..bound without enumerating: the coefficient
+        of q^(w - sum_i m_i * start_i) in prod_i 1 / (q^s_i; q^s_i)_(m_i)."""
+        # zip: enumerate_monomials refuses a charge of the wrong length later.
+        per_orbit = list(zip(charge, self.start_step))
+        shift = sum(m * start for m, (start, _) in per_orbit)
+        if shift > bound:
+            return [0] * (bound + 1)
+        parts = [j * step for m, (_, step) in per_orbit for j in range(1, m + 1)]
+        counts = _partition_series(parts, bound - shift).coeffs
+        return [counts[w - shift] if w >= shift else 0 for w in range(bound + 1)]
+
+    def check_columns(self, charges: list, lo: int, hi: int) -> None:
+        """Refuse the first cell (charge, lo <= weight <= hi), in window
+        order, whose basis would exceed MAX_COLUMNS."""
+        for charge in charges:
+            sizes = self.sizes(charge, hi)
+            for weight in range(max(lo, 0), hi + 1):
+                if sizes[weight] > MAX_COLUMNS:
+                    raise BudgetExceeded(
+                        f"{sizes[weight]} monomials at bidegree (charge={charge}, "
+                        f"weight={weight}) exceed the column budget ({MAX_COLUMNS})"
+                    )
+
+    def basis(self, charge: tuple[int, ...], weight: int) -> tuple[Monomial, ...]:
+        # Tuples: a window's many empty bases are then one untracked object.
+        if (charge, weight) not in self.bases:
+            self.bases[charge, weight] = tuple(enumerate_monomials(
+                self.orbits, self.tables, charge, weight
+            ))
+        return self.bases[charge, weight]
+
+    def family(self, i: int, j: int, t: Fraction) -> list[RelationGenerator]:
+        if (i, j, t) not in self.families:
+            pairs = _mode_pairs(self.orbits, self.tables, i, j, t)
+            self.families[i, j, t] = pairs and _generators(
+                self.orbits, self.tables, i, j, t, pairs
+            )
+        return self.families[i, j, t]
+
+    def rank(self, charge: tuple[int, ...], weight: int, rows=None):
+        """(row count, rank) of I(charge, weight); pass ``rows`` if built."""
+        if (charge, weight) not in self.ranks:
+            n_cols = len(self.basis(charge, weight))
+            if rows is None:
+                rows = _relation_rows(self, charge, weight) if n_cols else []
+            rank = ExactMatrix(
+                self.field, tuple(tuple(r) for r in rows), n_cols
+            ).rank() if rows else 0
+            self.ranks[charge, weight] = len(rows), rank
+        return self.ranks[charge, weight]
+
+
 def _relation_rows(
-    orbits: OrbitData,
-    tables: PairingTables,
-    charge: tuple[int, ...],
-    weight: int,
-    monomials: list[Monomial],
-    max_rows: int | None = None,
-    families: dict | None = None,
+    slices: _Slices, charge: tuple[int, ...], weight: int
 ) -> list[list[CyclotomicScalar]]:
-    # ``families`` caches the relation family per (i, j, t) across calls.
-    families = {} if families is None else families
-    field = get_field(orbits.k)
+    # One dense row per (cofactor, relation) product landing in B(m, w).
+    orbits, tables = slices.orbits, slices.tables
+    monomials = slices.basis(charge, weight)
     index = {mono: pos for pos, mono in enumerate(monomials)}
     rows: list[list[CyclotomicScalar]] = []
-    d = orbits.d
-    for i in range(d):
-        for j in range(d):
-            needed = [0] * d
-            needed[i] += 1
-            needed[j] += 1
-            if any(charge[a] < needed[a] for a in range(d)):
+    for i in range(orbits.d):
+        for j in range(orbits.d):
+            cof_charge = tuple(
+                c - (a == i) - (a == j) for a, c in enumerate(charge)
+            )
+            if min(cof_charge) < 0:
                 continue
-            cof_charge = tuple(charge[a] - needed[a] for a in range(d))
-            min_gen = (
-                tables.char_matrix[i][i] + tables.char_matrix[j][j]
-            ) // 2
+            min_gen = (tables.char_matrix[i][i] + tables.char_matrix[j][j]) // 2
             for cof_weight in range(weight - min_gen + 1):
-                cofs = enumerate_monomials(orbits, tables, cof_charge, cof_weight)
+                cofs = slices.basis(cof_charge, cof_weight)
                 if not cofs:
                     continue
-                t = Fraction(weight - cof_weight, orbits.k)
-                if (i, j, t) not in families:
-                    pairs = _mode_pairs(orbits, tables, i, j, t)
-                    families[i, j, t] = pairs and _generators(
-                        orbits, tables, i, j, t, pairs
-                    )
-                gens = families[i, j, t]
-                if max_rows is not None and len(rows) + len(cofs) * len(gens) > max_rows:
+                gens = slices.family(
+                    i, j, Fraction(weight - cof_weight, orbits.k)
+                )
+                if len(rows) + len(cofs) * len(gens) > MAX_ROWS:
                     raise BudgetExceeded(
-                        f"relation row count exceeds budget ({max_rows}) at "
+                        f"relation row count exceeds budget ({MAX_ROWS}) at "
                         f"bidegree (charge={charge}, weight={weight})"
                     )
                 for cof in cofs:
                     for gen in gens:
-                        row = [field.zero()] * len(monomials)
+                        row = [slices.field.zero()] * len(monomials)
                         for coeff, mono in gen.terms:
                             full = tuple(sorted(cof + mono))
                             row[index[full]] = row[index[full]] + coeff
@@ -282,53 +336,14 @@ def _relation_rows(
     return rows
 
 
-def _bidegree_data(
-    orbits: OrbitData,
-    tables: PairingTables,
-    charge: tuple[int, ...],
-    weight: int,
-    budget: OracleBudget,
-    families: dict | None = None,
-) -> tuple[int, int, int]:
-    """(monomial count, relation row count, rank) for one bidegree."""
-    if sum(charge) > budget.charge_total or weight > budget.weight:
-        raise BudgetExceeded(
-            f"bidegree (charge={charge}, weight={weight}) exceeds budget "
-            f"(charge_total={budget.charge_total}, weight={budget.weight})"
-        )
-    monomials = enumerate_monomials(orbits, tables, charge, weight)
-    if not monomials:
-        return 0, 0, 0
-    if len(monomials) > budget.max_cols:
-        raise BudgetExceeded(
-            f"{len(monomials)} monomials at bidegree (charge={charge}, "
-            f"weight={weight}) exceed the column budget ({budget.max_cols})"
-        )
-    rows = _relation_rows(
-        orbits, tables, charge, weight, monomials, budget.max_rows, families
-    )
-    if not rows:
-        return len(monomials), 0, 0
-    field = get_field(orbits.k)
-    matrix = ExactMatrix(
-        field, tuple(tuple(r) for r in rows), len(monomials)
-    )
-    return len(monomials), len(rows), matrix.rank()
-
-
 def quotient_dimension(
-    orbits: OrbitData,
-    tables: PairingTables,
-    charge: Sequence[int],
-    weight: int,
-    budget: OracleBudget | None = None,
+    orbits: OrbitData, tables: PairingTables, charge: Sequence[int], weight: int
 ) -> int:
     """Dimension of the bidegree slice of the algebra modulo the relations."""
-    budget = budget or OracleBudget()
-    n_monos, _, rank = _bidegree_data(
-        orbits, tables, tuple(charge), weight, budget
-    )
-    return n_monos - rank
+    charge = tuple(charge)
+    slices = _Slices(orbits, tables)
+    slices.check_columns([charge], weight, weight)
+    return len(slices.basis(charge, weight)) - slices.rank(charge, weight)[1]
 
 
 @dataclass(frozen=True)
@@ -403,25 +418,15 @@ class OracleReport:
 
 
 def _charges_up_to(d: int, total: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], left: int) -> None:
-        if len(prefix) == d:
-            out.append(tuple(prefix))
-            return
-        for v in range(left + 1):
-            rec(prefix + [v], left - v)
-
-    rec([], total)
-    return sorted(out)
+    """Charge vectors of length d with entry sum <= total, in lexicographic order."""
+    if d == 0:
+        return [()]
+    return [(v,) + rest for v in range(total + 1)
+            for rest in _charges_up_to(d - 1, total - v)]
 
 
 def compare_with_character(
-    orbits: OrbitData,
-    tables: PairingTables,
-    charge_total: int = 3,
-    weight_bound: int = 24,
-    budget: OracleBudget | None = None,
+    orbits: OrbitData, tables: PairingTables, charge_total: int, weight_bound: int
 ) -> OracleReport:
     """Quotient dimension vs character coefficient over a budgeted window.
 
@@ -429,47 +434,29 @@ def compare_with_character(
     normalized weight <= weight_bound; bidegrees with neither monomials nor
     a character coefficient are counted but not listed.
     """
-    budget = budget or OracleBudget(charge_total=charge_total, weight=weight_bound)
     table = character(orbits, tables, weight_bound)
+    charges = _charges_up_to(orbits.d, charge_total)
+    slices = _Slices(orbits, tables)
+    slices.check_columns(charges, 0, weight_bound)
     cells = []
     empty = 0
-    families: dict = {}
-    for charge in _charges_up_to(orbits.d, charge_total):
+    for charge in charges:
         series = table.series(charge)
         for weight in range(weight_bound + 1):
-            n_monos, n_rows, rank = _bidegree_data(
-                orbits, tables, charge, weight, budget, families
-            )
+            n_monos = len(slices.basis(charge, weight))
+            n_rows, rank = slices.rank(charge, weight) if n_monos else (0, 0)
             coeff = series.coeff(weight)
             if n_monos == 0 and coeff == 0:
                 empty += 1
                 continue
-            cells.append(
-                OracleCell(
-                    charge=charge,
-                    weight=weight,
-                    monomials=n_monos,
-                    relations=n_rows,
-                    rank=rank,
-                    dimension=n_monos - rank,
-                    coefficient=coeff,
-                )
-            )
-    return OracleReport(
-        charge_total=charge_total,
-        weight_bound=weight_bound,
-        cells=tuple(cells),
-        empty_cells=empty,
-    )
+            cells.append(OracleCell(
+                charge, weight, n_monos, n_rows, rank, n_monos - rank, coeff
+            ))
+    return OracleReport(charge_total, weight_bound, tuple(cells), empty)
 
 
 def new_relations_membership(
-    orbits: OrbitData,
-    tables: PairingTables,
-    i: int,
-    j: int,
-    s: int,
-    t: int,
+    orbits: OrbitData, tables: PairingTables, i: int, j: int, s: int, t: int
 ) -> bool:
     """Whether x_i(-a_i - s/l_i) * x_j(-a_j - t/l_i) lies in the relation ideal.
 
@@ -480,6 +467,11 @@ def new_relations_membership(
     member iff appending it to the rows of the ideal's bidegree slice leaves
     their rank over the cyclotomic field unchanged.
     """
+    return _membership(_Slices(orbits, tables), i, j, s, t)
+
+
+def _membership(slices: _Slices, i: int, j: int, s: int, t: int) -> bool:
+    orbits, tables = slices.orbits, slices.tables
     # lengths[i] times the zero-mode pairing of i with j: the number of
     # (rotation, power) relation labels of the pair.
     bound = sum(tables.rotated[i][j])
@@ -496,17 +488,15 @@ def new_relations_membership(
     target = _pair_monomial(orbits, i, j, n1, n2)
     charge = monomial_charge(target, orbits.d)
     weight = monomial_weight(target)
-    monomials = enumerate_monomials(orbits, tables, charge, weight)
-    rows = _relation_rows(orbits, tables, charge, weight, monomials)
-    field = get_field(orbits.k)
-    one, zero = field.one(), field.zero()
-    relations = ExactMatrix(field, tuple(tuple(r) for r in rows), len(monomials))
+    monomials = slices.basis(charge, weight)
+    rows = _relation_rows(slices, charge, weight)
+    _, rank = slices.rank(charge, weight, rows)
+    one, zero = slices.field.one(), slices.field.zero()
+    rows.append([one if m == target else zero for m in monomials])
     with_target = ExactMatrix(
-        field,
-        relations.rows + (tuple(one if m == target else zero for m in monomials),),
-        len(monomials),
+        slices.field, tuple(tuple(r) for r in rows), len(monomials)
     )
-    return with_target.rank() == relations.rank()
+    return with_target.rank() == rank
 
 
 @dataclass(frozen=True)
@@ -536,6 +526,7 @@ def new_relations_sweep(
     orbits: OrbitData, tables: PairingTables
 ) -> tuple[MembershipCell, ...]:
     """Membership over the full allowed (s, t) range of every orbit pair."""
+    slices = _Slices(orbits, tables)
     cells = []
     for i in range(orbits.d):
         for j in range(orbits.d):
@@ -544,16 +535,10 @@ def new_relations_sweep(
             for s in range(bound):
                 for t in range(bound - s):
                     n2 = -tables.a_half[j] - Fraction(t, l_i)
-                    cells.append(
-                        MembershipCell(
-                            i,
-                            j,
-                            s,
-                            t,
-                            new_relations_membership(orbits, tables, i, j, s, t),
-                            not orbits.contains_mode(j, n2),
-                        )
-                    )
+                    member = _membership(slices, i, j, s, t)
+                    cells.append(MembershipCell(
+                        i, j, s, t, member, not orbits.contains_mode(j, n2)
+                    ))
     return tuple(cells)
 
 

@@ -10,15 +10,22 @@ import importlib.util
 from pathlib import Path
 
 import twistchar.cli  # noqa: F401  (loads every module the tracer patches)
-from twistchar import cyclotomic, pascal
+from twistchar import cyclotomic, pascal, quotient
+from twistchar.lattice import analyze
+from twistchar.presets import preset
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def test_tracer_installs_and_uninstalls():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    return tracer_module
+
+
+def test_tracer_installs_and_uninstalls():
+    tracer_module = _tracer_module()
     originals = (pascal.build_stacked, cyclotomic.ExactMatrix.inverse,
                  cyclotomic.CyclotomicScalar.__mul__)
     tracer = tracer_module.Tracer()
@@ -31,3 +38,17 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert (pascal.build_stacked, cyclotomic.ExactMatrix.inverse,
             cyclotomic.CyclotomicScalar.__mul__) == originals
+
+
+def test_tracer_sees_the_oracle_layers():
+    # The oracle must reach enumeration and rank through names the tracer
+    # can patch from outside, or their spans and counts read zero.
+    orbits, tables = analyze(preset("rank1"))
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        quotient.compare_with_character(orbits, tables, 2, 12)
+    finally:
+        tracer.uninstall()
+    names = {name for _, _, name, _, _ in tracer.spans}
+    assert {"quotient.enumerate_monomials", "cyclotomic.rank"} <= names

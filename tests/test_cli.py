@@ -213,11 +213,14 @@ def test_missing_config_file_is_reported(capsys):
 
 
 def test_malformed_config_file_is_reported(capsys, tmp_path):
+    # Bad syntax, bytes that are not UTF-8, and nesting too deep to decode.
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, "analyze", "--config", str(bad))
-    assert code == 2
-    assert "cannot read lattice config" in err
+    for content in (b"{not json", b'{"rank": 1, "perm": "\xff"}', b"[" * 200000):
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "analyze", "--config", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read lattice config")
+        assert err.count("\n") == 1
 
 
 def test_invalid_lattice_in_config(capsys, tmp_path):
@@ -341,6 +344,33 @@ def test_budget_overrun_exits_2(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "charge_bound, weight_bound, count, cell",
+    [("6", "90", 2172, "charge=(6,), weight=82"),
+     ("8", "100", 2062, "charge=(5,), weight=94")],
+)
+def test_oversized_oracle_window_is_refused_before_any_work(
+    capsys, monkeypatch, charge_bound, weight_bound, count, cell
+):
+    # The column budget is read from partition counts: nothing is enumerated
+    # and no rank is taken before the refusal.
+    from twistchar import quotient
+    from twistchar.cyclotomic import ExactMatrix
+
+    def no_work(*args):
+        pytest.fail("oracle work started before the column budget refused it")
+
+    monkeypatch.setattr(ExactMatrix, "rank", no_work)
+    monkeypatch.setattr(quotient, "enumerate_monomials", no_work)
+    code, out, err = run(capsys, "verify", "--preset", "rank1", "--oracle",
+                         "--charge-bound", charge_bound, "--weight-bound", weight_bound)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {count} monomials at bidegree ({cell}) exceed "
+        "the column budget (2000)\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["character", "--preset", "rank1"],
@@ -456,6 +486,18 @@ PINNED_OUTPUTS = [
     (("verify", "--preset", "x4", "--identities", "--strict-identities", "-T", "40",
       "--format", "json"), 1,
      "6585e42ad0d577781551cee7114b4cbaa14bafa4aef6c0935ca93994c4b5a1e2"),
+    (("verify", "--preset", "rank1", "--oracle", "--charge-bound", "3",
+      "--weight-bound", "24"), 0,
+     "1b22ca2b2476a21e4a8dd85bee0c3e066e9305911a35a0b3ba447de8aad0c976"),
+    (("verify", "--preset", "swap2", "--oracle", "--charge-bound", "3",
+      "--weight-bound", "24", "--format", "json"), 0,
+     "b4510dd73a160b2d7c866db5aa7679f2e15513cf44bc0e99e8054c06225967b5"),
+    (("verify", "--preset", "x3", "--oracle", "--new-relations", "--charge-bound",
+      "3", "--weight-bound", "20", "--format", "json"), 0,
+     "4cc7589c28f676be2ff2afed94976c317a8c8638dda3fedaea084594ad260760"),
+    (("verify", "--preset", "x4", "--oracle", "--new-relations", "--charge-bound",
+      "3", "--weight-bound", "20", "--format", "json"), 0,
+     "95ce50e6f2137bf5f1e1b3d497431e99277e2bc05885ee6999d5028953f11d4b"),
 ]
 
 
@@ -463,7 +505,8 @@ PINNED_OUTPUTS = [
     "argv, expected_code, digest", PINNED_OUTPUTS,
     ids=["character-rank1", "character-swap2", "character-x3", "character-x4",
          "character-x4-text", "verify-x3-recursion-identities",
-         "verify-x4-strict-identities"],
+         "verify-x4-strict-identities", "oracle-rank1-text", "oracle-swap2",
+         "oracle-x3-new-relations", "oracle-x4-new-relations"],
 )
 def test_output_bytes_are_pinned(capsys, argv, expected_code, digest):
     code, out, err = run(capsys, *argv)

@@ -1,5 +1,6 @@
 """Brute-force quotient oracle and two-variable relation membership."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from twistchar.presets import lattice_from_config, preset
 from twistchar.qseries import character
 from twistchar.quotient import (
     BudgetExceeded,
-    OracleBudget,
     PreconditionViolated,
     TwistedVariable,
     build_relations,
@@ -29,6 +29,9 @@ from twistchar.quotient import (
 )
 
 PRESETS = ("rank1", "swap2", "x3", "x4")
+THREE_CYCLE = analyze(lattice_from_config(
+    {"rank": 3, "gram": [[2, 1, 1], [1, 2, 1], [1, 1, 2]], "perm": "(1 2 3)"}
+))
 
 
 @pytest.fixture(scope="module")
@@ -194,25 +197,91 @@ def test_oracle_text_table_and_json(data):
 # ---------------------------------------------------------------------- budget
 
 
-def test_budget_rejects_out_of_window_bidegrees(data):
+def test_budget_caps_matrix_size(data, monkeypatch):
     orbits, tables = data["rank1"]
-    small = OracleBudget(charge_total=3, weight=24)
-    with pytest.raises(BudgetExceeded):
-        quotient_dimension(orbits, tables, (4,), 8, small)
-    with pytest.raises(BudgetExceeded):
-        quotient_dimension(orbits, tables, (1,), 30, small)
+    monkeypatch.setattr(quotient, "MAX_COLUMNS", 1)
+    with pytest.raises(BudgetExceeded, match="column budget"):
+        quotient_dimension(orbits, tables, (2,), 8)
+    with pytest.raises(BudgetExceeded, match="column budget"):
+        compare_with_character(orbits, tables, 2, 8)
+    monkeypatch.setattr(quotient, "MAX_COLUMNS", 2000)
+    monkeypatch.setattr(quotient, "MAX_ROWS", 1)
+    with pytest.raises(BudgetExceeded, match="row count"):
+        quotient_dimension(orbits, tables, (2,), 8)
+    with pytest.raises(BudgetExceeded, match="row count"):
+        compare_with_character(orbits, tables, 2, 8)
+    with pytest.raises(BudgetExceeded, match="row count"):
+        new_relations_membership(orbits, tables, 0, 0, 1, 0)
 
 
-def test_budget_caps_matrix_size(data):
+def test_column_budget_is_checked_before_any_enumeration(data, monkeypatch):
+    def refuse(*args):
+        pytest.fail("a basis was enumerated before the column check")
+
+    monkeypatch.setattr(quotient, "enumerate_monomials", refuse)
     orbits, tables = data["rank1"]
-    with pytest.raises(BudgetExceeded):
-        quotient_dimension(
-            orbits, tables, (2,), 8, OracleBudget(max_cols=1)
+    with pytest.raises(BudgetExceeded, match=r"2172 monomials .*\(6,\), weight=82"):
+        compare_with_character(orbits, tables, 6, 90)
+    with pytest.raises(BudgetExceeded, match="2172 monomials"):
+        quotient_dimension(orbits, tables, (6,), 82)
+
+
+@pytest.mark.parametrize("name", PRESETS + ("3-cycle",))
+def test_basis_sizes_are_partition_counts(name, data):
+    orbits, tables = THREE_CYCLE if name == "3-cycle" else data[name]
+    slices = quotient._Slices(orbits, tables)
+    for charge in quotient._charges_up_to(orbits.d, 3):
+        assert slices.sizes(charge, 30) == [
+            len(enumerate_monomials(orbits, tables, charge, w)) for w in range(31)
+        ]
+
+
+# --------------------------------------------------------------------- sharing
+
+
+def test_oracle_builds_each_basis_and_family_once(data, monkeypatch):
+    bases, families = Counter(), Counter()
+    enumerate_real, generators_real = quotient.enumerate_monomials, quotient._generators
+
+    def enumerate_counted(orbits, tables, charge, weight):
+        bases[tuple(charge), weight] += 1
+        return enumerate_real(orbits, tables, charge, weight)
+
+    def generators_counted(orbits, tables, i, j, t, pairs):
+        families[i, j, t] += 1
+        return generators_real(orbits, tables, i, j, t, pairs)
+
+    monkeypatch.setattr(quotient, "enumerate_monomials", enumerate_counted)
+    monkeypatch.setattr(quotient, "_generators", generators_counted)
+    orbits, tables = data["x3"]
+    before = compare_with_character(orbits, tables, 3, 20)
+    assert bases and families
+    assert max(bases.values()) == 1 and max(families.values()) == 1
+    monkeypatch.undo()
+    assert compare_with_character(orbits, tables, 3, 20) == before
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_sweep_ranks_each_relation_slice_once(name, data, monkeypatch):
+    # One rank per nontrivial cell with its target appended, plus one per
+    # distinct bidegree for the relation rows alone.
+    ranked = []
+    rank_real = ExactMatrix.rank
+    monkeypatch.setattr(
+        ExactMatrix, "rank", lambda self: ranked.append(self.nrows) or rank_real(self)
+    )
+    orbits, tables = data[name]
+    cells = [c for c in new_relations_sweep(orbits, tables) if not c.trivial]
+    bidegrees = set()
+    for c in cells:
+        l_i = orbits.lengths[c.i]
+        target = quotient._pair_monomial(
+            orbits, c.i, c.j,
+            -tables.a_half[c.i] - Fraction(c.s, l_i),
+            -tables.a_half[c.j] - Fraction(c.t, l_i),
         )
-    with pytest.raises(BudgetExceeded):
-        quotient_dimension(
-            orbits, tables, (2,), 8, OracleBudget(max_rows=1)
-        )
+        bidegrees.add((monomial_charge(target, orbits.d), monomial_weight(target)))
+    assert len(ranked) == len(cells) + len(bidegrees)
 
 
 # ------------------------------------------------------------------ membership
@@ -261,8 +330,9 @@ def _solve_membership(orbits, tables, i, j, s, t):
     target = quotient._pair_monomial(orbits, i, j, n1, n2)
     charge = monomial_charge(target, orbits.d)
     weight = monomial_weight(target)
-    monomials = enumerate_monomials(orbits, tables, charge, weight)
-    rows = quotient._relation_rows(orbits, tables, charge, weight, monomials)
+    slices = quotient._Slices(orbits, tables)
+    monomials = slices.basis(charge, weight)
+    rows = quotient._relation_rows(slices, charge, weight)
     if not rows:
         return False
     span = ExactMatrix(
@@ -277,12 +347,7 @@ def _solve_membership(orbits, tables, i, j, s, t):
 
 @pytest.mark.parametrize("name", PRESETS + ("3-cycle",))
 def test_membership_by_rank_matches_solving(name, data):
-    if name == "3-cycle":
-        orbits, tables = analyze(lattice_from_config(
-            {"rank": 3, "gram": [[2, 1, 1], [1, 2, 1], [1, 1, 2]], "perm": "(1 2 3)"}
-        ))
-    else:
-        orbits, tables = data[name]
+    orbits, tables = THREE_CYCLE if name == "3-cycle" else data[name]
     cells = new_relations_sweep(orbits, tables)
     assert cells
     for c in cells:
