@@ -374,13 +374,6 @@ class ExactMatrix:
         zero = field.zero()
         return cls(field, tuple((zero,) * ncols for _ in range(nrows)), ncols)
 
-    def transpose(self) -> "ExactMatrix":
-        if self.rows:
-            cols = tuple(tuple(col) for col in zip(*self.rows))
-        else:
-            cols = tuple(() for _ in range(self.ncols))
-        return ExactMatrix(self.field, cols, self.nrows)
-
     def stack(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.ncols != self.ncols:
             raise DimensionMismatch(

@@ -515,8 +515,8 @@ class PascalSweepReport:
     failures: tuple[SweepFailure, ...]
     # Specs whose invertibility was proved mod p and by exact elimination;
     # not part of the JSON report.
-    proved_mod_p: int = 0
-    proved_exact: int = 0
+    proved_mod_p: int
+    proved_exact: int
 
     @property
     def ok(self) -> bool:
@@ -541,7 +541,7 @@ class PascalSweepReport:
 
 
 def pascal_check(
-    max_k: int, max_n: int, samples: int, seed: int, proof_samples: int = 50
+    max_k: int, max_n: int, samples: int, seed: int, proof_samples: int
 ) -> PascalSweepReport:
     """Seeded sweep: invertibility over all block shapes, plus proof replays.
 

@@ -1,23 +1,29 @@
 """Brute-force comparison oracle for the character coefficients.
 
-The graded commutative algebra on variables x_i(n), one family per orbit
-with n running over the orbit's admissible negative modes, is cut down by
-the quadratic relation families carrying root-of-unity weights.  For each
-bidegree (charge vector, normalized weight) this module enumerates the
-monomial basis, expands every relation times every cofactor monomial, and
-computes the quotient dimension by exact rank over the ambient cyclotomic
-field.  Matching those dimensions against the character coefficients is
-the ground-truth test that the relations present the graded algebra.
+The graded commutative algebra has one family of variables per orbit i,
+of normalized integer weights start_i + p * s_i (p >= 0), where
+start_i = A_ii / 2 is half the character-matrix diagonal and s_i = k / l_i
+is the orbit's step; it is cut down by quadratic relation families
+carrying root-of-unity coefficients.  For each bidegree (charge vector,
+weight) this module enumerates the monomial basis, expands every
+relation times every cofactor monomial, and computes the quotient
+dimension by exact rank over the ambient cyclotomic field.  Matching
+those dimensions against the character coefficients is the ground-truth
+test that the relations present the graded algebra.
+
+Bases, relation families, membership targets and membership matrices are
+all built in these integer weights, from the one (start_i, s_i) table.
+The variable of weight w is x_i(n) at mode n = -w / k; modes appear only
+at the boundary, as the total degree t of ``build_relations`` and the
+offsets s, t of the membership statement.
 
 Each call builds its slices through one memo (``_Slices``) holding the
 basis B(m, w) of each bidegree, also the cofactor set of larger charges,
 each relation family and the (row count, rank) of each I(m, w); rows are
-never kept.  A window with a bidegree over MAX_COLUMNS monomials, counted
-as partitions, is refused before any basis is built, and a bidegree whose
-rows would exceed MAX_ROWS before its rows are built.
-
-Weights are normalized exactly as in the character tables: a variable of
-mode n has integer weight -n * k.
+never kept.  A bidegree below its lowest weight sum_i m_i * start_i is
+empty and is not enumerated.  A window with a bidegree over MAX_COLUMNS
+monomials, counted as partitions, is refused before any basis is built,
+and a bidegree whose rows would exceed MAX_ROWS before its rows are built.
 """
 
 from __future__ import annotations
@@ -46,9 +52,6 @@ class TwistedVariable(NamedTuple):
 
     orbit: int
     weight: int
-
-    def mode(self, k: int) -> Fraction:
-        return Fraction(-self.weight, k)
 
 
 Monomial = tuple[TwistedVariable, ...]
@@ -97,6 +100,13 @@ def _weight_multisets(
     return out
 
 
+def _check_bidegree(d: int, charge: Sequence[int], weight: int) -> None:
+    if len(charge) != d or any(c < 0 for c in charge) or weight < 0:
+        raise PreconditionViolated(
+            f"bad bidegree: charge={tuple(charge)}, weight={weight}"
+        )
+
+
 def enumerate_monomials(
     orbits: OrbitData,
     tables: PairingTables,
@@ -106,10 +116,7 @@ def enumerate_monomials(
     """All monomials of the given charge vector and exact total weight,
     in lexicographic order."""
     d = orbits.d
-    if len(charge) != d or any(c < 0 for c in charge) or weight < 0:
-        raise PreconditionViolated(
-            f"bad bidegree: charge={tuple(charge)}, weight={weight}"
-        )
+    _check_bidegree(d, charge, weight)
     per_orbit = []
     for i in range(d):
         start, step = _var_start_step(orbits, tables, i)
@@ -130,77 +137,33 @@ def enumerate_monomials(
     return sorted(out)
 
 
-def _mode_pairs(
-    orbits: OrbitData,
-    tables: PairingTables,
-    i: int,
-    j: int,
-    t: Fraction,
-) -> list[tuple[Fraction, Fraction]]:
-    # Ordered decompositions -t = n1 + n2 with n1, n2 admissible negative
-    # modes of orbits i and j.
-    a_i, a_j = tables.a_half[i], tables.a_half[j]
-    l_i = orbits.lengths[i]
-    pairs = []
-    s1 = 0
-    while a_i + Fraction(s1, l_i) <= t - a_j:
-        n1 = -a_i - Fraction(s1, l_i)
-        n2 = -t - n1
-        if orbits.contains_mode(j, n2):
-            pairs.append((n1, n2))
-        s1 += 1
-    return pairs
-
-
-def _integral(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} {value} is not an integer")
-    return int(value)
-
-
-def _pair_monomial(
-    orbits: OrbitData, i: int, j: int, n1: Fraction, n2: Fraction
-) -> Monomial:
-    # x_i(n1) * x_j(n2) as a sorted monomial of normalized weights.
-    k = orbits.k
-    return tuple(sorted((
-        TwistedVariable(i, _integral(-n1 * k, "variable weight")),
-        TwistedVariable(j, _integral(-n2 * k, "variable weight")),
-    )))
-
-
 def _relation_coeff(
-    orbits: OrbitData, tables: PairingTables, i: int, r: int, m: int, n: Fraction
+    orbits: OrbitData, tables: PairingTables, i: int, r: int, m: int, w: int
 ) -> CyclotomicScalar:
-    # Weight of x_i(n) in relation (rotation r, power m) of orbit i: the
-    # rotation's root of unity of order L_i at mode n, times
-    # binomial(-n - gram_ii/2, m - 1).
-    k, big_l = orbits.k, orbits.root_orders[i]
-    root = get_field(k).eta_to(
-        r * _integral(n * big_l, "root exponent") * (k // big_l)
-    )
-    return root * rational_binomial(
-        -n - Fraction(tables.rotated[i][i][0], 2), m - 1
+    # Coefficient of orbit i's variable of weight w (mode -w/k) in relation
+    # (rotation r, power m) of orbit i: the rotation's root of unity
+    # eta^(-r * w), times binomial(w/k - gram_ii/2, m - 1).
+    k = orbits.k
+    return get_field(k).eta_to(-r * w) * rational_binomial(
+        Fraction(w, k) - Fraction(tables.rotated[i][i][0], 2), m - 1
     )
 
 
 def _generators(
-    orbits: OrbitData,
-    tables: PairingTables,
-    i: int,
-    j: int,
-    t: Fraction,
-    pairs: list[tuple[Fraction, Fraction]],
+    orbits: OrbitData, tables: PairingTables, i: int, j: int, weight: int, firsts: list[int]
 ) -> list[RelationGenerator]:
+    # firsts: the orbit-i weights w1 of the pairs x_i * x_j of this weight.
     field = get_field(orbits.k)
-    weight = _integral(t * orbits.k, "relation weight")
-    monos = [(n1, _pair_monomial(orbits, i, j, n1, n2)) for n1, n2 in pairs]
+    monos = [
+        (w1, tuple(sorted((TwistedVariable(i, w1), TwistedVariable(j, weight - w1)))))
+        for w1 in firsts
+    ]
     gens = []
     for r in range(orbits.lengths[i]):
         for m in range(1, tables.rotated[i][j][r] + 1):
             acc: dict[Monomial, CyclotomicScalar] = {}
-            for n1, mono in monos:
-                coeff = _relation_coeff(orbits, tables, i, r, m, n1)
+            for w1, mono in monos:
+                coeff = _relation_coeff(orbits, tables, i, r, m, w1)
                 acc[mono] = acc.get(mono, field.zero()) + coeff
             terms = tuple(
                 (c, mono) for mono, c in sorted(acc.items()) if c
@@ -220,22 +183,25 @@ def build_relations(
     One generator per rotation r < length_i and power 1 <= m <= pairing of
     the r-th rotation with orbit j; generators whose coefficients all vanish
     are kept as zero rows.  Requires -t to admit at least one decomposition
-    into admissible modes.
+    into admissible modes, that is, the weight t * k to be a sum of variable
+    weights of orbits i and j.
     """
     i, j = pair
     t = Fraction(t)
-    pairs = _mode_pairs(orbits, tables, i, j, t)
-    if not pairs:
+    weight, slices = t * orbits.k, _Slices(orbits, tables)
+    firsts = weight.denominator == 1 and slices.pair_weights(i, j, int(weight))
+    if not firsts:
         raise PreconditionViolated(
             f"-{t} is not a sum of admissible modes of orbits {i} and {j}"
         )
-    return _generators(orbits, tables, i, j, t, pairs)
+    return _generators(orbits, tables, i, j, int(weight), firsts)
 
 
 class _Slices:
     """Per-call memo of the bidegree slices of one lattice: bases by
-    (charge, weight), relation families by (i, j, t), and (row count, rank)
-    of I(m, w) by (charge, weight); basis sizes are counted, not built."""
+    (charge, weight), relation families by (i, j, relation weight), and
+    (row count, rank) of I(m, w) by (charge, weight); basis sizes are
+    counted, not built."""
 
     def __init__(self, orbits: OrbitData, tables: PairingTables):
         self.orbits, self.tables = orbits, tables
@@ -245,12 +211,16 @@ class _Slices:
             _var_start_step(orbits, tables, i) for i in range(orbits.d)
         ]
 
+    def lowest(self, charge: Sequence[int]) -> int:
+        """sum_i m_i * start_i, the lowest weight of any charge-m monomial."""
+        return sum(m * start for m, (start, _) in zip(charge, self.start_step))
+
     def sizes(self, charge: tuple[int, ...], bound: int) -> list[int]:
         """|B(charge, w)| for w = 0..bound without enumerating: the coefficient
         of q^(w - sum_i m_i * start_i) in prod_i 1 / (q^s_i; q^s_i)_(m_i)."""
         # zip: enumerate_monomials refuses a charge of the wrong length later.
         per_orbit = list(zip(charge, self.start_step))
-        shift = sum(m * start for m, (start, _) in per_orbit)
+        shift = self.lowest(charge)
         if shift > bound:
             return [0] * (bound + 1)
         parts = [j * step for m, (_, step) in per_orbit for j in range(1, m + 1)]
@@ -271,19 +241,31 @@ class _Slices:
 
     def basis(self, charge: tuple[int, ...], weight: int) -> tuple[Monomial, ...]:
         # Tuples: a window's many empty bases are then one untracked object.
-        if (charge, weight) not in self.bases:
-            self.bases[charge, weight] = tuple(enumerate_monomials(
-                self.orbits, self.tables, charge, weight
-            ))
-        return self.bases[charge, weight]
+        if (charge, weight) in self.bases:
+            return self.bases[charge, weight]
+        _check_bidegree(self.orbits.d, charge, weight)
+        if weight < self.lowest(charge):
+            return ()
+        basis = tuple(enumerate_monomials(self.orbits, self.tables, charge, weight))
+        self.bases[charge, weight] = basis
+        return basis
 
-    def family(self, i: int, j: int, t: Fraction) -> list[RelationGenerator]:
-        if (i, j, t) not in self.families:
-            pairs = _mode_pairs(self.orbits, self.tables, i, j, t)
-            self.families[i, j, t] = pairs and _generators(
-                self.orbits, self.tables, i, j, t, pairs
+    def pair_weights(self, i: int, j: int, weight: int) -> list[int]:
+        """The weights w1 of orbit i's variables for which weight - w1 is a
+        weight of orbit j's, in increasing order."""
+        (start_i, s_i), (start_j, s_j) = self.start_step[i], self.start_step[j]
+        return [
+            w1 for w1 in range(start_i, weight - start_j + 1, s_i)
+            if (weight - w1 - start_j) % s_j == 0
+        ]
+
+    def family(self, i: int, j: int, weight: int) -> list[RelationGenerator]:
+        if (i, j, weight) not in self.families:
+            firsts = self.pair_weights(i, j, weight)
+            self.families[i, j, weight] = firsts and _generators(
+                self.orbits, self.tables, i, j, weight, firsts
             )
-        return self.families[i, j, t]
+        return self.families[i, j, weight]
 
     def rank(self, charge: tuple[int, ...], weight: int, rows=None):
         """(row count, rank) of I(charge, weight); pass ``rows`` if built."""
@@ -302,7 +284,7 @@ def _relation_rows(
     slices: _Slices, charge: tuple[int, ...], weight: int
 ) -> list[list[CyclotomicScalar]]:
     # One dense row per (cofactor, relation) product landing in B(m, w).
-    orbits, tables = slices.orbits, slices.tables
+    orbits = slices.orbits
     monomials = slices.basis(charge, weight)
     index = {mono: pos for pos, mono in enumerate(monomials)}
     rows: list[list[CyclotomicScalar]] = []
@@ -313,14 +295,12 @@ def _relation_rows(
             )
             if min(cof_charge) < 0:
                 continue
-            min_gen = (tables.char_matrix[i][i] + tables.char_matrix[j][j]) // 2
+            min_gen = slices.start_step[i][0] + slices.start_step[j][0]
             for cof_weight in range(weight - min_gen + 1):
                 cofs = slices.basis(cof_charge, cof_weight)
                 if not cofs:
                     continue
-                gens = slices.family(
-                    i, j, Fraction(weight - cof_weight, orbits.k)
-                )
+                gens = slices.family(i, j, weight - cof_weight)
                 if len(rows) + len(cofs) * len(gens) > MAX_ROWS:
                     raise BudgetExceeded(
                         f"relation row count exceeds budget ({MAX_ROWS}) at "
@@ -460,12 +440,14 @@ def new_relations_membership(
 ) -> bool:
     """Whether x_i(-a_i - s/l_i) * x_j(-a_j - t/l_i) lies in the relation ideal.
 
+    The two variables have weights start_i + s * s_i and start_j + t * s_i.
     The allowed range is s, t >= 0 with s + t <= l_i * (zero-mode pairing
-    of i with j) - 1; outside it PreconditionViolated is raised.  When the
-    second mode is not admissible for orbit j the monomial vanishes by
-    convention and membership holds trivially.  Otherwise the monomial is a
-    member iff appending it to the rows of the ideal's bidegree slice leaves
-    their rank over the cyclotomic field unchanged.
+    of i with j) - 1; outside it PreconditionViolated is raised.  When t * s_i
+    is not a multiple of s_j, the second mode is not admissible for orbit j,
+    the monomial vanishes by convention and membership holds trivially.
+    Otherwise the monomial is a member iff appending it to the rows of the
+    ideal's bidegree slice leaves their rank over the cyclotomic field
+    unchanged.
     """
     return _membership(_Slices(orbits, tables), i, j, s, t)
 
@@ -480,14 +462,13 @@ def _membership(slices: _Slices, i: int, j: int, s: int, t: int) -> bool:
             f"(s, t) = ({s}, {t}) outside the range s, t >= 0, "
             f"s + t <= {bound - 1}"
         )
-    l_i = orbits.lengths[i]
-    n1 = -tables.a_half[i] - Fraction(s, l_i)
-    n2 = -tables.a_half[j] - Fraction(t, l_i)
-    if not orbits.contains_mode(j, n2):
+    (start_i, s_i), (start_j, s_j) = slices.start_step[i], slices.start_step[j]
+    if t * s_i % s_j:
         return True
-    target = _pair_monomial(orbits, i, j, n1, n2)
+    w1, w2 = start_i + s * s_i, start_j + t * s_i
+    target = tuple(sorted((TwistedVariable(i, w1), TwistedVariable(j, w2))))
     charge = monomial_charge(target, orbits.d)
-    weight = monomial_weight(target)
+    weight = w1 + w2
     monomials = slices.basis(charge, weight)
     rows = _relation_rows(slices, charge, weight)
     _, rank = slices.rank(charge, weight, rows)
@@ -531,13 +512,12 @@ def new_relations_sweep(
     for i in range(orbits.d):
         for j in range(orbits.d):
             bound = sum(tables.rotated[i][j])
-            l_i = orbits.lengths[i]
+            s_i, s_j = slices.start_step[i][1], slices.start_step[j][1]
             for s in range(bound):
                 for t in range(bound - s):
-                    n2 = -tables.a_half[j] - Fraction(t, l_i)
                     member = _membership(slices, i, j, s, t)
                     cells.append(MembershipCell(
-                        i, j, s, t, member, not orbits.contains_mode(j, n2)
+                        i, j, s, t, member, t * s_i % s_j != 0
                     ))
     return tuple(cells)
 
@@ -547,20 +527,20 @@ def membership_matrix(
 ) -> ExactMatrix:
     """The square coefficient matrix underlying the membership argument.
 
-    Rows are labeled by (rotation r, power m), columns by the mode offset
-    p; the entry is the rotation's root-of-unity weight at mode
-    -a_i - p/l_i times binomial(a_i + p/l_i - gram_ii/2, m - 1).  Square of
-    size l_i * (zero-mode pairing), and always invertible.
+    Rows are labeled by (rotation r, power m), columns by the offset p;
+    the entry is the coefficient of orbit i's variable of weight
+    start_i + p * s_i (mode -a_i - p/l_i) in relation (r, m): the root
+    eta^(-r * weight) times binomial(a_i + p/l_i - gram_ii/2, m - 1).
+    Square of size l_i * (zero-mode pairing), and always invertible.
     """
-    l_i = orbits.lengths[i]
-    a_i = tables.a_half[i]
+    start_i, s_i = _var_start_step(orbits, tables, i)
     size = sum(tables.rotated[i][j])
     rows = [
         tuple(
-            _relation_coeff(orbits, tables, i, r, m, -a_i - Fraction(p, l_i))
+            _relation_coeff(orbits, tables, i, r, m, start_i + p * s_i)
             for p in range(size)
         )
-        for r in range(l_i)
+        for r in range(orbits.lengths[i])
         for m in range(1, tables.rotated[i][j][r] + 1)
     ]
     return ExactMatrix(get_field(orbits.k), tuple(rows), size)
@@ -575,24 +555,16 @@ def membership_matrix_decomposition(
     of a stacked root-of-unity Pascal matrix with root order l_i, block
     sizes given by the rotated pairings, z = a_i - gram_ii/2 and w = 1/l_i.
     """
-    k = orbits.k
-    field = get_field(k)
-    l_i = orbits.lengths[i]
-    a_i = tables.a_half[i]
-    gram_ii = Fraction(tables.rotated[i][i][0], 2)
-    # The p-dependent part of the root weight is a power of the primitive
-    # l_i-th root eta^(-k/l_i); the remainder is a per-row scalar.
-    zeta = field.eta_to(-k // l_i)
+    field = get_field(orbits.k)
+    start_i, s_i = _var_start_step(orbits, tables, i)
+    spec = membership_pascal_spec(orbits, tables, i, j)
+    # The root at weight start_i + p * s_i is eta^(-r * start_i) times the
+    # p-th power of zeta^r, zeta = eta^(-s_i) a primitive l_i-th root.
     scalars = []
-    for r in range(l_i):
-        scalar = field.eta_to(_integral(-r * a_i * k, "root exponent"))
-        scalars.extend([scalar] * tables.rotated[i][j][r])
+    for r in range(orbits.lengths[i]):
+        scalars.extend([field.eta_to(-r * start_i)] * tables.rotated[i][j][r])
     pascal_form = stacked_with_root(
-        field,
-        zeta,
-        tables.rotated[i][j],
-        a_i - gram_ii,
-        Fraction(1, l_i),
+        field, field.eta_to(-s_i), spec.block_sizes, spec.z, spec.w
     )
     return tuple(scalars), pascal_form
 

@@ -498,6 +498,10 @@ PINNED_OUTPUTS = [
     (("verify", "--preset", "x4", "--oracle", "--new-relations", "--charge-bound",
       "3", "--weight-bound", "20", "--format", "json"), 0,
      "95ce50e6f2137bf5f1e1b3d497431e99277e2bc05885ee6999d5028953f11d4b"),
+    # swap2 is the only preset whose relation roots of unity are not all 1.
+    (("verify", "--preset", "swap2", "--oracle", "--new-relations", "--charge-bound",
+      "3", "--weight-bound", "24", "--format", "json"), 0,
+     "fd63dd4f1150f35e10997c3c92e167472150044e87fac078eb907952ed03a550"),
 ]
 
 
@@ -506,9 +510,31 @@ PINNED_OUTPUTS = [
     ids=["character-rank1", "character-swap2", "character-x3", "character-x4",
          "character-x4-text", "verify-x3-recursion-identities",
          "verify-x4-strict-identities", "oracle-rank1-text", "oracle-swap2",
-         "oracle-x3-new-relations", "oracle-x4-new-relations"],
+         "oracle-x3-new-relations", "oracle-x4-new-relations",
+         "oracle-swap2-new-relations"],
 )
 def test_output_bytes_are_pinned(capsys, argv, expected_code, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (expected_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_config_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    # A swapped pair beside two fixed points: orbits of lengths 2 and 1, so
+    # relation families and membership targets pair unequal steps.  The JSON
+    # names the config path, so it is given relative to tmp_path.
+    monkeypatch.chdir(tmp_path)
+    Path("swapped_pair_fixed_pair.json").write_text(json.dumps({
+        "rank": 4,
+        "gram": [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]],
+        "perm": "(1 2)(3)(4)",
+    }))
+    code, out, err = run(
+        capsys, "verify", "--config", "swapped_pair_fixed_pair.json", "--oracle",
+        "--new-relations", "--charge-bound", "3", "--weight-bound", "20",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a9aa281b0502b521c052fde5333ad0def4f1fc16c8149159cf3be3dca16e16d4"
+    )

@@ -271,18 +271,12 @@ def test_inverse_of_singular_raises():
         ExactMatrix.from_rows(field, [[1, 2]]).inverse()
 
 
-def test_transpose_and_stack_shapes():
+def test_stack_shapes():
     field = get_field(2)
     m = ExactMatrix.from_rows(field, [[1, 2, 3], [4, 5, 6]])
-    t = m.transpose()
-    assert (t.nrows, t.ncols) == (3, 2)
-    assert t.transpose() == m
     s = m.stack(ExactMatrix.from_rows(field, [[7, 8, 9]]))
     assert (s.nrows, s.ncols) == (3, 3)
     assert s.rows[2] == tuple(field.from_rational(v) for v in (7, 8, 9))
-    empty = ExactMatrix.zeros(field, 0, 3)
-    assert empty.transpose().nrows == 3
-    assert empty.transpose().ncols == 0
 
 
 def test_first_difference_reports_position():
@@ -312,7 +306,8 @@ def _random_matrix(data, field, nrows, ncols):
 def test_rank_is_transpose_invariant(data):
     field = get_field(4)
     m = _random_matrix(data, field, 3, 4)
-    assert m.rank() == m.transpose().rank()
+    transposed = ExactMatrix(field, tuple(zip(*m.rows)), m.nrows)
+    assert m.rank() == transposed.rank()
 
 
 @given(data=st.data())

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twistchar import quotient
-from twistchar.cyclotomic import ExactMatrix, NoSolution, get_field
+from twistchar.cyclotomic import ExactMatrix, NoSolution, get_field, rational_binomial
 from twistchar.lattice import analyze
 from twistchar.pascal import verify_invertible
 from twistchar.presets import lattice_from_config, preset
@@ -32,6 +32,12 @@ PRESETS = ("rank1", "swap2", "x3", "x4")
 THREE_CYCLE = analyze(lattice_from_config(
     {"rank": 3, "gram": [[2, 1, 1], [1, 2, 1], [1, 1, 2]], "perm": "(1 2 3)"}
 ))
+# Orbits of lengths 2, 1, 1: pairs of unequal steps s_i != s_j.
+PAIR_AND_FIXED = analyze(lattice_from_config({
+    "rank": 4,
+    "gram": [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]],
+    "perm": "(1 2)(3)(4)",
+}))
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +50,6 @@ def V(orbit, weight):
 
 
 # ------------------------------------------------------------------- monomials
-
-
-def test_variable_mode():
-    assert V(0, 2).mode(2) == -1
-    assert V(1, 3).mode(6) == Fraction(-1, 2)
 
 
 def test_monomial_helpers():
@@ -122,9 +123,11 @@ def test_zero_generator_is_kept(data):
 
 def test_relations_need_admissible_modes(data):
     orbits, tables = data["rank1"]
-    # Total degree 3/2 is not a sum of two integer modes below -1/2.
-    with pytest.raises(PreconditionViolated):
-        build_relations(orbits, tables, (0, 0), Fraction(3, 2))
+    # Total degree 3/2 is not a sum of two integer modes below -1/2, and
+    # 1/3 is not even a weight (t * k = 2/3).
+    for t in (Fraction(3, 2), Fraction(1, 3)):
+        with pytest.raises(PreconditionViolated):
+            build_relations(orbits, tables, (0, 0), t)
 
 
 def test_cross_pair_relations_exist(data):
@@ -133,6 +136,97 @@ def test_cross_pair_relations_exist(data):
         gens = build_relations(orbits, tables, pair, Fraction(3, 2))
         assert gens
         assert all(g.orbit_pair == pair for g in gens)
+
+
+# ------------------------------------------------- weights against modes
+
+
+def _mode_coeff(orbits, tables, i, r, m, n):
+    # Reference coefficient of x_i(n) in relation (r, m): the root of order
+    # L_i at mode n, eta^(r * (n * L_i) * (k / L_i)), times
+    # binomial(-n - gram_ii/2, m - 1).
+    k, big_l = orbits.k, orbits.root_orders[i]
+    exponent = r * (n * big_l) * (k // big_l)
+    assert exponent.denominator == 1
+    return get_field(k).eta_to(int(exponent)) * rational_binomial(
+        -n - Fraction(tables.rotated[i][i][0], 2), m - 1
+    )
+
+
+def _mode_family(orbits, tables, i, j, weight):
+    # Reference family in Fraction modes: the ordered decompositions
+    # -t = n1 + n2 into admissible modes of orbits i and j, t = weight / k.
+    k, l_i = orbits.k, orbits.lengths[i]
+    t = Fraction(weight, k)
+    a_i, a_j = tables.a_half[i], tables.a_half[j]
+    pairs = []
+    s1 = 0
+    while a_i + Fraction(s1, l_i) <= t - a_j:
+        n1 = -a_i - Fraction(s1, l_i)
+        if orbits.contains_mode(j, -t - n1):
+            pairs.append(n1)
+        s1 += 1
+    if not pairs:
+        return []
+    field = get_field(k)
+    gens = []
+    for r in range(l_i):
+        for m in range(1, tables.rotated[i][j][r] + 1):
+            acc = {}
+            for n1 in pairs:
+                mono = tuple(sorted((V(i, int(-n1 * k)), V(j, int((t + n1) * k)))))
+                coeff = _mode_coeff(orbits, tables, i, r, m, n1)
+                acc[mono] = acc.get(mono, field.zero()) + coeff
+            terms = tuple((c, mono) for mono, c in sorted(acc.items()) if c)
+            gens.append(((i, j), r, m, weight, terms))
+    return gens
+
+
+@pytest.mark.parametrize("name", ("swap2", "x3", "x4", "3-cycle", "pair-and-fixed"))
+def test_weights_match_the_mode_formulas(name, data):
+    # The oracle alone cannot see a sign error in the root exponent (with
+    # r -> -r it reports no mismatch on swap2, x3 or x4), so every family
+    # and membership matrix is checked against the formulas in modes.
+    orbits, tables = {
+        "3-cycle": THREE_CYCLE, "pair-and-fixed": PAIR_AND_FIXED
+    }.get(name) or data[name]
+    slices = quotient._Slices(orbits, tables)
+    nonempty = 0
+    for i in range(orbits.d):
+        for j in range(orbits.d):
+            for weight in range(25):
+                family = [
+                    (g.orbit_pair, g.rotation, g.power, g.weight, g.terms)
+                    for g in slices.family(i, j, weight)
+                ]
+                assert family == _mode_family(orbits, tables, i, j, weight)
+                nonempty += any(terms for *_, terms in family)
+            l_i, a_i = orbits.lengths[i], tables.a_half[i]
+            matrix = membership_matrix(orbits, tables, i, j)
+            assert matrix.rows == tuple(
+                tuple(
+                    _mode_coeff(orbits, tables, i, r, m, -a_i - Fraction(p, l_i))
+                    for p in range(matrix.ncols)
+                )
+                for r in range(l_i)
+                for m in range(1, tables.rotated[i][j][r] + 1)
+            )
+    assert nonempty
+
+
+def test_oracle_and_sweep_see_the_relation_roots(data, monkeypatch):
+    # With every root of unity replaced by 1 (rotation 0), swap2's relations
+    # no longer present the algebra: 6 mismatches and 3 non-members.  x3 and
+    # x4 cannot see this mutation (no mismatch, no non-member), so swap2 is
+    # the test case.
+    real = quotient._relation_coeff
+    monkeypatch.setattr(
+        quotient, "_relation_coeff",
+        lambda orbits, tables, i, r, m, w: real(orbits, tables, i, 0, m, w),
+    )
+    orbits, tables = data["swap2"]
+    assert compare_with_character(orbits, tables, 3, 24).mismatches
+    assert not all(c.member for c in new_relations_sweep(orbits, tables))
 
 
 # ------------------------------------------------------------------ dimensions
@@ -236,6 +330,32 @@ def test_basis_sizes_are_partition_counts(name, data):
         ]
 
 
+def test_cells_below_their_lowest_weight_are_not_enumerated(monkeypatch):
+    enumerated = []
+    enumerate_real = quotient.enumerate_monomials
+
+    def enumerate_counted(orbits, tables, charge, weight):
+        enumerated.append((tuple(charge), weight))
+        return enumerate_real(orbits, tables, charge, weight)
+
+    monkeypatch.setattr(quotient, "enumerate_monomials", enumerate_counted)
+    orbits, tables = analyze(lattice_from_config(
+        {"rank": 3, "gram": [[2, 0, 0], [0, 2, 0], [0, 0, 2]], "perm": "(1)(2)(3)"}
+    ))
+    assert compare_with_character(orbits, tables, 6, 4).all_ok
+    starts = [tables.char_matrix[i][i] // 2 for i in range(orbits.d)]
+    assert enumerated
+    assert all(
+        weight >= sum(m * start for m, start in zip(charge, starts))
+        for charge, weight in enumerated
+    )
+    # The shortcut applies only to a valid bidegree.
+    slices = quotient._Slices(orbits, tables)
+    for charge, weight in (((0, 0), 0), ((-1, 0, 0), 0), ((1, 0, 0), -1)):
+        with pytest.raises(PreconditionViolated):
+            slices.basis(charge, weight)
+
+
 # --------------------------------------------------------------------- sharing
 
 
@@ -247,9 +367,9 @@ def test_oracle_builds_each_basis_and_family_once(data, monkeypatch):
         bases[tuple(charge), weight] += 1
         return enumerate_real(orbits, tables, charge, weight)
 
-    def generators_counted(orbits, tables, i, j, t, pairs):
-        families[i, j, t] += 1
-        return generators_real(orbits, tables, i, j, t, pairs)
+    def generators_counted(orbits, tables, i, j, weight, firsts):
+        families[i, j, weight] += 1
+        return generators_real(orbits, tables, i, j, weight, firsts)
 
     monkeypatch.setattr(quotient, "enumerate_monomials", enumerate_counted)
     monkeypatch.setattr(quotient, "_generators", generators_counted)
@@ -274,12 +394,7 @@ def test_sweep_ranks_each_relation_slice_once(name, data, monkeypatch):
     cells = [c for c in new_relations_sweep(orbits, tables) if not c.trivial]
     bidegrees = set()
     for c in cells:
-        l_i = orbits.lengths[c.i]
-        target = quotient._pair_monomial(
-            orbits, c.i, c.j,
-            -tables.a_half[c.i] - Fraction(c.s, l_i),
-            -tables.a_half[c.j] - Fraction(c.t, l_i),
-        )
+        target = _mode_target(orbits, tables, c.i, c.j, c.s, c.t)
         bidegrees.add((monomial_charge(target, orbits.d), monomial_weight(target)))
     assert len(ranked) == len(cells) + len(bidegrees)
 
@@ -319,15 +434,23 @@ def test_membership_sweeps(name, total, trivial, data):
     assert set(sample) == {"pair", "s", "t", "member", "trivial"}
 
 
-def _solve_membership(orbits, tables, i, j, s, t):
-    # Reference: the target monomial is a combination of the relation rows
-    # iff the transposed system has a solution.
-    l_i = orbits.lengths[i]
+def _mode_target(orbits, tables, i, j, s, t):
+    # x_i(-a_i - s/l_i) * x_j(-a_j - t/l_i) from the mode formula (weight
+    # -n * k), or None when the second mode is not admissible for orbit j.
+    l_i, k = orbits.lengths[i], orbits.k
     n1 = -tables.a_half[i] - Fraction(s, l_i)
     n2 = -tables.a_half[j] - Fraction(t, l_i)
     if not orbits.contains_mode(j, n2):
+        return None
+    return tuple(sorted((V(i, int(-n1 * k)), V(j, int(-n2 * k)))))
+
+
+def _solve_membership(orbits, tables, i, j, s, t):
+    # Reference: the target monomial is a combination of the relation rows
+    # iff the transposed system has a solution.
+    target = _mode_target(orbits, tables, i, j, s, t)
+    if target is None:
         return True
-    target = quotient._pair_monomial(orbits, i, j, n1, n2)
     charge = monomial_charge(target, orbits.d)
     weight = monomial_weight(target)
     slices = quotient._Slices(orbits, tables)
@@ -335,9 +458,7 @@ def _solve_membership(orbits, tables, i, j, s, t):
     rows = quotient._relation_rows(slices, charge, weight)
     if not rows:
         return False
-    span = ExactMatrix(
-        get_field(orbits.k), tuple(tuple(r) for r in rows), len(monomials)
-    ).transpose()
+    span = ExactMatrix(get_field(orbits.k), tuple(zip(*rows)), len(rows))
     try:
         span.solve([1 if mono == target else 0 for mono in monomials])
         return True
