@@ -121,14 +121,6 @@ class CyclotomicField:
     def __repr__(self) -> str:
         return f"CyclotomicField({self.conductor})"
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CyclotomicField):
-            return self.conductor == other.conductor
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("CyclotomicField", self.conductor))
-
     def _make(self, coeffs: Sequence[Fraction]) -> "CyclotomicScalar":
         return CyclotomicScalar(self, tuple(coeffs))
 
@@ -251,12 +243,6 @@ class CyclotomicScalar:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> "CyclotomicScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, e: int) -> "CyclotomicScalar":
         if e < 0:
@@ -382,49 +368,25 @@ class ExactMatrix:
         return ExactMatrix(self.field, self.rows + other.rows, self.ncols)
 
     def __mul__(self, other: object) -> "ExactMatrix":
-        if isinstance(other, ExactMatrix):
-            if self.ncols != other.nrows:
-                raise DimensionMismatch(
-                    f"cannot multiply {self.nrows}x{self.ncols} by "
-                    f"{other.nrows}x{other.ncols}"
-                )
-            zero = self.field.zero()
-            out = []
-            for row in self.rows:
-                acc = [zero] * other.ncols
-                for k, a in enumerate(row):
-                    if a:
-                        orow = other.rows[k]
-                        for j in range(other.ncols):
-                            if orow[j]:
-                                acc[j] = acc[j] + a * orow[j]
-                out.append(tuple(acc))
-            return ExactMatrix(self.field, tuple(out), other.ncols)
-        if isinstance(other, (int, Fraction, CyclotomicScalar)):
-            s = _coerce_entry(self.field, other)
-            return ExactMatrix(
-                self.field,
-                tuple(tuple(s * e for e in row) for row in self.rows),
-                self.ncols,
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if self.ncols != other.nrows:
+            raise DimensionMismatch(
+                f"cannot multiply {self.nrows}x{self.ncols} by "
+                f"{other.nrows}x{other.ncols}"
             )
-        return NotImplemented
-
-    def __rmul__(self, other: object) -> "ExactMatrix":
-        if isinstance(other, (int, Fraction, CyclotomicScalar)):
-            return self * other
-        return NotImplemented
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shape mismatch in subtraction")
-        return ExactMatrix(
-            self.field,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-            self.ncols,
-        )
+        zero = self.field.zero()
+        out = []
+        for row in self.rows:
+            acc = [zero] * other.ncols
+            for k, a in enumerate(row):
+                if a:
+                    orow = other.rows[k]
+                    for j in range(other.ncols):
+                        if orow[j]:
+                            acc[j] = acc[j] + a * orow[j]
+            out.append(tuple(acc))
+        return ExactMatrix(self.field, tuple(out), other.ncols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -435,9 +397,6 @@ class ExactMatrix:
             and self.ncols == other.ncols
             and self.rows == other.rows
         )
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash((self.field.conductor, self.rows))
 
     def first_difference(
         self, other: "ExactMatrix"

@@ -184,10 +184,10 @@ def _assert_equal(identity: str, got: ExactMatrix, expected: ExactMatrix) -> Non
 
 
 def _reduction_matrix(
-    field: CyclotomicField, w: Rational, p: int, q: int, replay: bool
+    field: CyclotomicField, w: Rational, p: int, q: int
 ) -> ExactMatrix:
-    """The invertible P with P * M = rectangular Pascal, optionally replaying
-    and checking every intermediate stage."""
+    """The invertible P with P * M = rectangular Pascal, replaying and
+    checking every intermediate stage."""
     if p == 1:
         return ExactMatrix.identity(field, 1)
     m = a_matrix(field, 1, 0, w, p, q)
@@ -199,17 +199,15 @@ def _reduction_matrix(
                 f"stage matrix Q({n}) singular", n, n, q_n.det(), field.one()
             )
         part = q_n * part
-        if replay:
-            _assert_equal(
-                f"stage {n + 1} row reduction (P({n + 1})*M)",
-                part * m,
-                _m_stage_matrix(field, w, n + 1, p, q),
-            )
-    p_full = _final_q_matrix(field, w, p) * part
-    if replay:
         _assert_equal(
-            "reduced form (P*M = Pascal)", p_full * m, a_matrix(field, 1, 0, 1, p, q)
+            f"stage {n + 1} row reduction (P({n + 1})*M)",
+            part * m,
+            _m_stage_matrix(field, w, n + 1, p, q),
         )
+    p_full = _final_q_matrix(field, w, p) * part
+    _assert_equal(
+        "reduced form (P*M = Pascal)", p_full * m, a_matrix(field, 1, 0, 1, p, q)
+    )
     return p_full
 
 
@@ -340,7 +338,7 @@ def factorization_check(
     m = a_matrix(field, 1, 0, w, p, q)
     h = _diagonal(field, _powers(xc, q))
     _assert_equal("product decomposition (A = Z*M*H)", zm * m * h, a)
-    p_full = _reduction_matrix(field, w, p, q, replay=True)
+    p_full = _reduction_matrix(field, w, p, q)
     if not p_full.det():
         raise PascalIdentityError(
             "reduction matrix P singular", -1, -1, p_full.det(), field.one()
@@ -454,7 +452,7 @@ def two_blocks_check(
         _z_matrix(field, s, t) * z_inv,
         ExactMatrix.identity(field, t),
     )
-    u = _reduction_matrix(field, 1, t, n - s, replay=True) * z_inv
+    u = _reduction_matrix(field, 1, t, n - s) * z_inv
     _assert_equal(
         "inner block reduction (U*A = A')",
         u * inner,

@@ -20,8 +20,10 @@ offsets s, t of the membership statement.
 Each call builds its slices through one memo (``_Slices``) holding the
 basis B(m, w) of each bidegree, also the cofactor set of larger charges,
 each relation family and the (row count, rank) of each I(m, w); rows are
-never kept.  A bidegree below its lowest weight sum_i m_i * start_i is
-empty and is not enumerated.  A window with a bidegree over MAX_COLUMNS
+never kept, and each row entry is placed, never summed.  A cell below its
+lowest weight sum_i m_i * start_i is empty and never visited: the window
+walks only the charges whose lowest weight is in range, and counts its
+empty cells in closed form.  A window with a bidegree over MAX_COLUMNS
 monomials, counted as partitions, is refused before any basis is built,
 and a bidegree whose rows would exceed MAX_ROWS before its rows are built.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicScalar, ExactMatrix, get_field, rational_binomial
@@ -86,27 +89,6 @@ def _var_start_step(
     return tables.char_matrix[i][i] // 2, orbits.k // orbits.lengths[i]
 
 
-def _weight_multisets(
-    count: int, min_weight: int, step: int, cap: int
-) -> list[tuple[int, ...]]:
-    if count == 0:
-        return [()]
-    out = []
-    w = min_weight
-    while w * count <= cap:
-        for rest in _weight_multisets(count - 1, w, step, cap - w):
-            out.append((w,) + rest)
-        w += step
-    return out
-
-
-def _check_bidegree(d: int, charge: Sequence[int], weight: int) -> None:
-    if len(charge) != d or any(c < 0 for c in charge) or weight < 0:
-        raise PreconditionViolated(
-            f"bad bidegree: charge={tuple(charge)}, weight={weight}"
-        )
-
-
 def enumerate_monomials(
     orbits: OrbitData,
     tables: PairingTables,
@@ -115,26 +97,36 @@ def enumerate_monomials(
 ) -> list[Monomial]:
     """All monomials of the given charge vector and exact total weight,
     in lexicographic order."""
-    d = orbits.d
-    _check_bidegree(d, charge, weight)
-    per_orbit = []
-    for i in range(d):
-        start, step = _var_start_step(orbits, tables, i)
-        per_orbit.append(_weight_multisets(charge[i], start, step, weight))
+    if len(charge) != orbits.d or any(c < 0 for c in charge) or weight < 0:
+        raise PreconditionViolated(
+            f"bad bidegree: charge={tuple(charge)}, weight={weight}"
+        )
+    # One slot per variable, orbit by orbit; floor[p] is the lowest weight
+    # of slots p, p + 1, ...  Weights are chosen in increasing order, so the
+    # output is lexicographic and needs no sort.
+    slots = [
+        (i, *_var_start_step(orbits, tables, i))
+        for i in range(orbits.d) for _ in range(charge[i])
+    ]
+    floor = [sum(start for _, start, _ in slots[p:]) for p in range(len(slots) + 1)]
     out: list[Monomial] = []
 
-    def rec(i: int, acc: list[TwistedVariable], used: int) -> None:
-        if i == d:
-            if used == weight:
+    def rec(p: int, acc: list[TwistedVariable], left: int) -> None:
+        if p == len(slots):
+            if left == 0:
                 out.append(tuple(acc))
             return
-        for ws in per_orbit[i]:
-            total = sum(ws)
-            if used + total <= weight:
-                rec(i + 1, acc + [TwistedVariable(i, w) for w in ws], used + total)
+        i, w, step = slots[p]
+        if acc and acc[-1].orbit == i:
+            w = acc[-1].weight
+        while w + floor[p + 1] <= left:
+            acc.append(TwistedVariable(i, w))
+            rec(p + 1, acc, left - w)
+            acc.pop()
+            w += step
 
-    rec(0, [], 0)
-    return sorted(out)
+    rec(0, [], weight)
+    return out
 
 
 def _relation_coeff(
@@ -241,14 +233,11 @@ class _Slices:
 
     def basis(self, charge: tuple[int, ...], weight: int) -> tuple[Monomial, ...]:
         # Tuples: a window's many empty bases are then one untracked object.
-        if (charge, weight) in self.bases:
-            return self.bases[charge, weight]
-        _check_bidegree(self.orbits.d, charge, weight)
-        if weight < self.lowest(charge):
-            return ()
-        basis = tuple(enumerate_monomials(self.orbits, self.tables, charge, weight))
-        self.bases[charge, weight] = basis
-        return basis
+        if (charge, weight) not in self.bases:
+            self.bases[charge, weight] = tuple(
+                enumerate_monomials(self.orbits, self.tables, charge, weight)
+            )
+        return self.bases[charge, weight]
 
     def pair_weights(self, i: int, j: int, weight: int) -> list[int]:
         """The weights w1 of orbit i's variables for which weight - w1 is a
@@ -267,23 +256,30 @@ class _Slices:
             )
         return self.families[i, j, weight]
 
-    def rank(self, charge: tuple[int, ...], weight: int, rows=None):
-        """(row count, rank) of I(charge, weight); pass ``rows`` if built."""
-        if (charge, weight) not in self.ranks:
-            n_cols = len(self.basis(charge, weight))
-            if rows is None:
-                rows = _relation_rows(self, charge, weight) if n_cols else []
-            rank = ExactMatrix(
-                self.field, tuple(tuple(r) for r in rows), n_cols
-            ).rank() if rows else 0
+    def rank(self, charge: tuple[int, ...], weight: int, target=None):
+        """(row count, rank) of I(charge, weight), memoized; with a target
+        monomial, of those rows plus the target's unit row, not memoized."""
+        if target is None and (charge, weight) in self.ranks:
+            return self.ranks[charge, weight]
+        monomials = self.basis(charge, weight)
+        rows = _relation_rows(self, charge, weight) if monomials else []
+        if target is not None:
+            one, zero = self.field.one(), self.field.zero()
+            rows.append([one if m == target else zero for m in monomials])
+        rank = ExactMatrix(
+            self.field, tuple(tuple(r) for r in rows), len(monomials)
+        ).rank() if rows else 0
+        if target is None:
             self.ranks[charge, weight] = len(rows), rank
-        return self.ranks[charge, weight]
+        return len(rows), rank
 
 
 def _relation_rows(
     slices: _Slices, charge: tuple[int, ...], weight: int
 ) -> list[list[CyclotomicScalar]]:
-    # One dense row per (cofactor, relation) product landing in B(m, w).
+    # One dense row per (cofactor, relation) product landing in B(m, w).  A
+    # generator's terms have distinct monomials, and so do their products
+    # with one cofactor: each entry is placed, never summed.
     orbits = slices.orbits
     monomials = slices.basis(charge, weight)
     index = {mono: pos for pos, mono in enumerate(monomials)}
@@ -295,8 +291,8 @@ def _relation_rows(
             )
             if min(cof_charge) < 0:
                 continue
-            min_gen = slices.start_step[i][0] + slices.start_step[j][0]
-            for cof_weight in range(weight - min_gen + 1):
+            top = weight - slices.start_step[i][0] - slices.start_step[j][0]
+            for cof_weight in range(slices.lowest(cof_charge), top + 1):
                 cofs = slices.basis(cof_charge, cof_weight)
                 if not cofs:
                     continue
@@ -310,8 +306,7 @@ def _relation_rows(
                     for gen in gens:
                         row = [slices.field.zero()] * len(monomials)
                         for coeff, mono in gen.terms:
-                            full = tuple(sorted(cof + mono))
-                            row[index[full]] = row[index[full]] + coeff
+                            row[index[tuple(sorted(cof + mono))]] = coeff
                         rows.append(row)
     return rows
 
@@ -397,12 +392,13 @@ class OracleReport:
         }
 
 
-def _charges_up_to(d: int, total: int) -> list[tuple[int, ...]]:
-    """Charge vectors of length d with entry sum <= total, in lexicographic order."""
-    if d == 0:
+def _charges_up_to(lows: list[int], total: int, bound: int) -> list[tuple[int, ...]]:
+    """Charge vectors m with entry sum <= total and lowest weight
+    sum_i m_i * lows[i] <= bound, in lexicographic order."""
+    if not lows:
         return [()]
-    return [(v,) + rest for v in range(total + 1)
-            for rest in _charges_up_to(d - 1, total - v)]
+    return [(v,) + rest for v in range(min(total, bound // lows[0]) + 1)
+            for rest in _charges_up_to(lows[1:], total - v, bound - v * lows[0])]
 
 
 def compare_with_character(
@@ -415,23 +411,26 @@ def compare_with_character(
     a character coefficient are counted but not listed.
     """
     table = character(orbits, tables, weight_bound)
-    charges = _charges_up_to(orbits.d, charge_total)
     slices = _Slices(orbits, tables)
+    # Pairings are non-negative, so m^T A m / 2 >= sum_i m_i * start_i: a
+    # character series (it starts at q^(m^T A m / 2)) and a basis are both
+    # zero below their charge's lowest weight, where no cell is visited.
+    charges = _charges_up_to(
+        [start for start, _ in slices.start_step], charge_total, weight_bound
+    )
     slices.check_columns(charges, 0, weight_bound)
     cells = []
-    empty = 0
     for charge in charges:
         series = table.series(charge)
-        for weight in range(weight_bound + 1):
+        for weight in range(slices.lowest(charge), weight_bound + 1):
             n_monos = len(slices.basis(charge, weight))
             n_rows, rank = slices.rank(charge, weight) if n_monos else (0, 0)
             coeff = series.coeff(weight)
-            if n_monos == 0 and coeff == 0:
-                empty += 1
-                continue
-            cells.append(OracleCell(
-                charge, weight, n_monos, n_rows, rank, n_monos - rank, coeff
-            ))
+            if n_monos or coeff:
+                cells.append(OracleCell(
+                    charge, weight, n_monos, n_rows, rank, n_monos - rank, coeff
+                ))
+    empty = comb(charge_total + orbits.d, orbits.d) * (weight_bound + 1) - len(cells)
     return OracleReport(charge_total, weight_bound, tuple(cells), empty)
 
 
@@ -468,16 +467,8 @@ def _membership(slices: _Slices, i: int, j: int, s: int, t: int) -> bool:
     w1, w2 = start_i + s * s_i, start_j + t * s_i
     target = tuple(sorted((TwistedVariable(i, w1), TwistedVariable(j, w2))))
     charge = monomial_charge(target, orbits.d)
-    weight = w1 + w2
-    monomials = slices.basis(charge, weight)
-    rows = _relation_rows(slices, charge, weight)
-    _, rank = slices.rank(charge, weight, rows)
-    one, zero = slices.field.one(), slices.field.zero()
-    rows.append([one if m == target else zero for m in monomials])
-    with_target = ExactMatrix(
-        slices.field, tuple(tuple(r) for r in rows), len(monomials)
-    )
-    return with_target.rank() == rank
+    rank = slices.rank(charge, w1 + w2)[1]
+    return slices.rank(charge, w1 + w2, target)[1] == rank
 
 
 @dataclass(frozen=True)

@@ -538,3 +538,24 @@ def test_config_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a9aa281b0502b521c052fde5333ad0def4f1fc16c8149159cf3be3dca16e16d4"
     )
+
+
+def test_empty_charge_window_output_is_pinned(capsys, tmp_path, monkeypatch):
+    # Rank 5, Gram 2I, trivial isometry: five orbits of lowest weight 1, so
+    # of the C(25, 5) charge vectors up to 20 only the 126 of entry sum <= 4
+    # can hold a monomial of weight <= 4.  The JSON carries the empty count.
+    monkeypatch.chdir(tmp_path)
+    Path("rank5_2I.json").write_text(json.dumps({
+        "rank": 5,
+        "gram": [[2 * (i == j) for j in range(5)] for i in range(5)],
+        "perm": "(1)",
+    }))
+    code, out, err = run(
+        capsys, "verify", "--config", "rank5_2I.json", "--oracle",
+        "--charge-bound", "20", "--weight-bound", "4", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert '"empty_cells": 265624' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5f8f004f687a460ffcc8787d80303e2b5c1d648f687802841e5a47615119aa7d"
+    )

@@ -324,7 +324,8 @@ def test_column_budget_is_checked_before_any_enumeration(data, monkeypatch):
 def test_basis_sizes_are_partition_counts(name, data):
     orbits, tables = THREE_CYCLE if name == "3-cycle" else data[name]
     slices = quotient._Slices(orbits, tables)
-    for charge in quotient._charges_up_to(orbits.d, 3):
+    lows = [start for start, _ in slices.start_step]
+    for charge in quotient._charges_up_to(lows, 3, 30):
         assert slices.sizes(charge, 30) == [
             len(enumerate_monomials(orbits, tables, charge, w)) for w in range(31)
         ]
@@ -354,6 +355,26 @@ def test_cells_below_their_lowest_weight_are_not_enumerated(monkeypatch):
     for charge, weight in (((0, 0), 0), ((-1, 0, 0), 0), ((1, 0, 0), -1)):
         with pytest.raises(PreconditionViolated):
             slices.basis(charge, weight)
+
+
+def test_window_visits_only_charges_that_can_hold_a_monomial(monkeypatch):
+    # Rank 5, Gram 2I, trivial isometry: of the 53130 charge vectors up to 20,
+    # only the 126 of entry sum <= 4 can hold a monomial of weight <= 4.
+    calls = []
+    basis_real = quotient._Slices.basis
+    monkeypatch.setattr(
+        quotient._Slices, "basis",
+        lambda self, *bidegree: calls.append(bidegree) or basis_real(self, *bidegree),
+    )
+    orbits, tables = analyze(lattice_from_config({
+        "rank": 5,
+        "gram": [[2 * (i == j) for j in range(5)] for i in range(5)],
+        "perm": "(1)",
+    }))
+    report = compare_with_character(orbits, tables, 20, 4)
+    assert report.all_ok
+    assert (len(report.cells), report.empty_cells) == (26, 53130 * 5 - 26)
+    assert len(calls) <= 200
 
 
 # --------------------------------------------------------------------- sharing
