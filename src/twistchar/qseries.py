@@ -167,13 +167,18 @@ def poch_inverse(b: int, m: int, truncation: int) -> QSeries:
 def _partition_series(parts: Iterable[int], truncation: int) -> QSeries:
     # Truncated prod over the parts of 1 / (1 - q^part), the generating
     # series of partitions into the parts, a part listed twice counting as
-    # two distinct parts: one partition-count pass per part.
+    # two distinct parts.
     out = QSeries.one(truncation)
-    coeffs = out.coeffs
     for part in parts:
-        for n in range(part, truncation + 1):
-            coeffs[n] += coeffs[n - part]
+        _add_part(out.coeffs, part)
     return out
+
+
+def _add_part(coeffs: list[int], part: int) -> None:
+    # Multiply the truncated series in place by 1 / (1 - q^part): one
+    # partition-count pass, lowest exponent first.
+    for n in range(part, len(coeffs)):
+        coeffs[n] += coeffs[n - part]
 
 
 def poch_infinite(start: int, step: int, truncation: int) -> QSeries:
@@ -252,65 +257,38 @@ class CharacterTable:
         }
 
 
-def quadratic_value(
-    matrix: Sequence[Sequence[int]], m: Sequence[int]
-) -> int:
-    return sum(
-        matrix[i][j] * m[i] * m[j] for i in range(len(m)) for j in range(len(m))
-    )
-
-
-def _charge_bounds(matrix: Sequence[Sequence[int]], truncation: int) -> list[int]:
-    # Largest m_i with A_ii m_i^2 / 2 <= truncation, per orbit.
-    return [isqrt(2 * truncation // matrix[i][i]) for i in range(len(matrix))]
-
-
-def enumerate_charges(
-    matrix: Sequence[Sequence[int]], truncation: int
-) -> list[tuple[int, ...]]:
-    """All charge vectors whose starting exponent (m^T A m)/2 is <= truncation.
-
-    The search box prunes on the diagonal alone; that is a true lower bound
-    for the quadratic form because the matrix is entrywise non-negative.
-    """
-    d = len(matrix)
-    bounds = _charge_bounds(matrix, truncation)
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], diag_sum: int) -> None:
-        i = len(prefix)
-        if i == d:
-            m = tuple(prefix)
-            if quadratic_value(matrix, m) <= 2 * truncation:
-                out.append(m)
-            return
-        for v in range(bounds[i] + 1):
-            ds = diag_sum + matrix[i][i] * v * v
-            if ds > 2 * truncation:
-                break
-            rec(prefix + [v], ds)
-
-    rec([], 0)
-    return sorted(out)
-
-
 def character(
     orbits: OrbitData, tables: PairingTables, truncation: int
 ) -> CharacterTable:
     """Multigraded character with normalized integer exponents.
 
-    Each charge m contributes q^((m^T A m)/2) times the product over i of
-    1 / (q^s_i; q^s_i)_(m_i), s_i = k / length_i, built as one partition
-    count over the parts j * s_i, 1 <= j <= m_i.  The charge matrix
-    is positive definite, so each coefficient is a finite sum: orbit-sum
-    vectors have disjoint supports, so their Gram matrix inherits the
-    positive definiteness ``validate`` proved for the lattice.
+    Each charge m with norm Q(m) = m^T A m <= 2T contributes q^(Q(m)/2)
+    times the product over i of 1 / (q^s_i; q^s_i)_(m_i), s_i = k / length_i.
+    The charge matrix is positive definite, so each coefficient is a finite
+    sum: orbit-sum vectors have disjoint supports, so their Gram matrix
+    inherits the positive definiteness ``validate`` proved for the lattice.
+
+    The charges are walked depth-first as a prefix tree: a charge m whose
+    last raised orbit is i has the children m + e_j for j >= i, so each
+    charge is reached once, by raising orbit 0, then orbit 1, and so on.
+    The child's product is m's times the single factor
+    1 / (1 - q^((m_j + 1) * s_j)): one partition-count pass over m's
+    coefficients, cut to the child's own truncation.  Its norm is
+    Q(m) + 2 (A m)_j + A_jj.  A child whose norm exceeds 2T is pruned with
+    its whole subtree, and this is exact: A is entrywise non-negative,
+    because ``validate`` refuses a negative Gram entry, so norms only grow
+    down the tree.  Children are visited in decreasing j, which enters the
+    charges in sorted order.
 
     Raises BudgetExceeded, before building anything, when the charge search
-    box times T + 1 exceeds MAX_TABLE_CELLS.
+    box (each m_i up to the largest value with A_ii m_i^2 <= 2T) times T + 1
+    exceeds MAX_TABLE_CELLS.
     """
     matrix = tables.char_matrix
-    cells = (truncation + 1) * prod(b + 1 for b in _charge_bounds(matrix, truncation))
+    d = len(matrix)
+    cells = (truncation + 1) * prod(
+        isqrt(2 * truncation // matrix[i][i]) + 1 for i in range(d)
+    )
     if cells > MAX_TABLE_CELLS:
         raise BudgetExceeded(
             f"character table needs {cells} cells (charge search box x (T+1)), "
@@ -324,12 +302,25 @@ def character(
         charge_matrix=tuple(tuple(row) for row in matrix),
         steps=steps,
     )
-    for m in enumerate_charges(matrix, truncation):
-        base, odd = divmod(quadratic_value(matrix, m), 2)
+    # (charge, last raised orbit, norm, unshifted product coefficients); a
+    # stack, not recursion, so deep trees cannot hit the recursion limit.
+    stack = [((0,) * d, 0, 0, QSeries.one(truncation).coeffs)]
+    while stack:
+        m, last, norm, coeffs = stack.pop()
+        base, odd = divmod(norm, 2)
         if odd:
-            raise ArithmeticError(f"charge {m} has odd norm {2 * base + 1}")
-        parts = [j * steps[i] for i, mult in enumerate(m) for j in range(1, mult + 1)]
-        table.entries[m] = _partition_series(parts, truncation - base).shifted(base)
+            raise ArithmeticError(f"charge {m} has odd norm {norm}")
+        table.entries[m] = QSeries([0] * base + coeffs)
+        for j in range(last, d):
+            child_norm = norm + 2 * sum(
+                a * c for a, c in zip(matrix[j], m)
+            ) + matrix[j][j]
+            if child_norm > 2 * truncation:
+                continue
+            child = m[:j] + (m[j] + 1,) + m[j + 1:]
+            child_coeffs = coeffs[: truncation - child_norm // 2 + 1]
+            _add_part(child_coeffs, child[j] * steps[j])
+            stack.append((child, j, child_norm, child_coeffs))
     return table
 
 

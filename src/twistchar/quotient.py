@@ -258,20 +258,27 @@ class _Slices:
 
     def rank(self, charge: tuple[int, ...], weight: int, target=None):
         """(row count, rank) of I(charge, weight), memoized; with a target
-        monomial, of those rows plus the target's unit row, not memoized."""
-        if target is None and (charge, weight) in self.ranks:
-            return self.ranks[charge, weight]
+        monomial, of those rows plus the target's unit row, not memoized.
+        Each call builds the rows at most once, and a call with a target
+        memoizes the rank without it on the way."""
+        key = charge, weight
+        if target is None and key in self.ranks:
+            return self.ranks[key]
         monomials = self.basis(charge, weight)
         rows = _relation_rows(self, charge, weight) if monomials else []
-        if target is not None:
-            one, zero = self.field.one(), self.field.zero()
-            rows.append([one if m == target else zero for m in monomials])
-        rank = ExactMatrix(
-            self.field, tuple(tuple(r) for r in rows), len(monomials)
-        ).rank() if rows else 0
+
+        def rank_of_rows() -> int:
+            return ExactMatrix(
+                self.field, tuple(tuple(r) for r in rows), len(monomials)
+            ).rank() if rows else 0
+
+        if key not in self.ranks:
+            self.ranks[key] = len(rows), rank_of_rows()
         if target is None:
-            self.ranks[charge, weight] = len(rows), rank
-        return len(rows), rank
+            return self.ranks[key]
+        one, zero = self.field.one(), self.field.zero()
+        rows.append([one if m == target else zero for m in monomials])
+        return len(rows), rank_of_rows()
 
 
 def _relation_rows(
@@ -467,8 +474,10 @@ def _membership(slices: _Slices, i: int, j: int, s: int, t: int) -> bool:
     w1, w2 = start_i + s * s_i, start_j + t * s_i
     target = tuple(sorted((TwistedVariable(i, w1), TwistedVariable(j, w2))))
     charge = monomial_charge(target, orbits.d)
-    rank = slices.rank(charge, w1 + w2)[1]
-    return slices.rank(charge, w1 + w2, target)[1] == rank
+    # The target call first: it builds the rows once and memoizes the rank
+    # without the target, which the second call reads.
+    with_target = slices.rank(charge, w1 + w2, target)[1]
+    return with_target == slices.rank(charge, w1 + w2)[1]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Truncated q-series, characters, recursions, partition identities."""
 
+from itertools import product
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +15,10 @@ from twistchar.qseries import (
     character,
     check_coefficient_recursion,
     check_recursion,
-    enumerate_charges,
     halved_exponents,
     inverse_poch_product,
     poch_infinite,
     poch_inverse,
-    quadratic_value,
     rogers_ramanujan_sum,
     separated_partition_count,
     separated_partition_counts,
@@ -148,9 +149,27 @@ def test_inverse_poch_product_matches_direct_partition_count():
 # ------------------------------------------------------------------ characters
 
 
+def quadratic_value(matrix, m):
+    return sum(
+        matrix[i][j] * m[i] * m[j] for i in range(len(m)) for j in range(len(m))
+    )
+
+
+def enumerate_charges(matrix, truncation):
+    # Reference enumerator: every charge in the box m_i <= isqrt(2T / A_ii)
+    # whose norm m^T A m is at most 2T, in sorted order.
+    bounds = [isqrt(2 * truncation // matrix[i][i]) for i in range(len(matrix))]
+    return [
+        m for m in product(*(range(b + 1) for b in bounds))
+        if quadratic_value(matrix, m) <= 2 * truncation
+    ]
+
+
 def test_enumerate_charges_is_pruned_by_diagonal():
-    assert enumerate_charges([[4]], 8) == [(0,), (1,), (2,)]
-    assert enumerate_charges([[4]], 1) == [(0,)]
+    orbits, tables = analyze(preset("rank1"))
+    assert tables.char_matrix == ((4,),)
+    assert character(orbits, tables, 8).charges() == [(0,), (1,), (2,)]
+    assert character(orbits, tables, 1).charges() == [(0,)]
     charges = enumerate_charges([[4, 1], [1, 4]], 6)
     assert (0, 0) in charges and (1, 1) in charges
     assert all(quadratic_value([[4, 1], [1, 4]], m) <= 12 for m in charges)
@@ -369,20 +388,27 @@ def test_truncation_stability(a, b, t):
     assert (a * b).truncated(t) == a.truncated(t) * b.truncated(t)
 
 
-def _character_by_products(orbits, tables, truncation):
-    # Reference: each charge's series as a product of truncated series,
-    # one poch_inverse factor per orbit, multiplied with QSeries.__mul__.
-    matrix = tables.char_matrix
-    steps = [orbits.k // l for l in orbits.lengths]
-    out = {}
-    for m in enumerate_charges(matrix, truncation):
-        base = quadratic_value(matrix, m) // 2
-        product = QSeries.one(truncation - base)
-        for i, mult in enumerate(m):
-            if mult:
-                product = product * poch_inverse(steps[i], mult, truncation - base)
-        out[m] = product.shifted(base)
-    return out
+def _series_by_products(orbits, tables, truncation, m):
+    # Reference: charge m's series as a product of truncated series, one
+    # poch_inverse factor per orbit, multiplied with QSeries.__mul__.
+    base = quadratic_value(tables.char_matrix, m) // 2
+    out = QSeries.one(truncation - base)
+    for i, mult in enumerate(m):
+        if mult:
+            step = orbits.k // orbits.lengths[i]
+            out = out * poch_inverse(step, mult, truncation - base)
+    return out.shifted(base)
+
+
+def _assert_character_equals_products(orbits, tables, truncation, every=1):
+    # The table holds the reference enumerator's charges in sorted order,
+    # and every `every`-th of them carries the product reference's series.
+    table = character(orbits, tables, truncation)
+    charges = enumerate_charges(tables.char_matrix, truncation)
+    assert list(table.entries) == charges
+    for m in charges[::every]:
+        assert table.entries[m] == _series_by_products(orbits, tables, truncation, m), m
+    return len(charges[::every])
 
 
 @pytest.mark.parametrize("name", PRESETS + ("3-cycle",))
@@ -394,11 +420,15 @@ def test_character_equals_product_of_series(name):
     else:
         lattice = preset(name)
     orbits, tables = analyze(lattice)
-    table = character(orbits, tables, 200)
-    reference = _character_by_products(orbits, tables, 200)
-    assert table.entries.keys() == reference.keys()
-    for m, series_m in reference.items():
-        got = table.entries[m]
-        assert (got.truncation, dict(got.items())) == (
-            series_m.truncation, dict(series_m.items())
-        ), m
+    _assert_character_equals_products(orbits, tables, 200)
+
+
+def test_random_characters_equal_product_of_series(random_lattices):
+    # Up to five orbits: deeper prefix trees than any preset's.
+    for orbits, tables in random_lattices:
+        _assert_character_equals_products(orbits, tables, 60)
+
+
+def test_x3_character_at_large_truncation_equals_products_on_a_sample():
+    orbits, tables = analyze(preset("x3"))
+    assert _assert_character_equals_products(orbits, tables, 1200, every=10) >= 20

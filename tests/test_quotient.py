@@ -420,6 +420,20 @@ def test_sweep_ranks_each_relation_slice_once(name, data, monkeypatch):
     assert len(ranked) == len(cells) + len(bidegrees)
 
 
+@pytest.mark.parametrize("name, builds", [("swap2", 6), ("x3", 9), ("x4", 10)])
+def test_sweep_builds_relation_rows_once_per_cell(name, builds, data, monkeypatch):
+    # One build per nontrivial cell: the rank with the target appended and
+    # the rank without it share the cell's rows.
+    calls = []
+    rows_real = quotient._relation_rows
+    monkeypatch.setattr(
+        quotient, "_relation_rows",
+        lambda *args: calls.append(args) or rows_real(*args),
+    )
+    cells = new_relations_sweep(*data[name])
+    assert len(calls) == sum(not c.trivial for c in cells) == builds
+
+
 # ------------------------------------------------------------------ membership
 
 

@@ -1,22 +1,16 @@
 """Seeded random valid lattices beyond the four presets.
 
-Each draw takes a random permutation of n <= 5 letters and gives each
-orbit of unordered index pairs under it one Gram value: 2 or 4 on the
-diagonal, 0, 1 or 2 off it.  A draw is kept when ``analyze`` accepts it
-and k <= 12.  On every kept lattice the oracle, the membership sweep, the
-monomial enumerator and the character's lowest weights are checked, and a
-relation mutation that sends every root of unity to 1 must be caught
-exactly on the lattices whose relations see those roots.
+The draws come from the ``random_lattices`` fixture in ``conftest.py``.
+On every kept lattice the oracle, the membership sweep, the monomial
+enumerator, the character's lowest weights and both character recursions
+are checked, and a relation mutation that sends every root of unity to 1
+must be caught exactly on the lattices whose relations see those roots.
 """
 
-import random
 from itertools import combinations_with_replacement, product
 
-import pytest
-
 from twistchar import quotient
-from twistchar.lattice import LatticeError, LatticeInput, analyze
-from twistchar.qseries import character
+from twistchar.qseries import character, check_coefficient_recursion, check_recursion
 from twistchar.quotient import (
     TwistedVariable,
     compare_with_character,
@@ -24,40 +18,7 @@ from twistchar.quotient import (
     new_relations_sweep,
 )
 
-SEED, KEPT, MAX_DRAWS = 5, 25, 1000
 CHARGE_BOUND, WEIGHT_BOUND = 3, 20
-
-
-def _draw(rng):
-    n = rng.randint(2, 5)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    gram = [[None] * n for _ in range(n)]
-    for a, b in product(range(n), repeat=2):
-        if gram[a][b] is None:
-            value = rng.choice((2, 4) if a == b else (0, 1, 2))
-            x, y = a, b
-            while gram[x][y] is None:
-                gram[x][y] = gram[y][x] = value
-                x, y = perm[x], perm[y]
-    return gram, [p + 1 for p in perm]
-
-
-@pytest.fixture(scope="module")
-def lattices():
-    rng = random.Random(SEED)
-    kept = []
-    for _ in range(MAX_DRAWS):
-        gram, perm = _draw(rng)
-        try:
-            orbits, tables = analyze(LatticeInput.make(gram, perm))
-        except LatticeError:
-            continue
-        if orbits.k <= 12:
-            kept.append((orbits, tables))
-            if len(kept) == KEPT:
-                return kept
-    pytest.fail(f"only {len(kept)} of {MAX_DRAWS} draws were valid lattices")
 
 
 def _sees_the_roots(orbits, tables):
@@ -90,24 +51,24 @@ def _brute_force_monomials(orbits, tables, charge, weight):
     return sorted(m for m in monos if sum(v.weight for v in m) == weight)
 
 
-def test_random_lattices_pass_the_oracle_and_the_sweep(lattices):
-    for orbits, tables in lattices:
+def test_random_lattices_pass_the_oracle_and_the_sweep(random_lattices):
+    for orbits, tables in random_lattices:
         assert compare_with_character(orbits, tables, CHARGE_BOUND, WEIGHT_BOUND).all_ok
         assert all(c.member for c in new_relations_sweep(orbits, tables))
 
 
-def test_random_lattices_enumerate_like_brute_force(lattices):
-    for orbits, tables in lattices:
+def test_random_lattices_enumerate_like_brute_force(random_lattices):
+    for orbits, tables in random_lattices:
         for charge, weight in _window(orbits):
             assert enumerate_monomials(orbits, tables, charge, weight) == (
                 _brute_force_monomials(orbits, tables, charge, weight)
             )
 
 
-def test_random_character_series_start_at_the_lowest_weight(lattices):
+def test_random_character_series_start_at_the_lowest_weight(random_lattices):
     # The oracle visits no cell below sum_i m_i * start_i, so no character
     # coefficient may sit there.
-    for orbits, tables in lattices:
+    for orbits, tables in random_lattices:
         table = character(orbits, tables, WEIGHT_BOUND)
         starts = [tables.char_matrix[i][i] // 2 for i in range(orbits.d)]
         for charge in table.charges():
@@ -115,11 +76,19 @@ def test_random_character_series_start_at_the_lowest_weight(lattices):
             assert not any(table.series(charge).coeffs[:lowest])
 
 
-def test_random_lattices_see_the_relation_roots(lattices, monkeypatch):
+def test_random_characters_pass_both_recursions(random_lattices):
+    for orbits, tables in random_lattices:
+        table = character(orbits, tables, 60)
+        for i in range(orbits.d):
+            assert check_recursion(table, i).cells > 0
+            assert check_coefficient_recursion(table, i).cells > 0
+
+
+def test_random_lattices_see_the_relation_roots(random_lattices, monkeypatch):
     # With every root of unity sent to 1 (rotation 0), the oracle or the
     # sweep must fail on exactly the lattices whose relations see the roots.
-    sees = [_sees_the_roots(orbits, tables) for orbits, tables in lattices]
-    assert 4 * sum(sees) >= len(lattices)
+    sees = [_sees_the_roots(orbits, tables) for orbits, tables in random_lattices]
+    assert 4 * sum(sees) >= len(random_lattices)
     real = quotient._relation_coeff
     monkeypatch.setattr(
         quotient, "_relation_coeff",
@@ -129,6 +98,6 @@ def test_random_lattices_see_the_relation_roots(lattices, monkeypatch):
         bool(compare_with_character(orbits, tables, CHARGE_BOUND, WEIGHT_BOUND)
              .mismatches)
         or not all(c.member for c in new_relations_sweep(orbits, tables))
-        for orbits, tables in lattices
+        for orbits, tables in random_lattices
     ]
     assert caught == sees
