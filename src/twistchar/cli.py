@@ -232,6 +232,11 @@ def _check_oracle(orbits, tables, cfg: RunConfig):
         charge_total=cfg.charge_bound,
         weight_bound=cfg.weight_bound,
     )
+    log.info(
+        "oracle: twisted-module certificate %s; %d ranks proved by two one-prime "
+        "bounds, %d by exact elimination",
+        "held" if report.certified else "failed", report.proved, report.exact,
+    )
     lines = ["  " + line for line in report.text_table().splitlines()]
     return report.all_ok, lines, report.to_json_dict()
 

@@ -8,12 +8,8 @@ The inverse of a is the product of its Galois conjugates a(eta**j), j a
 unit mod k other than 1, divided by the norm of a.  All coefficients are
 ``fractions.Fraction``; nothing here ever touches floating point.
 
-A matrix rank is first sought by elimination modulo a prime (``modular``)
-on the matrix written over Q, each entry as its block of multiplication
-on the basis of powers of eta.  The rank mod p is a proved lower bound; it
-is returned only when it is also proved an upper bound, by being the
-smaller dimension or by a kernel lifted to Q and checked exactly.
-Otherwise the rank comes from exact elimination over Q(eta).
+Matrix rank, determinant, solving and inversion all run one exact
+elimination over Q(eta).
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
-
-from .modular import proved_rank
 
 Rational = Union[int, Fraction]
 
@@ -439,40 +433,8 @@ class ExactMatrix:
         return rows, pivot_cols, sign
 
     def rank(self) -> int:
-        certified = self._certified_rank()
-        if certified is not None:
-            return certified
         _, pivots, _ = self._echelon()
         return len(pivots)
-
-    def _certified_rank(self) -> int | None:
-        """The rank as proved by ``modular.proved_rank``, or None.
-
-        Each entry a becomes its d x d rational block of multiplication by
-        a on the basis 1, eta, ..., eta^(d-1): row (i, o), column (j, e)
-        holds coefficient o of M[i][j] * eta^e.  That rational matrix has
-        rank d * rank(M), so one prime serves every conductor.
-        """
-        field = self.field
-        d = field.degree
-        zero = field.zero().coeffs
-        blocks: dict[tuple[Fraction, ...], list[tuple[int, int, Fraction]]] = {}
-        rational: list[dict[int, Fraction]] = []
-        for row in self.rows:
-            out: list[dict[int, Fraction]] = [{} for _ in range(d)]
-            for j, a in enumerate(row):
-                if a.coeffs == zero:
-                    continue
-                block = blocks.get(a.coeffs)
-                if block is None:
-                    block = blocks[a.coeffs] = _multiplication_block(field, a.coeffs)
-                for o, e, c in block:
-                    out[o][j * d + e] = c
-            rational += out
-        rank = proved_rank(rational, self.ncols * d)
-        if rank is None or rank % d:
-            return None
-        return rank // d
 
     def det(self) -> CyclotomicScalar:
         if self.nrows != self.ncols:
@@ -564,20 +526,3 @@ def _coerce_entry(field: CyclotomicField, e: Entry) -> CyclotomicScalar:
     if isinstance(e, (int, Fraction)):
         return field.from_rational(e)
     raise TypeError(f"cannot coerce {type(e).__name__} into a cyclotomic scalar")
-
-
-def _multiplication_block(
-    field: CyclotomicField, coeffs: tuple[Fraction, ...]
-) -> list[tuple[int, int, Fraction]]:
-    # The nonzero entries (o, e, c) of multiplication by a on the basis
-    # 1, eta, ..., eta^(d-1): c is coefficient o of a * eta^e.
-    d = field.degree
-    column = list(coeffs)
-    out = []
-    for e in range(d):
-        if e:
-            column = [_ZERO] + column
-            _divide_monic(column, field._terms, d)
-            del column[d:]
-        out.extend((o, e, c) for o, c in enumerate(column) if c)
-    return out

@@ -1,35 +1,31 @@
-"""Brute-force comparison oracle for the character coefficients.
+"""Comparison oracle for the character coefficients.
 
 The graded commutative algebra has one family of variables per orbit i,
 of normalized integer weights start_i + p * s_i (p >= 0), where
-start_i = A_ii / 2 is half the character-matrix diagonal and s_i = k / l_i
-is the orbit's step; it is cut down by quadratic relation families
-carrying root-of-unity coefficients.  For each bidegree (charge vector,
-weight) this module enumerates the monomial basis, expands every
-relation times every cofactor monomial, and computes the quotient
-dimension by exact rank over the ambient cyclotomic field.  Matching
-those dimensions against the character coefficients is the ground-truth
-test that the relations present the graded algebra.
+start_i = A_ii / 2 and s_i = k / l_i is the orbit's step; quadratic
+relation families with root-of-unity coefficients cut it down.  The
+variable of weight w is x_i(n) at mode n = -w / k; modes appear only at
+the boundary (``build_relations``, the membership offsets s, t).
 
-Bases, relation families, membership targets and membership matrices are
-all built in these integer weights, from the one (start_i, s_i) table.
-The variable of weight w is x_i(n) at mode n = -w / k; modes appear only
-at the boundary, as the total degree t of ``build_relations`` and the
-offsets s, t of the membership statement.
+For each bidegree (charge vector, weight) the oracle enumerates the
+monomial basis B, expands every relation times every cofactor monomial
+into the rows of I, and proves dim Q = |B| - rank I equal to the
+character coefficient c by two bounds: the rows mod the split prime
+(eta -> omega) reach rank |B| - c, and the certificates of ``twisted``
+give dim Q >= c.  Where either fails, as at every mismatch, the rank comes
+from exact elimination over the cyclotomic field.
 
-Each call builds its slices through one memo (``_Slices``) holding the
-basis B(m, w) of each bidegree, also the cofactor set of larger charges,
-each relation family and the (row count, rank) of each I(m, w); rows are
-never kept, and each row entry is placed, never summed.  A cell below its
-lowest weight sum_i m_i * start_i is empty and never visited: the window
-walks only the charges whose lowest weight is in range, and counts its
-empty cells in closed form.  A window with a bidegree over MAX_COLUMNS
-monomials, counted as partitions, is refused before any basis is built,
-and a bidegree whose rows would exceed MAX_ROWS before its rows are built.
+One memo per call (``_Slices``) holds bases, relation families and their
+residues; each row entry is placed, never summed.  A window walks only
+the charges whose lowest weight sum_i m_i * start_i is in range and counts
+its empty cells in closed form.  A bidegree over MAX_COLUMNS monomials,
+counted as partitions, is refused before any basis is built, and one over
+MAX_ROWS rows before its rows are built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -37,8 +33,10 @@ from typing import NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicScalar, ExactMatrix, get_field, rational_binomial
 from .lattice import OrbitData, PairingTables
+from .modular import rank_mod, root_prime
 from .pascal import PascalSpec, stacked_with_root
 from .qseries import BudgetExceeded, _partition_series, character
+from .twisted import family_mod_p, pair_factors
 
 # Refusal thresholds per bidegree: monomials (matrix columns) and relation
 # rows.
@@ -83,17 +81,12 @@ class RelationGenerator:
     terms: tuple[tuple[CyclotomicScalar, Monomial], ...]
 
 
-def _var_start_step(
-    orbits: OrbitData, tables: PairingTables, i: int
-) -> tuple[int, int]:
+def _var_start_step(orbits: OrbitData, tables: PairingTables, i: int) -> tuple[int, int]:
     return tables.char_matrix[i][i] // 2, orbits.k // orbits.lengths[i]
 
 
 def enumerate_monomials(
-    orbits: OrbitData,
-    tables: PairingTables,
-    charge: Sequence[int],
-    weight: int,
+    orbits: OrbitData, tables: PairingTables, charge: Sequence[int], weight: int
 ) -> list[Monomial]:
     """All monomials of the given charge vector and exact total weight,
     in lexicographic order."""
@@ -157,18 +150,13 @@ def _generators(
             for w1, mono in monos:
                 coeff = _relation_coeff(orbits, tables, i, r, m, w1)
                 acc[mono] = acc.get(mono, field.zero()) + coeff
-            terms = tuple(
-                (c, mono) for mono, c in sorted(acc.items()) if c
-            )
+            terms = tuple((c, mono) for mono, c in sorted(acc.items()) if c)
             gens.append(RelationGenerator((i, j), r, m, weight, terms))
     return gens
 
 
 def build_relations(
-    orbits: OrbitData,
-    tables: PairingTables,
-    pair: tuple[int, int],
-    t: Fraction,
+    orbits: OrbitData, tables: PairingTables, pair: tuple[int, int], t: Fraction
 ) -> list[RelationGenerator]:
     """The full relation family for one ordered orbit pair at total degree t.
 
@@ -191,14 +179,16 @@ def build_relations(
 
 class _Slices:
     """Per-call memo of the bidegree slices of one lattice: bases by
-    (charge, weight), relation families by (i, j, relation weight), and
-    (row count, rank) of I(m, w) by (charge, weight); basis sizes are
-    counted, not built."""
+    (charge, weight), relation families and their residues mod the split
+    prime by (i, j, relation weight), and (row count, rank) of I(m, w) by
+    (charge, weight); basis sizes are counted, not built.  ``factors``
+    holds the pair factors once certificate (a) has held."""
 
     def __init__(self, orbits: OrbitData, tables: PairingTables):
         self.orbits, self.tables = orbits, tables
         self.field = get_field(orbits.k)
-        self.bases, self.families, self.ranks = {}, {}, {}
+        self.bases, self.families, self.ranks, self.residues = {}, {}, {}, {}
+        self.factors = None
         self.start_step = [
             _var_start_step(orbits, tables, i) for i in range(orbits.d)
         ]
@@ -256,21 +246,28 @@ class _Slices:
             )
         return self.families[i, j, weight]
 
+    def family_mod_p(self, key: tuple[int, int, int]):
+        if key not in self.residues:
+            starts = [start for start, _ in self.start_step]
+            self.residues[key] = family_mod_p(
+                self.family(*key), self.factors[key[:2]], starts,
+                *root_prime(self.orbits.k),
+            )
+        return self.residues[key]
+
     def rank(self, charge: tuple[int, ...], weight: int, target=None):
         """(row count, rank) of I(charge, weight), memoized; with a target
         monomial, of those rows plus the target's unit row, not memoized.
         Each call builds the rows at most once, and a call with a target
         memoizes the rank without it on the way."""
-        key = charge, weight
+        key, monomials = (charge, weight), self.basis(charge, weight)
         if target is None and key in self.ranks:
             return self.ranks[key]
-        monomials = self.basis(charge, weight)
         rows = _relation_rows(self, charge, weight) if monomials else []
 
         def rank_of_rows() -> int:
-            return ExactMatrix(
-                self.field, tuple(tuple(r) for r in rows), len(monomials)
-            ).rank() if rows else 0
+            matrix = ExactMatrix(self.field, tuple(map(tuple, rows)), len(monomials))
+            return matrix.rank() if rows else 0
 
         if key not in self.ranks:
             self.ranks[key] = len(rows), rank_of_rows()
@@ -281,18 +278,13 @@ class _Slices:
         return len(rows), rank_of_rows()
 
 
-def _relation_rows(
-    slices: _Slices, charge: tuple[int, ...], weight: int
-) -> list[list[CyclotomicScalar]]:
-    # One dense row per (cofactor, relation) product landing in B(m, w).  A
-    # generator's terms have distinct monomials, and so do their products
-    # with one cofactor: each entry is placed, never summed.
-    orbits = slices.orbits
-    monomials = slices.basis(charge, weight)
-    index = {mono: pos for pos, mono in enumerate(monomials)}
-    rows: list[list[CyclotomicScalar]] = []
-    for i in range(orbits.d):
-        for j in range(orbits.d):
+def _row_blocks(slices: _Slices, charge: tuple[int, ...], weight: int):
+    # The rows of I(m, w) in blocks: (cofactors, family key) for every
+    # cofactor times every generator of the family, refused once the row
+    # count would exceed MAX_ROWS.
+    count = 0
+    for i in range(slices.orbits.d):
+        for j in range(slices.orbits.d):
             cof_charge = tuple(
                 c - (a == i) - (a == j) for a, c in enumerate(charge)
             )
@@ -303,19 +295,53 @@ def _relation_rows(
                 cofs = slices.basis(cof_charge, cof_weight)
                 if not cofs:
                     continue
-                gens = slices.family(i, j, weight - cof_weight)
-                if len(rows) + len(cofs) * len(gens) > MAX_ROWS:
+                key = i, j, weight - cof_weight
+                count += len(cofs) * len(slices.family(*key))
+                if count > MAX_ROWS:
                     raise BudgetExceeded(
                         f"relation row count exceeds budget ({MAX_ROWS}) at "
                         f"bidegree (charge={charge}, weight={weight})"
                     )
-                for cof in cofs:
-                    for gen in gens:
-                        row = [slices.field.zero()] * len(monomials)
-                        for coeff, mono in gen.terms:
-                            row[index[tuple(sorted(cof + mono))]] = coeff
-                        rows.append(row)
+                yield cofs, key
+
+
+def _relation_rows(
+    slices: _Slices, charge: tuple[int, ...], weight: int
+) -> list[list[CyclotomicScalar]]:
+    # One dense row per (cofactor, relation) product landing in B(m, w).  A
+    # generator's terms have distinct monomials, and so do their products
+    # with one cofactor: each entry is placed, never summed.
+    monomials = slices.basis(charge, weight)
+    index = {mono: pos for pos, mono in enumerate(monomials)}
+    rows: list[list[CyclotomicScalar]] = []
+    for cofs, key in _row_blocks(slices, charge, weight):
+        gens = slices.family(*key)
+        for cof in cofs:
+            for gen in gens:
+                row = [slices.field.zero()] * len(monomials)
+                for coeff, mono in gen.terms:
+                    row[index[tuple(sorted(cof + mono))]] = coeff
+                rows.append(row)
     return rows
+
+
+def _oracle_rank(
+    slices: _Slices, charge: tuple[int, ...], weight: int, coeff: int
+) -> tuple[int, int, bool]:
+    """(row count, rank, proved) of I(m, w): rank |B| - coeff when the two
+    one-prime bounds meet (proved), else the rank by exact elimination."""
+    monomials = slices.basis(charge, weight)
+    target = len(monomials) - coeff
+    if slices.factors is not None and target >= 0:
+        blocks = [(cofs, slices.family_mod_p(key)) for cofs, key in
+                  _row_blocks(slices, charge, weight)]
+        if all(gens is not None for _, gens in blocks):
+            index = {mono: pos for pos, mono in enumerate(monomials)}
+            rows = [{index[tuple(sorted(cof + mono))]: r for r, mono in gen}
+                    for cofs, gens in blocks if target for cof in cofs for gen in gens]
+            if rank_mod(rows, root_prime(slices.orbits.k)[0], target) == target:
+                return sum(len(c) * len(g) for c, g in blocks), target, True
+    return (*slices.rank(charge, weight), False)
 
 
 def quotient_dimension(
@@ -357,10 +383,15 @@ class OracleCell:
 
 @dataclass(frozen=True)
 class OracleReport:
+    # Not in the JSON: whether certificate (a) held, and how many ranks the
+    # two one-prime bounds proved and how many came from exact elimination.
     charge_total: int
     weight_bound: int
     cells: tuple[OracleCell, ...]
     empty_cells: int
+    certified: bool = False
+    proved: int = 0
+    exact: int = 0
 
     @property
     def all_ok(self) -> bool:
@@ -419,6 +450,7 @@ def compare_with_character(
     """
     table = character(orbits, tables, weight_bound)
     slices = _Slices(orbits, tables)
+    slices.factors = pair_factors(orbits, tables)
     # Pairings are non-negative, so m^T A m / 2 >= sum_i m_i * start_i: a
     # character series (it starts at q^(m^T A m / 2)) and a basis are both
     # zero below their charge's lowest weight, where no cell is visited.
@@ -426,19 +458,25 @@ def compare_with_character(
         [start for start, _ in slices.start_step], charge_total, weight_bound
     )
     slices.check_columns(charges, 0, weight_bound)
-    cells = []
+    cells, methods = [], Counter()
     for charge in charges:
         series = table.series(charge)
         for weight in range(slices.lowest(charge), weight_bound + 1):
             n_monos = len(slices.basis(charge, weight))
-            n_rows, rank = slices.rank(charge, weight) if n_monos else (0, 0)
             coeff = series.coeff(weight)
+            n_rows, rank, proved = _oracle_rank(
+                slices, charge, weight, coeff
+            ) if n_monos else (0, 0, None)
+            methods[proved] += 1
             if n_monos or coeff:
                 cells.append(OracleCell(
                     charge, weight, n_monos, n_rows, rank, n_monos - rank, coeff
                 ))
     empty = comb(charge_total + orbits.d, orbits.d) * (weight_bound + 1) - len(cells)
-    return OracleReport(charge_total, weight_bound, tuple(cells), empty)
+    return OracleReport(
+        charge_total, weight_bound, tuple(cells), empty,
+        slices.factors is not None, methods[True], methods[False],
+    )
 
 
 def new_relations_membership(

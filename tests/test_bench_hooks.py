@@ -40,9 +40,7 @@ def test_tracer_installs_and_uninstalls():
             cyclotomic.CyclotomicScalar.__mul__) == originals
 
 
-def test_tracer_sees_the_oracle_layers():
-    # The oracle must reach enumeration and rank through names the tracer
-    # can patch from outside, or their spans and counts read zero.
+def _oracle_span_names():
     orbits, tables = analyze(preset("rank1"))
     tracer = _tracer_module().Tracer()
     try:
@@ -50,5 +48,21 @@ def test_tracer_sees_the_oracle_layers():
         quotient.compare_with_character(orbits, tables, 2, 12)
     finally:
         tracer.uninstall()
-    names = {name for _, _, name, _, _ in tracer.spans}
+    return {name for _, _, name, _, _ in tracer.spans}
+
+
+def test_tracer_sees_the_oracle_layers():
+    # The oracle must reach enumeration through a name the tracer can patch
+    # from outside, or its spans and counts read zero.  Its ranks come from
+    # the two one-prime bounds, so it does not reach ExactMatrix.rank.
+    names = _oracle_span_names()
+    assert "quotient.enumerate_monomials" in names
+    assert "cyclotomic.rank" not in names
+
+
+def test_tracer_sees_the_oracle_fallback_rank(monkeypatch):
+    # With certificate (a) forced to fail, every rank falls back to
+    # ExactMatrix.rank, which the tracer still sees.
+    monkeypatch.setattr(quotient, "pair_factors", lambda orbits, tables: None)
+    names = _oracle_span_names()
     assert {"quotient.enumerate_monomials", "cyclotomic.rank"} <= names

@@ -465,6 +465,20 @@ def test_verbose_pascal_check_logs_the_proof_methods():
     assert loud.stdout == quiet.stdout
 
 
+def test_verbose_oracle_logs_the_proof_methods():
+    argv = ["verify", "--preset", "swap2", "--oracle", "--charge-bound", "2",
+            "--weight-bound", "12"]
+    quiet = _cli_process(*argv)
+    loud = _cli_process(*argv, "-v")
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stderr == ""
+    assert (
+        "INFO twistchar: oracle: twisted-module certificate held; 10 ranks "
+        "proved by two one-prime bounds, 0 by exact elimination\n"
+    ) in loud.stderr
+    assert loud.stdout == quiet.stdout
+
+
 # --------------------------------------------------------------- byte identity
 
 # SHA-256 of stdout, with the exit code, for reports whose bytes must stay

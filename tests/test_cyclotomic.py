@@ -339,21 +339,30 @@ def test_solve_returns_actual_solutions(data):
     assert back == rhs
 
 
-# --------------------------------------------------- certified modular rank
-
-PRIME = modular.PRIME
+# ----------------------------------------------------------- rank mod p
 
 
 def _pivot_count(matrix):
     return len(matrix._echelon()[1])
 
 
+def _rank_mod_p(matrix):
+    # The rank of the matrix's image under eta -> omega mod the split prime,
+    # as the oracle's upper bound computes it.
+    p, omega = modular.root_prime(matrix.field.conductor)
+    rows = [
+        {j: modular.image(a.coeffs, p, omega) for j, a in enumerate(row) if a}
+        for row in matrix.rows
+    ]
+    rows = [{j: r for j, r in row.items() if r} for row in rows]
+    return modular.rank_mod(rows, p, min(matrix.nrows, matrix.ncols))
+
+
 @pytest.mark.parametrize("conductor", (1, 2, 3, 4, 5, 8, 12))
-def test_certified_rank_of_rank_deficient_products(conductor):
-    # A (m x r) times B (r x n) with r < min(m, n) has rank at most r, so the
-    # certificate has to lift and check a kernel.  Entries and shapes are
-    # small, so the kernel's fractions stay inside the reconstruction bound;
-    # taller kernels fall back, as the tests below check.
+def test_rank_mod_p_of_rank_deficient_products(conductor):
+    # A (m x r) times B (r x n) with r < min(m, n) has rank at most r.  The
+    # image mod p of each product keeps its exact rank, and the exact rank
+    # is the pivot count of one elimination.
     field = get_field(conductor)
     rng = random.Random(conductor)
 
@@ -371,44 +380,47 @@ def test_certified_rank_of_rank_deficient_products(conductor):
         b = ExactMatrix(field, tuple(tuple(scalar() for _ in range(n)) for _ in range(r)), n)
         product = a * b
         expected = _pivot_count(product)
-        assert product._certified_rank() == expected
-        assert product.rank() == expected
+        assert _rank_mod_p(product) == product.rank() == expected
         deficient += expected < min(m, n)
     assert deficient == 12
 
 
-def test_certified_rank_rejects_an_entry_equal_to_the_prime():
-    # [[p, 1], [0, 1]] has rank 2 but rank 1 mod p; the lifted kernel
-    # vector (1, 0) fails the exact check.
+def test_rank_mod_p_is_a_lower_bound():
+    # [[p, 1], [0, 1]] has rank 2 but rank 1 mod p: a rank mod p only
+    # bounds the rank from below.
     field = get_field(1)
-    m = ExactMatrix.from_rows(field, [[PRIME, 1], [0, 1]])
-    assert m._certified_rank() is None
+    p, _ = modular.root_prime(1)
+    m = ExactMatrix.from_rows(field, [[p, 1], [0, 1]])
+    assert _rank_mod_p(m) == 1
     assert m.rank() == 2 == _pivot_count(m)
 
 
-def test_certified_rank_rejects_a_denominator_divisible_by_the_prime():
+def test_image_refuses_a_denominator_divisible_by_the_prime():
     field = get_field(3)
-    m = ExactMatrix.from_rows(field, [[Fraction(1, PRIME), 1], [1, 1]])
-    assert m._certified_rank() is None
-    assert m.rank() == 2 == _pivot_count(m)
+    p, omega = modular.root_prime(3)
+    assert modular.image(field.from_rational(Fraction(1, p)).coeffs, p, omega) is None
+    assert modular.image(field.eta.coeffs, p, omega) == omega
+    assert modular.image(field.from_coeffs([Fraction(1, 2), 3]).coeffs, p, omega) == (
+        pow(2, -1, p) + 3 * omega
+    ) % p
 
 
-def test_certified_rank_rejects_a_kernel_too_tall_to_lift():
-    # The kernel vector (-(2**40 + 3), 1) is beyond the reconstruction bound.
-    field = get_field(1)
-    m = ExactMatrix.from_rows(field, [[1, 2**40 + 3], [2, 2**41 + 6]])
-    assert m._certified_rank() is None
-    assert m.rank() == 1 == _pivot_count(m)
-
-
-def test_certified_rank_on_empty_and_full_rank_shapes():
+def test_rank_on_empty_and_full_rank_shapes():
     field = get_field(4)
-    assert ExactMatrix.zeros(field, 0, 3)._certified_rank() == 0
-    assert ExactMatrix.zeros(field, 3, 0)._certified_rank() == 0
-    assert ExactMatrix.zeros(field, 2, 3)._certified_rank() == 0
+    assert ExactMatrix.zeros(field, 0, 3).rank() == 0
+    assert ExactMatrix.zeros(field, 3, 0).rank() == 0
+    assert ExactMatrix.zeros(field, 2, 3).rank() == 0
     eta = field.eta
     wide = ExactMatrix.from_rows(field, [[1, eta, 0], [eta, 0, 1]])
-    assert wide._certified_rank() == 2
+    assert wide.rank() == 2 == _rank_mod_p(wide)
+
+
+def test_rank_mod_stops_at_its_limit():
+    p = 101
+    rows = [{0: 1}, {1: 1}, {2: 1}]
+    assert modular.rank_mod([dict(r) for r in rows], p, 2) == 2
+    assert modular.rank_mod([dict(r) for r in rows], p, 0) == 0
+    assert modular.rank_mod([{0: 1, 1: 2}, {0: 2, 1: 4}, {}], p, 3) == 1
 
 
 @pytest.mark.parametrize("conductor", (1, 2, 3, 4, 6, 12))

@@ -266,6 +266,50 @@ def test_adjacent_charge_recursion_detects_injected_fault():
     assert err.value.charge == (2,)
 
 
+@pytest.mark.parametrize("charge, exponent, messages", [
+    ((1, 1), 20, [
+        "length-step recursion fails at charge (1, 1), exponent 20: 1 != 3 (orbit 0)",
+        "adjacent-charge recursion fails at charge (1, 1), exponent 20: -1 != 1 (orbit 0)",
+        "length-step recursion fails at charge (1, 1), exponent 20: 1 != 3 (orbit 1)",
+        "adjacent-charge recursion fails at charge (1, 1), exponent 20: -2 != 0 (orbit 1)",
+    ]),
+    # Below the series' own lowest exponent 10, where every side is zero.
+    ((1, 1), 3, [
+        "length-step recursion fails at charge (1, 1), exponent 3: -2 != 0 (orbit 0)",
+        "adjacent-charge recursion fails at charge (1, 1), exponent 3: -2 != 0 (orbit 0)",
+        "length-step recursion fails at charge (1, 1), exponent 3: -2 != 0 (orbit 1)",
+        "adjacent-charge recursion fails at charge (1, 1), exponent 3: -2 != 0 (orbit 1)",
+    ]),
+    ((0, 1), 59, [
+        None,
+        None,
+        "length-step recursion fails at charge (0, 1), exponent 59: -2 != 0 (orbit 1)",
+        "adjacent-charge recursion fails at charge (0, 1), exponent 59: -2 != 0 (orbit 1)",
+    ]),
+    ((2, 0), 60, [
+        "length-step recursion fails at charge (2, 0), exponent 60: 4 != 6 (orbit 0)",
+        "adjacent-charge recursion fails at charge (2, 0), exponent 60: -1 != 1 (orbit 0)",
+        None,
+        None,
+    ]),
+])
+def test_recursion_mismatch_messages_are_pinned(charge, exponent, messages):
+    # One coefficient of x3's table lowered by 2; the first mismatch of each
+    # check, in sorted charge order, and its text are fixed.
+    orbits, tables = analyze(preset("x3"))
+    table = character(orbits, tables, 60)
+    table.entries[charge].coeffs[exponent] -= 2
+    got = []
+    for i in range(orbits.d):
+        for check in (check_recursion, check_coefficient_recursion):
+            try:
+                check(table, i)
+                got.append(None)
+            except RecursionMismatch as exc:
+                got.append(str(exc))
+    assert got == messages
+
+
 # ------------------------------------------------------- partition identities
 
 

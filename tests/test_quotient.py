@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistchar import quotient
+from twistchar import quotient, twisted
 from twistchar.cyclotomic import ExactMatrix, NoSolution, get_field, rational_binomial
 from twistchar.lattice import analyze
 from twistchar.pascal import verify_invertible
@@ -524,16 +524,99 @@ def test_membership_by_rank_matches_solving_on_thinned_relations(data, monkeypat
         assert c.member == _solve_membership(orbits, tables, c.i, c.j, c.s, c.t)
 
 
-def test_oracle_ranks_are_all_certified(data, monkeypatch):
-    # A certificate that stopped proving ranks would only cost speed, since
-    # rank() falls back to exact elimination; here the fallback is an error.
+BENCHMARK_WINDOWS = (("swap2", 4, 36), ("x3", 4, 36), ("x4", 4, 36), ("rank1", 4, 56))
+
+
+def test_oracle_ranks_are_all_certified(data, random_lattices, monkeypatch):
+    # A bound that stopped proving ranks would only cost speed, since the
+    # cell falls back to exact elimination; here the fallback is an error.
     def no_fallback(self):
         pytest.fail("rank fell back to exact elimination")
 
     monkeypatch.setattr(ExactMatrix, "_echelon", no_fallback)
-    orbits, tables = data["rank1"]
+    windows = [(data[name], c, w) for name, c, w in BENCHMARK_WINDOWS]
+    windows += [(lattice, 3, 20) for lattice in random_lattices]
+    for (orbits, tables), charge_total, weight_bound in windows:
+        report = compare_with_character(orbits, tables, charge_total, weight_bound)
+        assert report.all_ok and report.certified and not report.exact
+        assert report.proved == sum(1 for c in report.cells if c.monomials)
+
+
+def _all_exact_json(orbits, tables, charge_total, weight_bound, monkeypatch):
+    # The oracle with certificate (a) forced to fail: every rank by exact
+    # elimination.
+    with monkeypatch.context() as patch:
+        patch.setattr(quotient, "pair_factors", lambda orbits, tables: None)
+        report = compare_with_character(orbits, tables, charge_total, weight_bound)
+    assert not report.certified and not report.proved
+    return report.to_json_dict()
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_oracle_equals_the_all_exact_oracle(name, data, monkeypatch):
+    orbits, tables = data[name]
     report = compare_with_character(orbits, tables, 3, 24)
-    assert report.all_ok and report.cells
+    assert report.proved and not report.exact
+    assert report.to_json_dict() == _all_exact_json(orbits, tables, 3, 24, monkeypatch)
+
+
+def _mutate(monkeypatch, mutation):
+    real = quotient._relation_coeff
+    monkeypatch.setattr(
+        quotient, "_relation_coeff",
+        lambda orbits, tables, i, r, m, w: real(orbits, tables, i, *mutation(r, m), w),
+    )
+
+
+@pytest.mark.parametrize("mutation", [
+    lambda r, m: (r, m + 1),  # binomial(., m - 1) -> binomial(., m)
+    lambda r, m: (r + 1, m),  # the rotation's root, r -> r + 1
+], ids=["binomial", "rotation"])
+def test_certificate_b_sends_mutated_relations_to_exact_ranks(mutation, data, monkeypatch):
+    orbits, tables = data["swap2"]
+    _mutate(monkeypatch, mutation)
+    report = compare_with_character(orbits, tables, 3, 24)
+    assert report.certified and report.exact
+    assert report.to_json_dict() == _all_exact_json(orbits, tables, 3, 24, monkeypatch)
+
+
+def test_the_upper_bound_sees_the_root_one_mutation(data, monkeypatch):
+    # Certificate (b) holds for the weaker ideal; the rank mod p falls short
+    # of |B| - coefficient, and exact elimination reports the mismatches.
+    orbits, tables = data["swap2"]
+    _mutate(monkeypatch, lambda r, m: (0, m))
+    report = compare_with_character(orbits, tables, 3, 24)
+    assert report.certified and report.mismatches
+    assert report.exact >= len(report.mismatches)
+    assert report.to_json_dict() == _all_exact_json(orbits, tables, 3, 24, monkeypatch)
+
+
+def test_a_small_prime_falls_back_on_zero_residues_and_denominators(data, monkeypatch):
+    # Mod 2 with eta -> 1, a ring map on Z[eta][1/D] for k = 4 and odd D:
+    # some of swap2's relation families have even denominators, and some
+    # cells lose rank mod 2.  Both fall back to exact elimination.
+    orbits, tables = data["swap2"]
+    exact = _all_exact_json(orbits, tables, 3, 24, monkeypatch)
+    undefined, short = [], []
+    image_real, rank_real = twisted.image, quotient.rank_mod
+
+    def image(coeffs, p, omega):
+        out = image_real(coeffs, p, omega)
+        undefined.append(out is None)
+        return out
+
+    def rank_mod(rows, p, limit):
+        out = rank_real(rows, p, limit)
+        short.append(out < limit)
+        return out
+
+    monkeypatch.setattr(quotient, "root_prime", lambda k: (2, 1))
+    monkeypatch.setattr(twisted, "image", image)
+    monkeypatch.setattr(quotient, "rank_mod", rank_mod)
+    report = compare_with_character(orbits, tables, 3, 24)
+    assert any(undefined) and any(short)
+    assert report.exact > sum(short)
+    assert report.to_json_dict() == exact
 
 
 # ------------------------------------------------------- membership as Pascal

@@ -57,6 +57,16 @@ def test_random_lattices_pass_the_oracle_and_the_sweep(random_lattices):
         assert all(c.member for c in new_relations_sweep(orbits, tables))
 
 
+def test_random_oracles_equal_the_all_exact_oracle(random_lattices, monkeypatch):
+    for orbits, tables in random_lattices:
+        report = compare_with_character(orbits, tables, 3, 16)
+        assert report.certified and not report.exact
+        monkeypatch.setattr(quotient, "pair_factors", lambda orbits, tables: None)
+        exact = compare_with_character(orbits, tables, 3, 16)
+        monkeypatch.undo()
+        assert exact.exact and report.to_json_dict() == exact.to_json_dict()
+
+
 def test_random_lattices_enumerate_like_brute_force(random_lattices):
     for orbits, tables in random_lattices:
         for charge, weight in _window(orbits):
