@@ -525,6 +525,7 @@ def test_membership_by_rank_matches_solving_on_thinned_relations(data, monkeypat
 
 
 BENCHMARK_WINDOWS = (("swap2", 4, 36), ("x3", 4, 36), ("x4", 4, 36), ("rank1", 4, 56))
+LARGE_WINDOWS = (("x3", 6, 48), ("x4", 6, 48), ("rank1", 6, 60))
 
 
 def test_oracle_ranks_are_all_certified(data, random_lattices, monkeypatch):
@@ -534,7 +535,7 @@ def test_oracle_ranks_are_all_certified(data, random_lattices, monkeypatch):
         pytest.fail("rank fell back to exact elimination")
 
     monkeypatch.setattr(ExactMatrix, "_echelon", no_fallback)
-    windows = [(data[name], c, w) for name, c, w in BENCHMARK_WINDOWS]
+    windows = [(data[name], c, w) for name, c, w in BENCHMARK_WINDOWS + LARGE_WINDOWS]
     windows += [(lattice, 3, 20) for lattice in random_lattices]
     for (orbits, tables), charge_total, weight_bound in windows:
         report = compare_with_character(orbits, tables, charge_total, weight_bound)
