@@ -339,30 +339,51 @@ def test_solve_returns_actual_solutions(data):
     assert back == rhs
 
 
-# ----------------------------------------------------------- rank mod p
+# ----------------------------------------------- rank mod p, certified rank
 
 
 def _pivot_count(matrix):
     return len(matrix._echelon()[1])
 
 
+def _residue_rows(matrix):
+    # The matrix's rows under eta -> omega mod the split prime, as sparse
+    # {col: residue} dicts; None when the prime divides a denominator.
+    p, omega = modular.root_prime(matrix.field.conductor)
+    rows = []
+    for row in matrix.rows:
+        images = {j: modular.image(a.coeffs, p, omega) for j, a in enumerate(row) if a}
+        if None in images.values():
+            return None
+        rows.append({j: r for j, r in images.items() if r})
+    return rows
+
+
 def _rank_mod_p(matrix):
     # The rank of the matrix's image under eta -> omega mod the split prime,
     # as the oracle's upper bound computes it.
-    p, omega = modular.root_prime(matrix.field.conductor)
-    rows = [
-        {j: modular.image(a.coeffs, p, omega) for j, a in enumerate(row) if a}
-        for row in matrix.rows
-    ]
-    rows = [{j: r for j, r in row.items() if r} for row in rows]
-    return modular.rank_mod(rows, p, min(matrix.nrows, matrix.ncols))
+    p, _ = modular.root_prime(matrix.field.conductor)
+    return modular.rank_mod(_residue_rows(matrix), p, min(matrix.nrows, matrix.ncols))
+
+
+def _certified_rank(matrix, bound):
+    # The oracle's proof of a rank: the rank mod p bounds the rank from
+    # below, `bound` (known a priori) from above, and the rank is proved
+    # when the two meet.  None when they do not, or when the prime divides a
+    # denominator; the oracle then takes the rank from exact elimination.
+    rows = _residue_rows(matrix)
+    if rows is None:
+        return None
+    p, _ = modular.root_prime(matrix.field.conductor)
+    return bound if modular.rank_mod(rows, p, bound) == bound else None
 
 
 @pytest.mark.parametrize("conductor", (1, 2, 3, 4, 5, 8, 12))
-def test_rank_mod_p_of_rank_deficient_products(conductor):
+def test_certified_rank_of_rank_deficient_products(conductor):
     # A (m x r) times B (r x n) with r < min(m, n) has rank at most r.  The
-    # image mod p of each product keeps its exact rank, and the exact rank
-    # is the pivot count of one elimination.
+    # image mod p of each product keeps its exact rank, so r, the a-priori
+    # bound, is proved whenever it is reached; the exact rank is the pivot
+    # count of one elimination.
     field = get_field(conductor)
     rng = random.Random(conductor)
 
@@ -372,7 +393,7 @@ def test_rank_mod_p_of_rank_deficient_products(conductor):
             for _ in range(field.degree)
         )
 
-    deficient = 0
+    deficient = certified = 0
     for _ in range(12):
         m, n = rng.randint(2, 4), rng.randint(2, 4)
         r = rng.randint(1, min(m, n) - 1)
@@ -381,21 +402,26 @@ def test_rank_mod_p_of_rank_deficient_products(conductor):
         product = a * b
         expected = _pivot_count(product)
         assert _rank_mod_p(product) == product.rank() == expected
+        assert _certified_rank(product, r) == (r if expected == r else None)
         deficient += expected < min(m, n)
+        certified += expected == r
     assert deficient == 12
+    assert certified > 0
 
 
-def test_rank_mod_p_is_a_lower_bound():
+def test_certified_rank_rejects_an_entry_equal_to_the_prime():
     # [[p, 1], [0, 1]] has rank 2 but rank 1 mod p: a rank mod p only
-    # bounds the rank from below.
+    # bounds the rank from below, so the bound 2 is not proved.
     field = get_field(1)
     p, _ = modular.root_prime(1)
     m = ExactMatrix.from_rows(field, [[p, 1], [0, 1]])
     assert _rank_mod_p(m) == 1
+    assert _certified_rank(m, 2) is None
+    assert _certified_rank(m, 1) == 1
     assert m.rank() == 2 == _pivot_count(m)
 
 
-def test_image_refuses_a_denominator_divisible_by_the_prime():
+def test_certified_rank_rejects_a_denominator_divisible_by_the_prime():
     field = get_field(3)
     p, omega = modular.root_prime(3)
     assert modular.image(field.from_rational(Fraction(1, p)).coeffs, p, omega) is None
@@ -403,16 +429,19 @@ def test_image_refuses_a_denominator_divisible_by_the_prime():
     assert modular.image(field.from_coeffs([Fraction(1, 2), 3]).coeffs, p, omega) == (
         pow(2, -1, p) + 3 * omega
     ) % p
+    m = ExactMatrix.from_rows(field, [[Fraction(1, p), 1], [1, 1]])
+    assert _certified_rank(m, 2) is None
+    assert m.rank() == 2 == _pivot_count(m)
 
 
-def test_rank_on_empty_and_full_rank_shapes():
+def test_certified_rank_on_empty_and_full_rank_shapes():
     field = get_field(4)
-    assert ExactMatrix.zeros(field, 0, 3).rank() == 0
-    assert ExactMatrix.zeros(field, 3, 0).rank() == 0
-    assert ExactMatrix.zeros(field, 2, 3).rank() == 0
+    for shape in ((0, 3), (3, 0), (2, 3)):
+        zero = ExactMatrix.zeros(field, *shape)
+        assert zero.rank() == 0 == _certified_rank(zero, 0)
     eta = field.eta
     wide = ExactMatrix.from_rows(field, [[1, eta, 0], [eta, 0, 1]])
-    assert wide.rank() == 2 == _rank_mod_p(wide)
+    assert wide.rank() == 2 == _rank_mod_p(wide) == _certified_rank(wide, 2)
 
 
 def test_rank_mod_stops_at_its_limit():
