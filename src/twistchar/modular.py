@@ -35,18 +35,15 @@ def rank_mod(rows: list[dict[int, int]], p: int, limit: int) -> int:
                 inv = pow(row[col], -1, p)
                 pivots[col] = {c: v * inv % p for c, v in row.items()}
                 break
-            _subtract(row, row[col], pivot, p)
+            # row -= row[col] * pivot mod p, dropping entries that vanish.
+            factor = row[col]
+            for c, v in pivot.items():
+                x = (row.get(c, 0) - factor * v) % p
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
     return len(pivots)
-
-
-def _subtract(row: dict[int, int], factor: int, pivot: dict[int, int], p: int) -> None:
-    # row -= factor * pivot mod p, in place, dropping entries that vanish.
-    for c, v in pivot.items():
-        x = (row.get(c, 0) - factor * v) % p
-        if x:
-            row[c] = x
-        else:
-            del row[c]
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -100,10 +97,9 @@ def residue(x: Fraction, p: int) -> int | None:
 def image(coeffs: Sequence[Fraction], p: int, omega: int) -> int | None:
     """The image mod p of sum_e coeffs[e] * eta^e under eta -> omega, or None
     when p divides a denominator."""
-    residues = [residue(c, p) for c in coeffs]
-    if None in residues:
+    if any(c.denominator % p == 0 for c in coeffs):
         return None
-    return sum(r * pow(omega, e, p) for e, r in enumerate(residues)) % p
+    return sum(residue(c, p) * pow(omega, e, p) for e, c in enumerate(coeffs)) % p
 
 
 def det_mod(rows: list[list[int]], p: int) -> int:

@@ -14,10 +14,8 @@ integer, and the zero-charge series is exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice, repeat
 from math import isqrt, prod
-from operator import add, eq, ne, sub
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .lattice import OrbitData, PairingTables
 
@@ -336,59 +334,33 @@ class RecursionCheck:
     cells: int
 
 
-def _lagged(coeffs: list[int], lag: int, start: int) -> Iterator[int]:
-    # coeffs[n - lag] for n = start, start + 1, ..., zero below lag: the
-    # series times q^lag, read in place.
-    if start >= lag:
-        return islice(coeffs, start - lag, None)
-    return chain(repeat(0, lag - start), coeffs)
-
-
-def _first_miss(start: int, sides) -> int | None:
-    # The first exponent from start where the two coefficient iterators of
-    # sides() differ, or None; all(map(eq, ...)) is the fast common case.
-    if all(map(eq, *sides())):
-        return None
-    return next(compress(count(start), map(ne, *sides())))
-
-
-def _first_nonzero(coeffs: list[int]) -> int:
-    return next(compress(count(), coeffs), len(coeffs))
-
-
-def _at(coeffs: list[int], n: int) -> int:
-    return coeffs[n] if n >= 0 else 0
-
-
-def _bump(m: tuple[int, ...], i: int, by: int) -> tuple[int, ...]:
-    return m[:i] + (m[i] + by,) + m[i + 1:]
-
-
 def check_recursion(table: CharacterTable, i: int) -> RecursionCheck:
     """Verify the length-step recursion in direction i for every charge.
 
     Each charge series must equal its own image shifted by step_i * m_i
     plus, when m_i >= 1, the (m - e_i) series shifted by the pairing offset.
-    Raises RecursionMismatch at the first differing coefficient.  Shifts are
-    index offsets into the table's own coefficient lists.
+    Raises RecursionMismatch at the first differing coefficient.
     """
     a = table.charge_matrix
-    charges = set(table.entries) | {_bump(m, i, 1) for m in table.entries}
+    charges = set(table.entries)
+    for m in table.charges():
+        bumped = list(m)
+        bumped[i] += 1
+        charges.add(tuple(bumped))
+    cells = 0
     for m in sorted(charges):
-        if not m[i]:
-            continue  # the series equals itself times q^0
-        lhs, lower = table.series(m).coeffs, table.series(_bump(m, i, -1)).coeffs
-        shift = table.steps[i] * m[i]
-        offset = sum(a[j][i] * m[j] for j in range(table.d)) - a[i][i] // 2
-        # Below start every term is below its series' first nonzero exponent.
-        start = min(_first_nonzero(lhs), _first_nonzero(lower) + offset)
-        n = _first_miss(start, lambda: (_lagged(lhs, 0, start), map(
-            add, _lagged(lhs, shift, start), _lagged(lower, offset, start)
-        )))
-        if n is not None:
-            rhs = _at(lhs, n - shift) + _at(lower, n - offset)
-            raise RecursionMismatch("length-step", i, m, n, lhs[n], rhs)
-    return RecursionCheck("length-step", i, table.truncation, len(charges))
+        lhs = table.series(m)
+        rhs = lhs.shifted(table.steps[i] * m[i])
+        if m[i] >= 1:
+            lower = list(m)
+            lower[i] -= 1
+            offset = sum(a[j][i] * m[j] for j in range(table.d)) - a[i][i] // 2
+            rhs = rhs + table.series(tuple(lower)).shifted(offset)
+        diff = lhs.first_difference(rhs)
+        if diff is not None:
+            raise RecursionMismatch("length-step", i, m, *diff)
+        cells += 1
+    return RecursionCheck("length-step", i, table.truncation, cells)
 
 
 def check_coefficient_recursion(table: CharacterTable, i: int) -> RecursionCheck:
@@ -396,25 +368,22 @@ def check_coefficient_recursion(table: CharacterTable, i: int) -> RecursionCheck
 
     For each charge m, (series at m + e_i) * (1 - q^(step_i * (m_i + 1)))
     must equal the m series shifted by A_ii/2 + sum_j m_j A_ji.  Raises
-    RecursionMismatch at the first differing coefficient.  Shifts are index
-    offsets into the table's own coefficient lists.
+    RecursionMismatch at the first differing coefficient.
     """
     a = table.charge_matrix
+    cells = 0
     for m in table.charges():
-        upper = _bump(m, i, 1)
-        up, rhs = table.series(upper).coeffs, table.entries[m].coeffs
-        shift = table.steps[i] * (m[i] + 1)
+        upper = list(m)
+        upper[i] += 1
+        up = table.series(tuple(upper))
+        lhs = up - up.shifted(table.steps[i] * (m[i] + 1))
         offset = a[i][i] // 2 + sum(a[j][i] * m[j] for j in range(table.d))
-        start = min(_first_nonzero(up), _first_nonzero(rhs) + offset)
-        n = _first_miss(start, lambda: (map(
-            sub, _lagged(up, 0, start), _lagged(up, shift, start)
-        ), _lagged(rhs, offset, start)))
-        if n is not None:
-            lhs = up[n] - _at(up, n - shift)
-            raise RecursionMismatch(
-                "adjacent-charge", i, upper, n, lhs, _at(rhs, n - offset)
-            )
-    return RecursionCheck("adjacent-charge", i, table.truncation, len(table.entries))
+        rhs = table.series(m).shifted(offset)
+        diff = lhs.first_difference(rhs)
+        if diff is not None:
+            raise RecursionMismatch("adjacent-charge", i, tuple(upper), *diff)
+        cells += 1
+    return RecursionCheck("adjacent-charge", i, table.truncation, cells)
 
 
 def separated_partition_counts(truncation: int) -> list[int]:

@@ -33,10 +33,10 @@ from typing import NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicScalar, ExactMatrix, get_field, rational_binomial
 from .lattice import OrbitData, PairingTables
-from .modular import rank_mod, root_prime
+from .modular import image, rank_mod, root_prime
 from .pascal import PascalSpec, stacked_with_root
 from .qseries import BudgetExceeded, _partition_series, character
-from .twisted import family_mod_p, pair_factors
+from .twisted import pair_factors, vanishes
 
 # Refusal thresholds per bidegree: monomials (matrix columns) and relation
 # rows.
@@ -81,12 +81,17 @@ class RelationGenerator:
     terms: tuple[tuple[CyclotomicScalar, Monomial], ...]
 
 
-def _var_start_step(orbits: OrbitData, tables: PairingTables, i: int) -> tuple[int, int]:
+def _var_start_step(
+    orbits: OrbitData, tables: PairingTables, i: int
+) -> tuple[int, int]:
     return tables.char_matrix[i][i] // 2, orbits.k // orbits.lengths[i]
 
 
 def enumerate_monomials(
-    orbits: OrbitData, tables: PairingTables, charge: Sequence[int], weight: int
+    orbits: OrbitData,
+    tables: PairingTables,
+    charge: Sequence[int],
+    weight: int,
 ) -> list[Monomial]:
     """All monomials of the given charge vector and exact total weight,
     in lexicographic order."""
@@ -150,13 +155,18 @@ def _generators(
             for w1, mono in monos:
                 coeff = _relation_coeff(orbits, tables, i, r, m, w1)
                 acc[mono] = acc.get(mono, field.zero()) + coeff
-            terms = tuple((c, mono) for mono, c in sorted(acc.items()) if c)
+            terms = tuple(
+                (c, mono) for mono, c in sorted(acc.items()) if c
+            )
             gens.append(RelationGenerator((i, j), r, m, weight, terms))
     return gens
 
 
 def build_relations(
-    orbits: OrbitData, tables: PairingTables, pair: tuple[int, int], t: Fraction
+    orbits: OrbitData,
+    tables: PairingTables,
+    pair: tuple[int, int],
+    t: Fraction,
 ) -> list[RelationGenerator]:
     """The full relation family for one ordered orbit pair at total degree t.
 
@@ -247,12 +257,20 @@ class _Slices:
         return self.families[i, j, weight]
 
     def family_mod_p(self, key: tuple[int, int, int]):
+        """The family's generators as (residue, monomial) terms mod the split
+        prime, eta -> omega, zero residues dropped; None when the prime
+        divides a denominator or certificate (b) fails for a generator."""
         if key not in self.residues:
+            gens, (p, omega) = self.family(*key), root_prime(self.orbits.k)
             starts = [start for start, _ in self.start_step]
-            self.residues[key] = family_mod_p(
-                self.family(*key), self.factors[key[:2]], starts,
-                *root_prime(self.orbits.k),
+            terms = [[(image(c.coeffs, p, omega), m) for c, m in g.terms] for g in gens]
+            held = all(r is not None for t in terms for r, _ in t) and all(
+                vanishes(g, self.factors[key[:2]], starts, key[0] == key[1])
+                for g in gens
             )
+            self.residues[key] = [
+                [(r, m) for r, m in t if r] for t in terms
+            ] if held else None
         return self.residues[key]
 
     def rank(self, charge: tuple[int, ...], weight: int, target=None):
@@ -260,14 +278,16 @@ class _Slices:
         monomial, of those rows plus the target's unit row, not memoized.
         Each call builds the rows at most once, and a call with a target
         memoizes the rank without it on the way."""
-        key, monomials = (charge, weight), self.basis(charge, weight)
+        key = charge, weight
         if target is None and key in self.ranks:
             return self.ranks[key]
+        monomials = self.basis(charge, weight)
         rows = _relation_rows(self, charge, weight) if monomials else []
 
         def rank_of_rows() -> int:
-            matrix = ExactMatrix(self.field, tuple(map(tuple, rows)), len(monomials))
-            return matrix.rank() if rows else 0
+            return ExactMatrix(
+                self.field, tuple(tuple(r) for r in rows), len(monomials)
+            ).rank() if rows else 0
 
         if key not in self.ranks:
             self.ranks[key] = len(rows), rank_of_rows()

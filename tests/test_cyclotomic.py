@@ -1,13 +1,13 @@
 """Field arithmetic and exact linear algebra, pinned against hand values."""
 
 import math
-import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistchar import modular
+from twistchar import modular, quotient
 from twistchar.cyclotomic import (
     DimensionMismatch,
     ExactMatrix,
@@ -17,6 +17,10 @@ from twistchar.cyclotomic import (
     get_field,
     rational_binomial,
 )
+from twistchar.lattice import analyze
+from twistchar.presets import preset
+from twistchar.qseries import character
+from twistchar.twisted import pair_factors
 
 CONDUCTORS = (2, 3, 4, 6, 12)
 # Arithmetic is also checked at degrees 1, 4, 4 and 8, where the inverse
@@ -339,89 +343,67 @@ def test_solve_returns_actual_solutions(data):
     assert back == rhs
 
 
-# ----------------------------------------------- rank mod p, certified rank
+# ------------------------------------ rank mod p, the oracle's certified rank
 
 
-def _pivot_count(matrix):
-    return len(matrix._echelon()[1])
+def _oracle_cells(name_or_lattice, charge_total, weight_bound):
+    # The window's cells with monomials, as compare_with_character visits
+    # them: (memo with the pair factors, charge, weight, coefficient).
+    if isinstance(name_or_lattice, str):
+        name_or_lattice = analyze(preset(name_or_lattice))
+    orbits, tables = name_or_lattice
+    slices = quotient._Slices(orbits, tables)
+    slices.factors = pair_factors(orbits, tables)
+    table = character(orbits, tables, weight_bound)
+    lows = [start for start, _ in slices.start_step]
+    for charge in quotient._charges_up_to(lows, charge_total, weight_bound):
+        for weight in range(slices.lowest(charge), weight_bound + 1):
+            if slices.basis(charge, weight):
+                yield slices, charge, weight, table.series(charge).coeff(weight)
 
 
-def _residue_rows(matrix):
-    # The matrix's rows under eta -> omega mod the split prime, as sparse
-    # {col: residue} dicts; None when the prime divides a denominator.
-    p, omega = modular.root_prime(matrix.field.conductor)
-    rows = []
-    for row in matrix.rows:
-        images = {j: modular.image(a.coeffs, p, omega) for j, a in enumerate(row) if a}
-        if None in images.values():
-            return None
-        rows.append({j: r for j, r in images.items() if r})
-    return rows
+class _Proof(NamedTuple):
+    proved: bool
+    target: int  # |B| - coefficient
+    monomials: int
+    rows: int
+    rank: int
 
 
-def _rank_mod_p(matrix):
-    # The rank of the matrix's image under eta -> omega mod the split prime,
-    # as the oracle's upper bound computes it.
-    p, _ = modular.root_prime(matrix.field.conductor)
-    return modular.rank_mod(_residue_rows(matrix), p, min(matrix.nrows, matrix.ncols))
+def _certified_and_exact(cells) -> list[_Proof]:
+    # Per cell, the oracle's (row count, rank, proved), each rank checked
+    # against exact elimination of the same rows.
+    out = []
+    for slices, charge, weight, coeff in cells:
+        rows, rank, proved = quotient._oracle_rank(slices, charge, weight, coeff)
+        assert (rows, rank) == slices.rank(charge, weight)
+        monomials = len(slices.basis(charge, weight))
+        out.append(_Proof(proved, monomials - coeff, monomials, rows, rank))
+    return out
 
 
-def _certified_rank(matrix, bound):
-    # The oracle's proof of a rank: the rank mod p bounds the rank from
-    # below, `bound` (known a priori) from above, and the rank is proved
-    # when the two meet.  None when they do not, or when the prime divides a
-    # denominator; the oracle then takes the rank from exact elimination.
-    rows = _residue_rows(matrix)
-    if rows is None:
-        return None
-    p, _ = modular.root_prime(matrix.field.conductor)
-    return bound if modular.rank_mod(rows, p, bound) == bound else None
+@pytest.mark.parametrize("draw", (1, 2, 3, 4, 5, 8, 12))
+def test_certified_rank_of_rank_deficient_products(draw, random_lattices):
+    # The rows of I(m, w) are the products cofactor * relation, far more
+    # than their rank.  On a random lattice's window the rank mod p of those
+    # products meets |B| - coefficient at every cell, which proves it, and it
+    # equals exact elimination's rank.
+    cells = _certified_and_exact(_oracle_cells(random_lattices[draw], 3, 16))
+    assert all(c.proved and c.rank == c.target for c in cells)
+    assert any(c.rank < c.rows for c in cells)
 
 
-@pytest.mark.parametrize("conductor", (1, 2, 3, 4, 5, 8, 12))
-def test_certified_rank_of_rank_deficient_products(conductor):
-    # A (m x r) times B (r x n) with r < min(m, n) has rank at most r.  The
-    # image mod p of each product keeps its exact rank, so r, the a-priori
-    # bound, is proved whenever it is reached; the exact rank is the pivot
-    # count of one elimination.
-    field = get_field(conductor)
-    rng = random.Random(conductor)
-
-    def scalar():
-        return field.from_coeffs(
-            Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
-            for _ in range(field.degree)
-        )
-
-    deficient = certified = 0
-    for _ in range(12):
-        m, n = rng.randint(2, 4), rng.randint(2, 4)
-        r = rng.randint(1, min(m, n) - 1)
-        a = ExactMatrix(field, tuple(tuple(scalar() for _ in range(r)) for _ in range(m)), r)
-        b = ExactMatrix(field, tuple(tuple(scalar() for _ in range(n)) for _ in range(r)), n)
-        product = a * b
-        expected = _pivot_count(product)
-        assert _rank_mod_p(product) == product.rank() == expected
-        assert _certified_rank(product, r) == (r if expected == r else None)
-        deficient += expected < min(m, n)
-        certified += expected == r
-    assert deficient == 12
-    assert certified > 0
+def test_certified_rank_rejects_an_entry_equal_to_the_prime(monkeypatch):
+    # Every relation entry 0 mod p, as an entry equal to the prime is: the
+    # rank mod p is 0, which proves only the cells whose target is 0; every
+    # other cell takes its rank from exact elimination.
+    monkeypatch.setattr(quotient, "image", lambda coeffs, p, omega: 0)
+    cells = _certified_and_exact(_oracle_cells("swap2", 3, 24))
+    assert all(c.proved == (c.target == 0) for c in cells)
+    assert any(c.target for c in cells)
 
 
-def test_certified_rank_rejects_an_entry_equal_to_the_prime():
-    # [[p, 1], [0, 1]] has rank 2 but rank 1 mod p: a rank mod p only
-    # bounds the rank from below, so the bound 2 is not proved.
-    field = get_field(1)
-    p, _ = modular.root_prime(1)
-    m = ExactMatrix.from_rows(field, [[p, 1], [0, 1]])
-    assert _rank_mod_p(m) == 1
-    assert _certified_rank(m, 2) is None
-    assert _certified_rank(m, 1) == 1
-    assert m.rank() == 2 == _pivot_count(m)
-
-
-def test_certified_rank_rejects_a_denominator_divisible_by_the_prime():
+def test_certified_rank_rejects_a_denominator_divisible_by_the_prime(monkeypatch):
     field = get_field(3)
     p, omega = modular.root_prime(3)
     assert modular.image(field.from_rational(Fraction(1, p)).coeffs, p, omega) is None
@@ -429,19 +411,22 @@ def test_certified_rank_rejects_a_denominator_divisible_by_the_prime():
     assert modular.image(field.from_coeffs([Fraction(1, 2), 3]).coeffs, p, omega) == (
         pow(2, -1, p) + 3 * omega
     ) % p
-    m = ExactMatrix.from_rows(field, [[Fraction(1, p), 1], [1, 1]])
-    assert _certified_rank(m, 2) is None
-    assert m.rank() == 2 == _pivot_count(m)
+    # With p dividing a denominator of every relation entry, only the cells
+    # without rows are proved; the others fall back to exact elimination.
+    monkeypatch.setattr(quotient, "image", lambda coeffs, p, omega: None)
+    cells = _certified_and_exact(_oracle_cells("swap2", 3, 24))
+    assert all(c.proved == (c.rows == 0) for c in cells)
+    assert any(c.rows for c in cells)
 
 
 def test_certified_rank_on_empty_and_full_rank_shapes():
-    field = get_field(4)
-    for shape in ((0, 3), (3, 0), (2, 3)):
-        zero = ExactMatrix.zeros(field, *shape)
-        assert zero.rank() == 0 == _certified_rank(zero, 0)
-    eta = field.eta
-    wide = ExactMatrix.from_rows(field, [[1, eta, 0], [eta, 0, 1]])
-    assert wide.rank() == 2 == _rank_mod_p(wide) == _certified_rank(wide, 2)
+    # rank1's window has cells without rows (one variable: rank 0, the
+    # coefficient is |B|) and cells of full column rank (below the
+    # character's lowest weight m^2: coefficient 0, rank |B|); all proved.
+    cells = _certified_and_exact(_oracle_cells("rank1", 4, 24))
+    assert all(c.proved and c.rank == c.target for c in cells)
+    assert any(c.rows == c.rank == 0 for c in cells)
+    assert any(0 < c.rank == c.monomials for c in cells)
 
 
 def test_rank_mod_stops_at_its_limit():
