@@ -33,10 +33,10 @@ from typing import NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicScalar, ExactMatrix, get_field, rational_binomial
 from .lattice import OrbitData, PairingTables
-from .modular import image, rank_mod, root_prime
+from .modular import rank_mod, root_prime
 from .pascal import PascalSpec, stacked_with_root
 from .qseries import BudgetExceeded, _partition_series, character
-from .twisted import pair_factors, vanishes
+from .twisted import family_mod_p, pair_factors
 
 # Refusal thresholds per bidegree: monomials (matrix columns) and relation
 # rows.
@@ -257,20 +257,12 @@ class _Slices:
         return self.families[i, j, weight]
 
     def family_mod_p(self, key: tuple[int, int, int]):
-        """The family's generators as (residue, monomial) terms mod the split
-        prime, eta -> omega, zero residues dropped; None when the prime
-        divides a denominator or certificate (b) fails for a generator."""
         if key not in self.residues:
-            gens, (p, omega) = self.family(*key), root_prime(self.orbits.k)
             starts = [start for start, _ in self.start_step]
-            terms = [[(image(c.coeffs, p, omega), m) for c, m in g.terms] for g in gens]
-            held = all(r is not None for t in terms for r, _ in t) and all(
-                vanishes(g, self.factors[key[:2]], starts, key[0] == key[1])
-                for g in gens
+            self.residues[key] = family_mod_p(
+                self.family(*key), self.factors[key[:2]], starts,
+                *root_prime(self.orbits.k),
             )
-            self.residues[key] = [
-                [(r, m) for r, m in t if r] for t in terms
-            ] if held else None
         return self.residues[key]
 
     def rank(self, charge: tuple[int, ...], weight: int, target=None):
@@ -285,24 +277,30 @@ class _Slices:
         rows = _relation_rows(self, charge, weight) if monomials else []
 
         def rank_of_rows() -> int:
-            return ExactMatrix(
-                self.field, tuple(tuple(r) for r in rows), len(monomials)
-            ).rank() if rows else 0
+            zero, n = self.field.zero(), len(monomials)
+            dense = tuple(tuple(row.get(c, zero) for c in range(n)) for row in rows)
+            return ExactMatrix(self.field, dense, n).rank() if rows else 0
 
         if key not in self.ranks:
             self.ranks[key] = len(rows), rank_of_rows()
         if target is None:
             return self.ranks[key]
-        one, zero = self.field.one(), self.field.zero()
-        rows.append([one if m == target else zero for m in monomials])
+        rows.append({monomials.index(target): self.field.one()})
         return len(rows), rank_of_rows()
 
 
-def _row_blocks(slices: _Slices, charge: tuple[int, ...], weight: int):
-    # The rows of I(m, w) in blocks: (cofactors, family key) for every
-    # cofactor times every generator of the family, refused once the row
-    # count would exceed MAX_ROWS.
-    count = 0
+def _relation_rows(
+    slices: _Slices, charge: tuple[int, ...], weight: int, family=None
+) -> list[dict] | None:
+    """The rows of I(m, w), one {column: entry} per cofactor times relation
+    generator: entries the exact coefficients, or those family(key) gives
+    for the family (i, j, relation weight) as one list of (entry, monomial)
+    terms per generator; None as soon as family gives None.  Refused once
+    the row count would exceed MAX_ROWS."""
+    # A generator's terms have distinct monomials, and so do their products
+    # with one cofactor: each entry is placed, never summed.
+    index = {mono: pos for pos, mono in enumerate(slices.basis(charge, weight))}
+    rows: list[dict] = []
     for i in range(slices.orbits.d):
         for j in range(slices.orbits.d):
             cof_charge = tuple(
@@ -316,32 +314,16 @@ def _row_blocks(slices: _Slices, charge: tuple[int, ...], weight: int):
                 if not cofs:
                     continue
                 key = i, j, weight - cof_weight
-                count += len(cofs) * len(slices.family(*key))
-                if count > MAX_ROWS:
+                gens = family(key) if family else [g.terms for g in slices.family(*key)]
+                if gens is None:
+                    return None
+                if len(rows) + len(cofs) * len(gens) > MAX_ROWS:
                     raise BudgetExceeded(
                         f"relation row count exceeds budget ({MAX_ROWS}) at "
                         f"bidegree (charge={charge}, weight={weight})"
                     )
-                yield cofs, key
-
-
-def _relation_rows(
-    slices: _Slices, charge: tuple[int, ...], weight: int
-) -> list[list[CyclotomicScalar]]:
-    # One dense row per (cofactor, relation) product landing in B(m, w).  A
-    # generator's terms have distinct monomials, and so do their products
-    # with one cofactor: each entry is placed, never summed.
-    monomials = slices.basis(charge, weight)
-    index = {mono: pos for pos, mono in enumerate(monomials)}
-    rows: list[list[CyclotomicScalar]] = []
-    for cofs, key in _row_blocks(slices, charge, weight):
-        gens = slices.family(*key)
-        for cof in cofs:
-            for gen in gens:
-                row = [slices.field.zero()] * len(monomials)
-                for coeff, mono in gen.terms:
-                    row[index[tuple(sorted(cof + mono))]] = coeff
-                rows.append(row)
+                rows += ({index[tuple(sorted(cof + mono))]: c for c, mono in gen}
+                         for cof in cofs for gen in gens)
     return rows
 
 
@@ -350,17 +332,13 @@ def _oracle_rank(
 ) -> tuple[int, int, bool]:
     """(row count, rank, proved) of I(m, w): rank |B| - coeff when the two
     one-prime bounds meet (proved), else the rank by exact elimination."""
-    monomials = slices.basis(charge, weight)
-    target = len(monomials) - coeff
+    target = len(slices.basis(charge, weight)) - coeff
     if slices.factors is not None and target >= 0:
-        blocks = [(cofs, slices.family_mod_p(key)) for cofs, key in
-                  _row_blocks(slices, charge, weight)]
-        if all(gens is not None for _, gens in blocks):
-            index = {mono: pos for pos, mono in enumerate(monomials)}
-            rows = [{index[tuple(sorted(cof + mono))]: r for r, mono in gen}
-                    for cofs, gens in blocks if target for cof in cofs for gen in gens]
-            if rank_mod(rows, root_prime(slices.orbits.k)[0], target) == target:
-                return sum(len(c) * len(g) for c, g in blocks), target, True
+        rows = _relation_rows(slices, charge, weight, slices.family_mod_p)
+        p, _ = root_prime(slices.orbits.k)
+        # rank_mod empties the rows, not the list.
+        if rows is not None and rank_mod(rows, p, target) == target:
+            return len(rows), target, True
     return (*slices.rank(charge, weight), False)
 
 

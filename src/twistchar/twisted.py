@@ -37,6 +37,7 @@ from typing import Sequence
 
 from .cyclotomic import CyclotomicScalar, get_field
 from .lattice import OrbitData, PairingTables
+from .modular import image
 
 # {(e1, e2): coefficient of y1^e1 y2^e2}, zero coefficients dropped.
 Factor = dict[tuple[int, int], CyclotomicScalar]
@@ -85,3 +86,15 @@ def vanishes(gen, factor: Factor, starts: Sequence[int], symmetric: bool) -> boo
     if symmetric:
         acc = {a: v + acc[free - a] if free - a in acc else v for a, v in acc.items()}
     return not any(acc.values())
+
+
+def family_mod_p(gens, factor: Factor, starts: Sequence[int], p: int, omega: int):
+    """The generators' terms as (residue, monomial) mod p, eta -> omega, zero
+    residues dropped, when certificate (b) holds for each; None when it
+    fails or p divides a denominator."""
+    out = [[(image(c.coeffs, p, omega), m) for c, m in g.terms] for g in gens]
+    if any(r is None for terms in out for r, _ in terms) or not all(
+        vanishes(g, factor, starts, g.orbit_pair[0] == g.orbit_pair[1]) for g in gens
+    ):
+        return None
+    return [[(r, m) for r, m in terms if r] for terms in out]

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistchar import modular, quotient
+from twistchar import modular, quotient, twisted
 from twistchar.cyclotomic import (
     DimensionMismatch,
     ExactMatrix,
@@ -397,7 +397,7 @@ def test_certified_rank_rejects_an_entry_equal_to_the_prime(monkeypatch):
     # Every relation entry 0 mod p, as an entry equal to the prime is: the
     # rank mod p is 0, which proves only the cells whose target is 0; every
     # other cell takes its rank from exact elimination.
-    monkeypatch.setattr(quotient, "image", lambda coeffs, p, omega: 0)
+    monkeypatch.setattr(twisted, "image", lambda coeffs, p, omega: 0)
     cells = _certified_and_exact(_oracle_cells("swap2", 3, 24))
     assert all(c.proved == (c.target == 0) for c in cells)
     assert any(c.target for c in cells)
@@ -413,7 +413,7 @@ def test_certified_rank_rejects_a_denominator_divisible_by_the_prime(monkeypatch
     ) % p
     # With p dividing a denominator of every relation entry, only the cells
     # without rows are proved; the others fall back to exact elimination.
-    monkeypatch.setattr(quotient, "image", lambda coeffs, p, omega: None)
+    monkeypatch.setattr(twisted, "image", lambda coeffs, p, omega: None)
     cells = _certified_and_exact(_oracle_cells("swap2", 3, 24))
     assert all(c.proved == (c.rows == 0) for c in cells)
     assert any(c.rows for c in cells)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistchar import quotient
+from twistchar import quotient, twisted
 from twistchar.cyclotomic import ExactMatrix, NoSolution, get_field, rational_binomial
 from twistchar.lattice import analyze
 from twistchar.pascal import verify_invertible
@@ -493,7 +493,9 @@ def _solve_membership(orbits, tables, i, j, s, t):
     rows = quotient._relation_rows(slices, charge, weight)
     if not rows:
         return False
-    span = ExactMatrix(get_field(orbits.k), tuple(zip(*rows)), len(rows))
+    zero = get_field(orbits.k).zero()
+    dense = [[row.get(c, zero) for c in range(len(monomials))] for row in rows]
+    span = ExactMatrix(get_field(orbits.k), tuple(zip(*dense)), len(rows))
     try:
         span.solve([1 if mono == target else 0 for mono in monomials])
         return True
@@ -599,7 +601,7 @@ def test_a_small_prime_falls_back_on_zero_residues_and_denominators(data, monkey
     orbits, tables = data["swap2"]
     exact = _all_exact_json(orbits, tables, 3, 24, monkeypatch)
     undefined, short = [], []
-    image_real, rank_real = quotient.image, quotient.rank_mod
+    image_real, rank_real = twisted.image, quotient.rank_mod
 
     def image(coeffs, p, omega):
         out = image_real(coeffs, p, omega)
@@ -612,7 +614,7 @@ def test_a_small_prime_falls_back_on_zero_residues_and_denominators(data, monkey
         return out
 
     monkeypatch.setattr(quotient, "root_prime", lambda k: (2, 1))
-    monkeypatch.setattr(quotient, "image", image)
+    monkeypatch.setattr(twisted, "image", image)
     monkeypatch.setattr(quotient, "rank_mod", rank_mod)
     report = compare_with_character(orbits, tables, 3, 24)
     assert any(undefined) and any(short)

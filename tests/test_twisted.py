@@ -234,10 +234,9 @@ def _check_phi_window(orbits, tables, charge_total, weight_bound):
             assert matrix.rank() == table.coefficient(charge, weight), (charge, weight)
             for row in quotient._relation_rows(slices, charge, weight):
                 total = {}
-                for entry, image in zip(row, images):
-                    if entry:
-                        for t, value in image.items():
-                            total[t] = total.get(t, field.zero()) + entry * value
+                for col, entry in row.items():
+                    for t, value in images[col].items():
+                        total[t] = total.get(t, field.zero()) + entry * value
                 assert not any(total.values()), (charge, weight)
             cells += 1
     return cells
