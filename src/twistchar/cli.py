@@ -26,10 +26,9 @@ from .pascal import pascal_check
 from .presets import PRESET_NAMES, load_lattice, preset
 from .qseries import (
     NORMALIZATION,
-    RecursionMismatch,
+    RecursionCheck,
     character,
-    check_coefficient_recursion,
-    check_recursion,
+    check_recursions,
     verify_partition_identity,
 )
 from .quotient import BudgetExceeded, compare_with_character, new_relations_sweep
@@ -199,24 +198,21 @@ def cmd_character(args: argparse.Namespace) -> int:
 
 def _check_recursion(orbits, tables, cfg: RunConfig):
     table = character(orbits, tables, cfg.truncation)
-    lines, detail, ok = [], [], True
+    lines, detail = [], []
     for i in range(orbits.d):
-        for fn in (check_recursion, check_coefficient_recursion):
-            try:
-                res = fn(table, i)
+        for res in check_recursions(table, i):
+            entry = {"kind": res.kind, "orbit": i, "ok": isinstance(res, RecursionCheck)}
+            if entry["ok"]:
                 lines.append(
                     f"  {res.kind} recursion, orbit {i}: ok "
                     f"({res.cells} charge cells, truncation {res.truncation})"
                 )
-                detail.append(
-                    {"kind": res.kind, "orbit": i, "ok": True, "cells": res.cells}
-                )
-            except RecursionMismatch as exc:
-                ok = False
-                lines.append(f"  FAILED: {exc}")
-                detail.append(
-                    {"kind": exc.kind, "orbit": i, "ok": False, "message": str(exc)}
-                )
+                entry["cells"] = res.cells
+            else:
+                lines.append(f"  FAILED: {res}")
+                entry["message"] = str(res)
+            detail.append(entry)
+    ok = all(entry["ok"] for entry in detail)
     return ok, lines, {"truncation": cfg.truncation, "results": detail}
 
 

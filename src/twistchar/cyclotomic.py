@@ -349,11 +349,6 @@ class ExactMatrix:
             n,
         )
 
-    @classmethod
-    def zeros(cls, field: CyclotomicField, nrows: int, ncols: int) -> "ExactMatrix":
-        zero = field.zero()
-        return cls(field, tuple((zero,) * ncols for _ in range(nrows)), ncols)
-
     def stack(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.ncols != self.ncols:
             raise DimensionMismatch(

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import (
@@ -34,6 +35,7 @@ from .cyclotomic import (
     rational_binomial,
 )
 from .modular import det_mod, residue, root_prime
+from .qseries import BudgetExceeded
 
 
 class PascalIdentityError(AssertionError):
@@ -405,9 +407,7 @@ def two_blocks_check(
         ]
         for i in range(n - s)
     ]
-    c = ExactMatrix.from_rows(field, c_rows) if n - s else ExactMatrix.zeros(
-        field, 0, n
-    )
+    c = ExactMatrix.from_rows(field, c_rows) if n - s else ExactMatrix(field, (), n)
     b_prime = upper.stack(a_matrix(field, d, 0, 1, t, n - s) * c)
 
     if t == 0:
@@ -467,7 +467,7 @@ def two_blocks_check(
         _block_diag(field, s, u * v_inv) * q_prime * b,
         b_prime,
     )
-    if b.stack(b_prime).rank() != b.rank() or b.rank() != b_prime.rank():
+    if not b.rank() == b_prime.rank() == b.stack(b_prime).rank():
         raise PascalIdentityError(
             "row spaces differ", -1, -1, field.zero(), field.zero()
         )
@@ -538,6 +538,10 @@ class PascalSweepReport:
         }
 
 
+# The most invertibility specs a sweep may run, about 100 s of work.
+MAX_SWEEP_SPECS = 10 ** 6
+
+
 def pascal_check(
     max_k: int, max_n: int, samples: int, seed: int, proof_samples: int
 ) -> PascalSweepReport:
@@ -550,7 +554,16 @@ def pascal_check(
     form; then replays the factorization and two-stack arguments on
     ``proof_samples`` random instances each.  Identical arguments produce
     identical reports.
+
+    Raises BudgetExceeded before any work once the spec count, samples times
+    sum_{k <= max_k} (C(max_n + k, k) - 1), summed in k, passes MAX_SWEEP_SPECS.
     """
+    specs = 0
+    for k in range(1, max_k + 1):
+        specs += samples * (comb(max_n + k, k) - 1)
+        if specs > MAX_SWEEP_SPECS:
+            raise BudgetExceeded(f"pascal sweep needs at least {specs} stacked "
+                                 f"specs, over the budget of {MAX_SWEEP_SPECS}")
     rng = random.Random(seed)
     failures: list[SweepFailure] = []
     methods = {"mod-p": 0, "exact": 0}

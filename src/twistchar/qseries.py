@@ -29,23 +29,20 @@ class BudgetExceeded(RuntimeError):
     """The requested table, bidegree or matrix exceeds its budget."""
 
 
+@dataclass(eq=False)
 class RecursionMismatch(AssertionError):
     """A character series fails one of its defining recursions."""
 
-    def __init__(
-        self, kind: str, orbit: int, charge: tuple[int, ...], exponent: int,
-        lhs: int, rhs: int,
-    ) -> None:
-        self.kind = kind
-        self.orbit = orbit
-        self.charge = charge
-        self.exponent = exponent
-        self.lhs = lhs
-        self.rhs = rhs
-        super().__init__(
-            f"{kind} recursion fails at charge {charge}, exponent {exponent}: "
-            f"{lhs} != {rhs} (orbit {orbit})"
-        )
+    kind: str
+    orbit: int
+    charge: tuple[int, ...]
+    exponent: int
+    lhs: int
+    rhs: int
+
+    def __str__(self) -> str:
+        return (f"{self.kind} recursion fails at charge {self.charge}, exponent "
+                f"{self.exponent}: {self.lhs} != {self.rhs} (orbit {self.orbit})")
 
 
 class QSeries:
@@ -334,56 +331,54 @@ class RecursionCheck:
     cells: int
 
 
-def check_recursion(table: CharacterTable, i: int) -> RecursionCheck:
-    """Verify the length-step recursion in direction i for every charge.
+def check_recursions(
+    table: CharacterTable, i: int
+) -> tuple[RecursionCheck | RecursionMismatch, RecursionCheck | RecursionMismatch]:
+    """Check the character recursion in direction i once, in both its forms.
 
-    Each charge series must equal its own image shifted by step_i * m_i
-    plus, when m_i >= 1, the (m - e_i) series shifted by the pairing offset.
-    Raises RecursionMismatch at the first differing coefficient.
+    For each charge m and u = m + e_i the exact sequences give A_u =
+    q^(step_i u_i) A_u + q^off A_m, off = A_ii/2 + sum_j m_j A_ji.  One pass
+    over the sorted charges m compares each pair once, as whole lists, and
+    returns (length-step, adjacent-charge) RecursionChecks, or the mismatches
+    at the first differing (u, exponent): A_u against both shifted terms, and
+    A_u - q^(step_i u_i) A_u against q^off A_m.  Length-step also counts each
+    u outside the table; where u_i = 0 it holds with shift 0.  The charges
+    must be closed under u -> u - e_i, as ``character``'s are since A >= 0.
     """
-    a = table.charge_matrix
-    charges = set(table.entries)
+    a, t = table.charge_matrix, table.truncation
+    outside = 0
     for m in table.charges():
-        bumped = list(m)
-        bumped[i] += 1
-        charges.add(tuple(bumped))
-    cells = 0
-    for m in sorted(charges):
-        lhs = table.series(m)
-        rhs = lhs.shifted(table.steps[i] * m[i])
-        if m[i] >= 1:
-            lower = list(m)
-            lower[i] -= 1
-            offset = sum(a[j][i] * m[j] for j in range(table.d)) - a[i][i] // 2
-            rhs = rhs + table.series(tuple(lower)).shifted(offset)
-        diff = lhs.first_difference(rhs)
+        u = m[:i] + (m[i] + 1,) + m[i + 1:]
+        outside += u not in table.entries
+        up = table.series(u)
+        shifted = up.shifted(table.steps[i] * u[i])
+        off = a[i][i] // 2 + sum(row[i] * c for row, c in zip(a, m))
+        lower = table.entries[m].shifted(off)
+        diff = up.first_difference(shifted + lower)
         if diff is not None:
-            raise RecursionMismatch("length-step", i, m, *diff)
-        cells += 1
-    return RecursionCheck("length-step", i, table.truncation, cells)
+            e, lhs, rhs = diff
+            return (RecursionMismatch("length-step", i, u, e, lhs, rhs),
+                    RecursionMismatch("adjacent-charge", i, u, e,
+                                      lhs - shifted.coeffs[e], lower.coeffs[e]))
+    cells = len(table.entries)
+    return (RecursionCheck("length-step", i, t, cells + outside),
+            RecursionCheck("adjacent-charge", i, t, cells))
+
+
+def _raised(result: RecursionCheck | RecursionMismatch) -> RecursionCheck:
+    if isinstance(result, RecursionMismatch):
+        raise result
+    return result
+
+
+def check_recursion(table: CharacterTable, i: int) -> RecursionCheck:
+    """The length-step half of ``check_recursions``; raises its mismatch."""
+    return _raised(check_recursions(table, i)[0])
 
 
 def check_coefficient_recursion(table: CharacterTable, i: int) -> RecursionCheck:
-    """Verify the adjacent-charge coefficient recursion in direction i.
-
-    For each charge m, (series at m + e_i) * (1 - q^(step_i * (m_i + 1)))
-    must equal the m series shifted by A_ii/2 + sum_j m_j A_ji.  Raises
-    RecursionMismatch at the first differing coefficient.
-    """
-    a = table.charge_matrix
-    cells = 0
-    for m in table.charges():
-        upper = list(m)
-        upper[i] += 1
-        up = table.series(tuple(upper))
-        lhs = up - up.shifted(table.steps[i] * (m[i] + 1))
-        offset = a[i][i] // 2 + sum(a[j][i] * m[j] for j in range(table.d))
-        rhs = table.series(m).shifted(offset)
-        diff = lhs.first_difference(rhs)
-        if diff is not None:
-            raise RecursionMismatch("adjacent-charge", i, tuple(upper), *diff)
-        cells += 1
-    return RecursionCheck("adjacent-charge", i, table.truncation, cells)
+    """The adjacent-charge half of ``check_recursions``; raises its mismatch."""
+    return _raised(check_recursions(table, i)[1])
 
 
 def separated_partition_counts(truncation: int) -> list[int]:

@@ -192,6 +192,43 @@ def test_pascal_check_text(capsys):
     assert out.startswith("pascal sweep: ok")
 
 
+@pytest.mark.parametrize("argv, specs", [
+    (("pascal-check", "--max-k", "12", "--max-n", "12"), 2034810),
+    (("verify", "--preset", "x3", "--pascal", "--max-k", "20", "--max-n", "20"),
+     2960030),
+    (("pascal-check", "--max-k", "2", "--max-n", "10", "--samples", "99999999"),
+     999999990),
+])
+def test_oversized_pascal_sweep_exits_2(capsys, monkeypatch, argv, specs):
+    # Refused from the closed-form spec count, before any spec is built.
+    from twistchar import pascal
+
+    def refuse(spec):
+        pytest.fail("the sweep started before its budget refused it")
+
+    monkeypatch.setattr(pascal, "verify_invertible", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: pascal sweep needs at least {specs} stacked specs, over the "
+        "budget of 1000000\n"
+    )
+
+
+def test_sweep_budget_counts_every_spec(capsys, monkeypatch):
+    # The default sweep runs 3250 specs: refused one below that, run at it.
+    from twistchar import pascal
+
+    argv = ("pascal-check", "--proof-samples", "0")
+    monkeypatch.setattr(pascal, "MAX_SWEEP_SPECS", 3249)
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "needs at least 3250 stacked specs" in err
+    monkeypatch.setattr(pascal, "MAX_SWEEP_SPECS", 3250)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "  3250 stacked specs" in out
+
+
 # ------------------------------------------------------------ errors and files
 
 
@@ -573,3 +610,26 @@ def test_empty_charge_window_output_is_pinned(capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5f8f004f687a460ffcc8787d80303e2b5c1d648f687802841e5a47615119aa7d"
     )
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "bea410efcc093b38df3fad89f9021cfa8b6bfc3032e56afb5354226962819629"),
+    ("json", "d99287c5adbe94756912f56312b6466d5c2c3878e0d343b4e87db5e8a7f3935e"),
+])
+def test_failing_recursion_output_is_pinned(capsys, monkeypatch, fmt, digest):
+    # x3's table with one coefficient lowered by 2: both recursions fail on
+    # both orbits, and the FAILED lines and exit code 1 are fixed.
+    from twistchar import cli
+    from twistchar.qseries import character
+
+    def corrupted(orbits, tables, truncation):
+        table = character(orbits, tables, truncation)
+        table.entries[(1, 1)].coeffs[20] -= 2
+        return table
+
+    monkeypatch.setattr(cli, "character", corrupted)
+    code, out, err = run(capsys, "verify", "--preset", "x3", "--recursion",
+                         "-T", "60", "--format", fmt)
+    assert (code, err) == (1, "")
+    assert "recursion fails at charge (1, 1), exponent 20" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -227,7 +227,7 @@ def test_matrix_rank_hand_cases():
     field = get_field(2)
     assert ExactMatrix.from_rows(field, [[1, 2], [2, 4]]).rank() == 1
     assert ExactMatrix.from_rows(field, [[1, 2], [3, 4]]).rank() == 2
-    assert ExactMatrix.zeros(field, 3, 2).rank() == 0
+    assert ExactMatrix.from_rows(field, [[0, 0]] * 3).rank() == 0
     assert ExactMatrix.identity(field, 4).rank() == 4
 
 

@@ -1,5 +1,6 @@
 """Truncated q-series, characters, recursions, partition identities."""
 
+import random
 from itertools import product
 from math import isqrt
 
@@ -11,10 +12,12 @@ from twistchar.lattice import analyze
 from twistchar.presets import lattice_from_config, preset
 from twistchar.qseries import (
     QSeries,
+    RecursionCheck,
     RecursionMismatch,
     character,
     check_coefficient_recursion,
     check_recursion,
+    check_recursions,
     halved_exponents,
     inverse_poch_product,
     poch_infinite,
@@ -308,6 +311,109 @@ def test_recursion_mismatch_messages_are_pinned(charge, exponent, messages):
             except RecursionMismatch as exc:
                 got.append(str(exc))
     assert got == messages
+
+
+def _reference_length_step(table, i):
+    # The length-step check as two separate scans made it: every charge and
+    # every m + e_i, each against its own shift plus the (m - e_i) term.
+    a = table.charge_matrix
+    charges = set(table.entries)
+    for m in table.charges():
+        bumped = list(m)
+        bumped[i] += 1
+        charges.add(tuple(bumped))
+    cells = 0
+    for m in sorted(charges):
+        lhs = table.series(m)
+        rhs = lhs.shifted(table.steps[i] * m[i])
+        if m[i] >= 1:
+            lower = list(m)
+            lower[i] -= 1
+            offset = sum(a[j][i] * m[j] for j in range(table.d)) - a[i][i] // 2
+            rhs = rhs + table.series(tuple(lower)).shifted(offset)
+        diff = lhs.first_difference(rhs)
+        if diff is not None:
+            raise RecursionMismatch("length-step", i, m, *diff)
+        cells += 1
+    return RecursionCheck("length-step", i, table.truncation, cells)
+
+
+def _reference_adjacent_charge(table, i):
+    # The adjacent-charge check as two separate scans made it.
+    a = table.charge_matrix
+    cells = 0
+    for m in table.charges():
+        upper = list(m)
+        upper[i] += 1
+        up = table.series(tuple(upper))
+        lhs = up - up.shifted(table.steps[i] * (m[i] + 1))
+        offset = a[i][i] // 2 + sum(a[j][i] * m[j] for j in range(table.d))
+        rhs = table.series(m).shifted(offset)
+        diff = lhs.first_difference(rhs)
+        if diff is not None:
+            raise RecursionMismatch("adjacent-charge", i, tuple(upper), *diff)
+        cells += 1
+    return RecursionCheck("adjacent-charge", i, table.truncation, cells)
+
+
+def _outcome(check, table, i):
+    try:
+        res = check(table, i)
+    except RecursionMismatch as exc:
+        return str(exc)
+    return res.kind, res.cells
+
+
+def test_one_scan_matches_the_two_reference_checks(random_lattices):
+    # 0-3 coefficients of each table changed at seeded random places, on the
+    # presets at T = 60 and the random draws at T = 30.
+    rng = random.Random(17)
+    lattices = [analyze(preset(name)) + (60,) for name in PRESETS]
+    lattices += [(orbits, tables, 30) for orbits, tables in random_lattices]
+    failures = 0
+    for orbits, tables, truncation in lattices:
+        for corrupted in range(4):
+            table = character(orbits, tables, truncation)
+            charges = table.charges()
+            for _ in range(corrupted):
+                coeffs = table.entries[rng.choice(charges)].coeffs
+                coeffs[rng.randrange(len(coeffs))] += rng.choice((-2, -1, 1, 3))
+            for i in range(orbits.d):
+                pairs = [
+                    (_outcome(check_recursion, table, i),
+                     _outcome(_reference_length_step, table, i)),
+                    (_outcome(check_coefficient_recursion, table, i),
+                     _outcome(_reference_adjacent_charge, table, i)),
+                ]
+                for got, want in pairs:
+                    assert got == want
+                    failures += isinstance(got, str)
+                both = [str(r) if isinstance(r, RecursionMismatch) else (r.kind, r.cells)
+                        for r in check_recursions(table, i)]
+                assert both == [got for got, _ in pairs]
+    assert failures > 100
+
+
+def test_verify_scans_each_orbit_once(capsys, monkeypatch):
+    from twistchar import cli, qseries
+
+    calls = []
+
+    def counted(table, i):
+        calls.append(i)
+        return check_recursions(table, i)
+
+    def refuse(table, i):
+        pytest.fail("a one-kind view ran a scan of its own")
+
+    monkeypatch.setattr(cli, "check_recursions", counted)
+    monkeypatch.setattr(qseries, "check_recursion", refuse)
+    monkeypatch.setattr(qseries, "check_coefficient_recursion", refuse)
+    for name in PRESETS:
+        calls.clear()
+        assert cli.main(["verify", "--preset", name, "--recursion", "-T", "40"]) == 0
+        assert calls == list(range(analyze(preset(name))[0].d))
+    capsys.readouterr()
 
 
 # ------------------------------------------------------- partition identities
