@@ -1,12 +1,13 @@
 """Exact arithmetic in cyclotomic fields, and exact dense linear algebra.
 
 A scalar is an element of Q(eta) with eta a fixed primitive k-th root of
-unity, stored as a coefficient vector of length phi(k) reduced modulo the
-k-th cyclotomic polynomial Phi_k by synthetic division.  The representation
-is canonical, so equality and zero tests are plain coefficient comparisons.
-The inverse of a is the product of its Galois conjugates a(eta**j), j a
-unit mod k other than 1, divided by the norm of a.  All coefficients are
-``fractions.Fraction``; nothing here ever touches floating point.
+unity: phi(k) integer numerators of its coefficient vector, reduced modulo
+the k-th cyclotomic polynomial Phi_k by synthetic division, over one
+positive denominator coprime to them.  The form is canonical, so equality
+and zero tests are integer comparisons; sums and products are integer work
+plus one gcd.  The inverse of a is the product of its Galois conjugates
+a(eta**j), j a unit mod k other than 1, divided by the norm of a.  Nothing
+here ever touches floating point.
 
 Matrix rank, determinant, solving and inversion all run one exact
 elimination over Q(eta).
@@ -20,9 +21,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NotADivisor(ValueError):
@@ -45,11 +43,12 @@ def rational_binomial(z: Rational, m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError(f"binomial lower index must be >= 0, got {m}")
-    num = _ONE
-    zf = Fraction(z)
+    a, b = z.numerator, z.denominator
+    num = den = 1
     for i in range(m):
-        num *= zf - i
-    return num / math.factorial(m)
+        num *= a - i * b
+        den *= b * (i + 1)
+    return Fraction(num, den)
 
 
 def _divide_monic(vec: list, terms: Sequence[tuple[int, Rational]], n: int) -> None:
@@ -104,9 +103,10 @@ class CyclotomicField:
         self.conductor = conductor
         self.degree = len(modulus) - 1
         self._terms = _lower_terms(modulus)
+        self._zero = CyclotomicScalar(self, (0,) * self.degree, 1)
         # eta**e for 0 <= e < conductor, and the units j > 1 mod conductor.
         self._eta_powers = tuple(
-            tuple(self._reduce([_ZERO] * e + [_ONE])) for e in range(conductor)
+            self._make(self._reduce([0] * e + [1]), 1) for e in range(conductor)
         )
         self._units = tuple(
             j for j in range(2, conductor) if math.gcd(j, conductor) == 1
@@ -115,27 +115,33 @@ class CyclotomicField:
     def __repr__(self) -> str:
         return f"CyclotomicField({self.conductor})"
 
-    def _make(self, coeffs: Sequence[Fraction]) -> "CyclotomicScalar":
-        return CyclotomicScalar(self, tuple(coeffs))
+    def _make(self, nums: Sequence[int], den: int) -> "CyclotomicScalar":
+        # nums / den in canonical form: den > 0 and gcd(nums, den) = 1.
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        if g == 1:
+            return CyclotomicScalar(self, tuple(nums), den)
+        return CyclotomicScalar(self, tuple(a // g for a in nums), den // g)
 
     def zero(self) -> "CyclotomicScalar":
-        return self._make([_ZERO] * self.degree)
+        return self._zero
 
     def one(self) -> "CyclotomicScalar":
-        return self.from_rational(1)
+        return self._eta_powers[0]
 
     def from_rational(self, value: Rational) -> "CyclotomicScalar":
-        coeffs = [_ZERO] * self.degree
-        coeffs[0] = Fraction(value)
-        return self._make(coeffs)
+        nums = (value.numerator,) + (0,) * (self.degree - 1)
+        return CyclotomicScalar(self, nums, value.denominator)
 
     def from_coeffs(self, coeffs: Iterable[Rational]) -> "CyclotomicScalar":
-        return self._make(self._reduce([Fraction(c) for c in coeffs]))
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        nums = [c.numerator * (den // c.denominator) for c in fracs]
+        return self._make(self._reduce(nums), den)
 
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
+    def _reduce(self, vec: list[int]) -> list[int]:
         # vec modulo the cyclotomic polynomial, padded to the field degree;
         # vec itself is overwritten.
-        vec += [_ZERO] * (self.degree - len(vec))
+        vec += [0] * (self.degree - len(vec))
         _divide_monic(vec, self._terms, self.degree)
         return vec[: self.degree]
 
@@ -149,7 +155,7 @@ class CyclotomicField:
 
     def eta_to(self, e: int) -> "CyclotomicScalar":
         """eta**e for any integer e."""
-        return self._make(self._eta_powers[e % self.conductor])
+        return self._eta_powers[e % self.conductor]
 
     @property
     def eta(self) -> "CyclotomicScalar":
@@ -157,13 +163,19 @@ class CyclotomicField:
 
 
 class CyclotomicScalar:
-    """An element of a fixed cyclotomic field, in canonical reduced form."""
+    """sum_e nums[e] * eta**e / den in a fixed cyclotomic field, canonical:
+    den > 0 and gcd(nums, den) = 1, so zero is (0, ..., 0) / 1."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: CyclotomicField, coeffs: tuple[Fraction, ...]) -> None:
+    def __init__(self, field: CyclotomicField, nums: tuple[int, ...], den: int) -> None:
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def _coerce(self, other: object) -> "CyclotomicScalar | None":
         if isinstance(other, CyclotomicScalar):
@@ -178,7 +190,10 @@ class CyclotomicScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field._make([a + b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        return self.field._make(
+            [a * db + b * da for a, b in zip(self.nums, o.nums)], da * db
+        )
 
     __radd__ = __add__
 
@@ -186,7 +201,10 @@ class CyclotomicScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field._make([a - b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        return self.field._make(
+            [a * db - b * da for a, b in zip(self.nums, o.nums)], da * db
+        )
 
     def __rsub__(self, other: object) -> "CyclotomicScalar":
         o = self._coerce(other)
@@ -195,22 +213,24 @@ class CyclotomicScalar:
         return o - self
 
     def __neg__(self) -> "CyclotomicScalar":
-        return self.field._make([-a for a in self.coeffs])
+        return CyclotomicScalar(self.field, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other: object) -> "CyclotomicScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        field, a, b = self.field, self.coeffs, o.coeffs
+        field, a, b = self.field, self.nums, o.nums
         n = field.degree
-        conv = [_ZERO] * (2 * n - 1)
+        if n == 1:
+            return field._make((a[0] * b[0],), self.den * o.den)
+        conv = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
         _divide_monic(conv, field._terms, n)
-        return field._make(conv[:n])
+        return field._make(conv[:n], self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -222,15 +242,15 @@ class CyclotomicScalar:
         field = self.field
         adj = None
         for j in field._units:
-            conj = [_ZERO] * field.conductor
-            for e, c in enumerate(self.coeffs):
+            conj = [0] * field.conductor
+            for e, c in enumerate(self.nums):
                 conj[j * e % field.conductor] = c
-            conj = field._make(field._reduce(conj))
+            conj = field._make(field._reduce(conj), self.den)
             adj = conj if adj is None else adj * conj
         if adj is None:
-            return field._make([_ONE / self.coeffs[0]])
-        norm = (self * adj).coeffs[0]
-        return field._make([c / norm for c in adj.coeffs])
+            return field._make((self.den,), self.nums[0])
+        norm = self * adj
+        return field._make([c * norm.den for c in adj.nums], adj.den * norm.nums[0])
 
     def __truediv__(self, other: object) -> "CyclotomicScalar":
         o = self._coerce(other)
@@ -251,28 +271,28 @@ class CyclotomicScalar:
         return result
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.nums == o.nums
 
     def __hash__(self) -> int:
         # A rational scalar equals its Fraction value, so it hashes as one.
         if self.is_rational:
-            return hash(self.coeffs[0])
+            return hash(self.rational_value())
         return hash((self.field.conductor, self.coeffs))
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __str__(self) -> str:
         terms = []
@@ -341,13 +361,8 @@ class ExactMatrix:
     @classmethod
     def identity(cls, field: CyclotomicField, n: int) -> "ExactMatrix":
         one, zero = field.one(), field.zero()
-        return cls(
-            field,
-            tuple(
-                tuple(one if i == j else zero for j in range(n)) for i in range(n)
-            ),
-            n,
-        )
+        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return cls(field, rows, n)
 
     def stack(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.ncols != self.ncols:
@@ -475,14 +490,9 @@ class ExactMatrix:
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse requires a square matrix")
         n = self.nrows
-        one, zero = self.field.one(), self.field.zero()
+        ident = ExactMatrix.identity(self.field, n).rows
         aug = ExactMatrix(
-            self.field,
-            tuple(
-                row + tuple(one if i == j else zero for j in range(n))
-                for i, row in enumerate(self.rows)
-            ),
-            2 * n,
+            self.field, tuple(row + e for row, e in zip(self.rows, ident)), 2 * n
         )
         rows, pivots, _ = aug._echelon()
         if len(pivots) < n or pivots[n - 1] != n - 1:

@@ -94,12 +94,12 @@ def residue(x: Fraction, p: int) -> int | None:
     return x.numerator * pow(den, -1, p) % p if den else None
 
 
-def image(coeffs: Sequence[Fraction], p: int, omega: int) -> int | None:
-    """The image mod p of sum_e coeffs[e] * eta^e under eta -> omega, or None
-    when p divides a denominator."""
-    if any(c.denominator % p == 0 for c in coeffs):
+def image(nums: Sequence[int], den: int, p: int, omega: int) -> int | None:
+    """The image mod p of sum_e nums[e] * eta^e / den under eta -> omega, or
+    None when p divides den."""
+    if not den % p:
         return None
-    return sum(residue(c, p) * pow(omega, e, p) for e, c in enumerate(coeffs)) % p
+    return sum(a * pow(omega, e, p) for e, a in enumerate(nums)) * pow(den, -1, p) % p
 
 
 def det_mod(rows: list[list[int]], p: int) -> int:
@@ -107,8 +107,10 @@ def det_mod(rows: list[list[int]], p: int) -> int:
     n = len(rows)
     det = 1
     for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c]), None)
-        if pivot is None:
+        for pivot in range(c, n):
+            if rows[pivot][c]:
+                break
+        else:
             return 0
         if pivot != c:
             rows[c], rows[pivot] = rows[pivot], rows[c]

@@ -105,9 +105,8 @@ def a_matrix(
 ) -> ExactMatrix:
     """p x q matrix with entries x^j * binomial(z + j*w, i)."""
     xs = _powers(_coerce_entry(field, x), q)
-    zf, wf = Fraction(z), Fraction(w)
     rows = tuple(
-        tuple(xs[j] * rational_binomial(zf + j * wf, i) for j in range(q))
+        tuple(xs[j] * rational_binomial(z + j * w, i) for j in range(q))
         for i in range(p)
     )
     return ExactMatrix(field, rows, q)
@@ -125,7 +124,6 @@ def _m_stage_matrix(
     # Stage-n target of the row reduction: Pascal rows through n, then rows
     # binomial(j-1, n) * binomial(j*w, i-n); the j = 0 column of the lower
     # rows uses binomial(-1, n) = (-1)^n.
-    wf = Fraction(w)
     rows = []
     for i in range(p):
         if i <= n:
@@ -133,7 +131,7 @@ def _m_stage_matrix(
         else:
             rows.append(
                 [
-                    rational_binomial(j - 1, n) * rational_binomial(j * wf, i - n)
+                    rational_binomial(j - 1, n) * rational_binomial(j * w, i - n)
                     for j in range(q)
                 ]
             )
@@ -167,12 +165,8 @@ def _q_stage_matrix(field: CyclotomicField, w: Rational, n: int, p: int) -> Exac
 
 
 def _final_q_matrix(field: CyclotomicField, w: Rational, p: int) -> ExactMatrix:
-    rows = []
-    for i in range(p):
-        row = [Fraction(0)] * p
-        row[i] = Fraction(1) if i < p - 1 else 1 / ((p - 1) * Fraction(w))
-        rows.append(row)
-    return ExactMatrix.from_rows(field, rows)
+    last = field.from_rational(1 / ((p - 1) * Fraction(w)))
+    return _diagonal(field, [field.one()] * (p - 1) + [last])
 
 
 def _assert_equal(identity: str, got: ExactMatrix, expected: ExactMatrix) -> None:
@@ -249,6 +243,12 @@ class InvertibilityResult(NamedTuple):
     method: str  # what proved `invertible`: "mod-p" or "exact"
 
 
+@lru_cache(maxsize=None)
+def _root_powers(p: int, omega: int, k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    # Row r < k holds omega^(r*c) mod p for the columns c < n.
+    return tuple(tuple(pow(omega, r * c, p) for c in range(n)) for r in range(k))
+
+
 def _stacked_mod(
     sizes: tuple[int, ...], z: int, w: int, p: int, omega: int
 ) -> list[list[int]]:
@@ -262,10 +262,7 @@ def _stacked_mod(
             [b * (z + c * w - i + 1) * inv % p for c, b in enumerate(binoms[-1])]
         )
     rows = []
-    for r, height in enumerate(sizes):
-        x, xs = pow(omega, r, p), [1] * n
-        for c in range(1, n):
-            xs[c] = xs[c - 1] * x % p
+    for xs, height in zip(_root_powers(p, omega, len(sizes), n), sizes):
         rows += ([a * b % p for a, b in zip(xs, binoms[i])] for i in range(height))
     return rows
 
@@ -478,11 +475,8 @@ def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """All ordered tuples of ``parts`` non-negative integers summing to total."""
     if parts == 1:
         return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    return [(first,) + rest for first in range(total + 1)
+            for rest in compositions(total - first, parts - 1)]
 
 
 def random_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
@@ -538,8 +532,10 @@ class PascalSweepReport:
         }
 
 
-# The most invertibility specs a sweep may run, about 100 s of work.
+# The most invertibility specs a sweep may run, and the most proof samples
+# (a factorization and a two-stack replay, about 2 ms), each ~100 s of work.
 MAX_SWEEP_SPECS = 10 ** 6
+MAX_PROOF_SAMPLES = 5 * 10 ** 4
 
 
 def pascal_check(
@@ -556,7 +552,8 @@ def pascal_check(
     identical reports.
 
     Raises BudgetExceeded before any work once the spec count, samples times
-    sum_{k <= max_k} (C(max_n + k, k) - 1), summed in k, passes MAX_SWEEP_SPECS.
+    sum_{k <= max_k} (C(max_n + k, k) - 1), summed in k, passes
+    MAX_SWEEP_SPECS, or proof_samples passes MAX_PROOF_SAMPLES.
     """
     specs = 0
     for k in range(1, max_k + 1):
@@ -564,6 +561,9 @@ def pascal_check(
         if specs > MAX_SWEEP_SPECS:
             raise BudgetExceeded(f"pascal sweep needs at least {specs} stacked "
                                  f"specs, over the budget of {MAX_SWEEP_SPECS}")
+    if proof_samples > MAX_PROOF_SAMPLES:
+        raise BudgetExceeded(f"pascal sweep needs {proof_samples} proof samples, "
+                             f"over the budget of {MAX_PROOF_SAMPLES}")
     rng = random.Random(seed)
     failures: list[SweepFailure] = []
     methods = {"mod-p": 0, "exact": 0}
@@ -575,6 +575,8 @@ def pascal_check(
                     w = random_rational(rng, nonzero=True)
                     result = verify_invertible(PascalSpec(k, shape, z, w))
                     methods[result.method] += 1
+                    if result.invertible and result.closed_form is not False:
+                        continue
                     params = f"k={k} blocks={shape} z={z} w={w}"
                     if not result.invertible:
                         failures.append(SweepFailure(
@@ -584,14 +586,12 @@ def pascal_check(
                         failures.append(SweepFailure(
                             "closed-form", params, "not the closed form mod p"
                         ))
-    fact = 0
     for _ in range(proof_samples):
         p = rng.randint(1, 6)
         q = rng.randint(1, 6)
         x = random_rational(rng, nonzero=True)
         z = random_rational(rng)
         w = random_rational(rng, nonzero=True)
-        fact += 1
         try:
             factorization_check(x, z, w, p, q)
         except PascalIdentityError as exc:
@@ -600,7 +600,6 @@ def pascal_check(
                     "factorization", f"x={x} z={z} w={w} p={p} q={q}", str(exc)
                 )
             )
-    twob = 0
     for _ in range(proof_samples):
         n = rng.randint(1, 6)
         s = rng.randint(0, n)
@@ -610,7 +609,6 @@ def pascal_check(
             y = random_rational(rng, nonzero=True)
             if y != x:
                 break
-        twob += 1
         try:
             two_blocks_check(x, y, n, s, t)
         except PascalIdentityError as exc:
@@ -626,8 +624,8 @@ def pascal_check(
         proof_samples=proof_samples,
         seed=seed,
         specs_checked=sum(methods.values()),
-        factorizations_checked=fact,
-        two_blocks_checked=twob,
+        factorizations_checked=proof_samples,
+        two_blocks_checked=proof_samples,
         failures=tuple(failures),
         proved_mod_p=methods["mod-p"],
         proved_exact=methods["exact"],

@@ -92,7 +92,7 @@ def family_mod_p(gens, factor: Factor, starts: Sequence[int], p: int, omega: int
     """The generators' terms as (residue, monomial) mod p, eta -> omega, zero
     residues dropped, when certificate (b) holds for each; None when it
     fails or p divides a denominator."""
-    out = [[(image(c.coeffs, p, omega), m) for c, m in g.terms] for g in gens]
+    out = [[(image(c.nums, c.den, p, omega), m) for c, m in g.terms] for g in gens]
     if any(r is None for terms in out for r, _ in terms) or not all(
         vanishes(g, factor, starts, g.orbit_pair[0] == g.orbit_pair[1]) for g in gens
     ):

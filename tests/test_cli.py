@@ -229,6 +229,41 @@ def test_sweep_budget_counts_every_spec(capsys, monkeypatch):
     assert "  3250 stacked specs" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("pascal-check", "--proof-samples", "1000000000"),
+    ("verify", "--preset", "x3", "--pascal", "--proof-samples", "50001"),
+])
+def test_oversized_proof_samples_exit_2(capsys, monkeypatch, argv):
+    # Refused before any spec is proved or any proof replayed.
+    from twistchar import pascal
+
+    def refuse(*args):
+        pytest.fail("the sweep started before its budget refused it")
+
+    for name in ("verify_invertible", "factorization_check", "two_blocks_check"):
+        monkeypatch.setattr(pascal, name, refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: pascal sweep needs {argv[-1]} proof samples, over the budget "
+        "of 50000\n"
+    )
+
+
+def test_proof_sample_budget_is_inclusive(capsys, monkeypatch):
+    from twistchar import pascal
+
+    argv = ("pascal-check", "--max-k", "1", "--max-n", "1", "--samples", "1",
+            "--proof-samples", "3")
+    monkeypatch.setattr(pascal, "MAX_PROOF_SAMPLES", 2)
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "needs 3 proof samples" in err
+    monkeypatch.setattr(pascal, "MAX_PROOF_SAMPLES", 3)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "3 factorization replays, 3 two-stack replays" in out
+
+
 # ------------------------------------------------------------ errors and files
 
 

@@ -62,6 +62,30 @@ def test_rational_binomial_rejects_negative_lower_index():
         rational_binomial(2, -1)
 
 
+@given(
+    z=st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    m=st.integers(min_value=0, max_value=9),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_rational_binomial_is_the_product_formula(z, m):
+    # Negative, non-integer and integer z, and m = 0 (the empty product).
+    expected = Fraction(1)
+    for i in range(m):
+        expected *= z - i
+    expected /= math.factorial(m)
+    got = rational_binomial(z, m)
+    assert type(got) is Fraction and got == expected
+    if z.denominator == 1:
+        assert rational_binomial(int(z), m) == expected
+
+
+def test_rational_binomial_edge_cases():
+    assert rational_binomial(Fraction(-5, 3), 0) == 1
+    assert rational_binomial(-4, 3) == -20
+    assert rational_binomial(Fraction(-1, 2), 3) == Fraction(-5, 16)
+    assert rational_binomial(Fraction(5, 2), 4) == Fraction(-5, 128)
+
+
 def test_cyclotomic_polynomial_small_table():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
@@ -212,6 +236,168 @@ def test_inverse_roundtrip(conductor, data):
     a = data.draw(_scalars(conductor).filter(bool))
     assert a * a.inverse() == field.one()
     assert (a ** -2) * a * a == field.one()
+
+
+# ------------------------- integer numerators against a Fraction reference
+#
+# The reference stores an element of Q(eta) as a tuple of Fraction
+# coefficients, reduced by plain long division by Phi_k, and inverts by
+# Gaussian elimination on the multiplication matrix: no code shared with
+# the scalar beyond the cyclotomic polynomial.
+
+REFERENCE_CONDUCTORS = (1, 3, 4, 5, 6, 8, 12)
+
+
+def _ref_reduce(vec, k):
+    phi = cyclotomic_polynomial(k)
+    n = len(phi) - 1
+    vec = [Fraction(c) for c in vec] + [Fraction(0)] * max(n - len(vec), 0)
+    for i in range(len(vec) - 1, n - 1, -1):
+        c = vec[i]
+        for j, m in enumerate(phi):
+            vec[i - n + j] -= c * m
+    return tuple(vec[:n])
+
+
+def _ref_mul(a, b, k):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _ref_reduce(conv, k)
+
+
+def _ref_inverse(a, k):
+    # Solve a * x = 1: column j of the system is a * eta^j.
+    n = len(a)
+    cols = [_ref_mul(a, _ref_reduce([0] * j + [1], k), k) for j in range(n)]
+    aug = [[cols[j][i] for j in range(n)] + [Fraction(i == 0)] for i in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    return tuple(row[n] for row in aug)
+
+
+def _ref_pow(a, e, k):
+    if e < 0:
+        a, e = _ref_inverse(a, k), -e
+    out = _ref_reduce([1], k)
+    for _ in range(e):
+        out = _ref_mul(out, a, k)
+    return out
+
+
+def _ref_hash(a, k):
+    return hash(a[0]) if not any(a[1:]) else hash((k, a))
+
+
+def _ref_str(a):
+    terms = []
+    for e, c in enumerate(a):
+        if c:
+            mon = "" if e == 0 else "eta" if e == 1 else f"eta^{e}"
+            if not mon:
+                terms.append(str(c))
+            elif abs(c) == 1:
+                terms.append(("-" if c < 0 else "") + mon)
+            else:
+                terms.append(f"{c}*{mon}")
+    out = terms[0] if terms else "0"
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def _assert_canonical(x, k):
+    assert x.field.conductor == k and len(x.nums) == x.field.degree
+    assert all(type(a) is int for a in x.nums) and type(x.den) is int
+    assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+
+
+def _agrees(x, ref, k):
+    _assert_canonical(x, k)
+    assert x.coeffs == ref
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert hash(x) == _ref_hash(ref, k)
+    assert str(x) == _ref_str(ref)
+    assert x.is_rational == (not any(ref[1:]))
+    if x.is_rational:
+        assert x.rational_value() == ref[0] and x == ref[0]
+
+
+def _ref_vectors(k, length=None):
+    coeff = st.fractions(
+        min_value=Fraction(-30), max_value=Fraction(30), max_denominator=12
+    )
+    degree = get_field(k).degree
+    # Sparse vectors too, so that zero, rationals and cancellations occur.
+    coeff = st.one_of(st.just(Fraction(0)), st.integers(-2, 2).map(Fraction), coeff)
+    size = length or degree
+    return st.lists(coeff, min_size=size, max_size=size)
+
+
+@pytest.mark.parametrize("k", REFERENCE_CONDUCTORS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_scalar_arithmetic_matches_the_fraction_reference(k, data):
+    field = get_field(k)
+    va, vb = data.draw(_ref_vectors(k)), data.draw(_ref_vectors(k))
+    a, b = field.from_coeffs(va), field.from_coeffs(vb)
+    ra, rb = _ref_reduce(va, k), _ref_reduce(vb, k)
+    _agrees(a, ra, k)
+    _agrees(a + b, tuple(x + y for x, y in zip(ra, rb)), k)
+    _agrees(a - b, tuple(x - y for x, y in zip(ra, rb)), k)
+    _agrees(-a, tuple(-x for x in ra), k)
+    _agrees(a * b, _ref_mul(ra, rb, k), k)
+    _agrees(a * a, _ref_mul(ra, ra, k), k)
+    q = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=9))
+    _agrees(a * q, tuple(x * q for x in ra), k)
+    _agrees(q - a, (q - ra[0],) + tuple(-y for y in ra[1:]), k)
+    _agrees(a + q, (ra[0] + q,) + ra[1:], k)
+    assert (a == b) == (ra == rb)
+    assert (a + 0 == a) and (a - a == 0) and (a == a.field.zero()) == (not any(ra))
+    e = data.draw(st.integers(min_value=-3, max_value=4))
+    if any(ra):
+        inv = _ref_inverse(ra, k)
+        _agrees(a.inverse(), inv, k)
+        _agrees(b / a, _ref_mul(rb, inv, k), k)
+        _agrees(a ** e, _ref_pow(ra, e, k), k)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        if e >= 0:
+            _agrees(a ** e, _ref_pow(ra, e, k), k)
+
+
+@pytest.mark.parametrize("k", REFERENCE_CONDUCTORS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_from_coeffs_matches_the_reference_at_any_length(k, data):
+    length = data.draw(st.integers(min_value=0, max_value=3 * k))
+    vec = data.draw(_ref_vectors(k, length))
+    _agrees(get_field(k).from_coeffs(vec), _ref_reduce(vec, k), k)
+
+
+@pytest.mark.parametrize("k", REFERENCE_CONDUCTORS)
+def test_canonical_forms_of_constants_and_roots(k):
+    field = get_field(k)
+    _agrees(field.zero(), _ref_reduce([], k), k)
+    _agrees(field.one(), _ref_reduce([1], k), k)
+    for e in range(-k, 2 * k):
+        _agrees(field.eta_to(e), _ref_reduce([0] * (e % k) + [1], k), k)
+    for value in (0, 7, -3, Fraction(6, 4), Fraction(-10, 15)):
+        _agrees(field.from_rational(value), _ref_reduce([value], k), k)
+        _agrees(field.from_rational(value) * 0, _ref_reduce([], k), k)
+    # A common factor of the numerators cancels into the denominator.
+    half = field.from_coeffs([Fraction(1, 2)] * field.degree)
+    _agrees(half * 4, _ref_reduce([2] * field.degree, k), k)
+    assert (half * 4).den == 1
 
 
 def test_matrix_det_and_inverse_rational():
@@ -397,7 +583,7 @@ def test_certified_rank_rejects_an_entry_equal_to_the_prime(monkeypatch):
     # Every relation entry 0 mod p, as an entry equal to the prime is: the
     # rank mod p is 0, which proves only the cells whose target is 0; every
     # other cell takes its rank from exact elimination.
-    monkeypatch.setattr(twisted, "image", lambda coeffs, p, omega: 0)
+    monkeypatch.setattr(twisted, "image", lambda nums, den, p, omega: 0)
     cells = _certified_and_exact(_oracle_cells("swap2", 3, 24))
     assert all(c.proved == (c.target == 0) for c in cells)
     assert any(c.target for c in cells)
@@ -406,14 +592,19 @@ def test_certified_rank_rejects_an_entry_equal_to_the_prime(monkeypatch):
 def test_certified_rank_rejects_a_denominator_divisible_by_the_prime(monkeypatch):
     field = get_field(3)
     p, omega = modular.root_prime(3)
-    assert modular.image(field.from_rational(Fraction(1, p)).coeffs, p, omega) is None
-    assert modular.image(field.eta.coeffs, p, omega) == omega
-    assert modular.image(field.from_coeffs([Fraction(1, 2), 3]).coeffs, p, omega) == (
+
+    def image(scalar):
+        return modular.image(scalar.nums, scalar.den, p, omega)
+
+    assert image(field.from_rational(Fraction(1, p))) is None
+    assert image(field.from_coeffs([3, Fraction(1, 2 * p)])) is None
+    assert image(field.eta) == omega
+    assert image(field.from_coeffs([Fraction(1, 2), 3])) == (
         pow(2, -1, p) + 3 * omega
     ) % p
     # With p dividing a denominator of every relation entry, only the cells
     # without rows are proved; the others fall back to exact elimination.
-    monkeypatch.setattr(twisted, "image", lambda coeffs, p, omega: None)
+    monkeypatch.setattr(twisted, "image", lambda nums, den, p, omega: None)
     cells = _certified_and_exact(_oracle_cells("swap2", 3, 24))
     assert all(c.proved == (c.rows == 0) for c in cells)
     assert any(c.rows for c in cells)

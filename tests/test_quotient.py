@@ -603,8 +603,8 @@ def test_a_small_prime_falls_back_on_zero_residues_and_denominators(data, monkey
     undefined, short = [], []
     image_real, rank_real = twisted.image, quotient.rank_mod
 
-    def image(coeffs, p, omega):
-        out = image_real(coeffs, p, omega)
+    def image(nums, den, p, omega):
+        out = image_real(nums, den, p, omega)
         undefined.append(out is None)
         return out
 
