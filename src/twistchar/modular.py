@@ -104,8 +104,9 @@ def image(nums: Sequence[int], den: int, p: int, omega: int) -> int | None:
 
 def det_mod(rows: list[list[int]], p: int) -> int:
     """Determinant mod p of a square matrix of residues; rows are consumed."""
+    # Division-free: row -> t * row - f * top scales det by the pivot t.
     n = len(rows)
-    det = 1
+    det = scale = 1
     for c in range(n):
         for pivot in range(c, n):
             if rows[pivot][c]:
@@ -115,12 +116,12 @@ def det_mod(rows: list[list[int]], p: int) -> int:
         if pivot != c:
             rows[c], rows[pivot] = rows[pivot], rows[c]
             det = -det
-        top = rows[c]
-        det = det * top[c] % p
-        inv = pow(top[c], -1, p)
+        top, t = rows[c], rows[c][c]
+        det = det * t % p
         for row in rows[c + 1:]:
-            factor = row[c] * inv % p
-            if factor:
+            f = row[c]
+            if f:
+                scale = scale * t % p
                 for j in range(c + 1, n):
-                    row[j] = (row[j] - factor * top[j]) % p
-    return det
+                    row[j] = (t * row[j] - f * top[j]) % p
+    return det * pow(scale, -1, p) % p

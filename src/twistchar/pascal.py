@@ -70,8 +70,9 @@ class PascalSpec:
     w: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "z", Fraction(self.z))
-        object.__setattr__(self, "w", Fraction(self.w))
+        for name in ("z", "w"):
+            if not isinstance(getattr(self, name), Fraction):
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.conductor < 1:
             raise ValueError(f"conductor must be >= 1, got {self.conductor}")
         if len(self.block_sizes) != self.conductor:

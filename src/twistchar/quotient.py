@@ -7,16 +7,18 @@ relation families with root-of-unity coefficients cut it down.  The
 variable of weight w is x_i(n) at mode n = -w / k; modes appear only at
 the boundary (``build_relations``, the membership offsets s, t).
 
-For each bidegree (charge vector, weight) the oracle enumerates the
-monomial basis B, expands every relation times every cofactor monomial
-into the rows of I, and proves dim Q = |B| - rank I equal to the
+For each bidegree (charge vector, weight) the oracle counts the monomial
+basis B as partitions, expands every relation times every cofactor
+monomial into the rows of I, and proves dim Q = |B| - rank I equal to the
 character coefficient c by two bounds: the rows mod the split prime
 (eta -> omega) reach rank |B| - c, and the certificates of ``twisted``
 give dim Q >= c.  Where either fails, as at every mismatch, the rank comes
-from exact elimination over the cyclotomic field.
+from exact elimination over the cyclotomic field.  Row columns are integer
+keys: x_i(start_i + p * s_i) adds 1 << (p * d + i) * b, so a product's key
+is the sum of its factors' keys, and only cofactor bases are enumerated.
 
-One memo per call (``_Slices``) holds bases, relation families and their
-residues; each row entry is placed, never summed.  A window walks only
+One memo per call (``_Slices``) holds those bases, relation families and
+their residues; each row entry is placed, never summed.  A window walks only
 the charges whose lowest weight sum_i m_i * start_i is in range and counts
 its empty cells in closed form.  A bidegree over MAX_COLUMNS monomials,
 counted as partitions, is refused before any basis is built, and one over
@@ -188,20 +190,25 @@ def build_relations(
 
 
 class _Slices:
-    """Per-call memo of the bidegree slices of one lattice: bases by
-    (charge, weight), relation families and their residues mod the split
-    prime by (i, j, relation weight), and (row count, rank) of I(m, w) by
-    (charge, weight); basis sizes are counted, not built.  ``factors``
-    holds the pair factors once certificate (a) has held."""
+    """Per-call memo of the bidegree slices of one lattice: basis keys and
+    sizes, relation families and their residues mod the split prime by
+    (i, j, relation weight), and (row count, rank) of I(m, w) by (charge,
+    weight).  Key fields are ``width`` bits, for charge entries up to
+    ``top``.  ``factors``: the pair factors, once certificate (a) held."""
 
-    def __init__(self, orbits: OrbitData, tables: PairingTables):
+    def __init__(self, orbits: OrbitData, tables: PairingTables, top: int = 2):
         self.orbits, self.tables = orbits, tables
         self.field = get_field(orbits.k)
         self.bases, self.families, self.ranks, self.residues = {}, {}, {}, {}
-        self.factors = None
+        self.counts, self.factors, self.width = {}, None, max(top, 2).bit_length()
         self.start_step = [
             _var_start_step(orbits, tables, i) for i in range(orbits.d)
         ]
+
+    def key(self, mono: Monomial) -> int:
+        d, b, start_step = self.orbits.d, self.width, self.start_step
+        return sum(1 << ((w - start_step[i][0]) // start_step[i][1] * d + i) * b
+                   for i, w in mono)
 
     def lowest(self, charge: Sequence[int]) -> int:
         """sum_i m_i * start_i, the lowest weight of any charge-m monomial."""
@@ -209,15 +216,16 @@ class _Slices:
 
     def sizes(self, charge: tuple[int, ...], bound: int) -> list[int]:
         """|B(charge, w)| for w = 0..bound without enumerating: the coefficient
-        of q^(w - sum_i m_i * start_i) in prod_i 1 / (q^s_i; q^s_i)_(m_i)."""
-        # zip: enumerate_monomials refuses a charge of the wrong length later.
-        per_orbit = list(zip(charge, self.start_step))
-        shift = self.lowest(charge)
-        if shift > bound:
-            return [0] * (bound + 1)
-        parts = [j * step for m, (_, step) in per_orbit for j in range(1, m + 1)]
-        counts = _partition_series(parts, bound - shift).coeffs
-        return [counts[w - shift] if w >= shift else 0 for w in range(bound + 1)]
+        of q^(w - sum_i m_i * start_i) in prod_i 1 / (q^s_i; q^s_i)_(m_i),
+        memoized."""
+        if (charge, bound) not in self.counts:
+            # zip: enumerate_monomials refuses a charge of the wrong length later.
+            parts = [j * step for m, (_, step) in zip(charge, self.start_step)
+                     for j in range(1, m + 1)]
+            shift = self.lowest(charge)
+            counts = _partition_series(parts, max(bound - shift, 0)).coeffs
+            self.counts[charge, bound] = ([0] * shift + counts)[:bound + 1]
+        return self.counts[charge, bound]
 
     def check_columns(self, charges: list, lo: int, hi: int) -> None:
         """Refuse the first cell (charge, lo <= weight <= hi), in window
@@ -231,12 +239,12 @@ class _Slices:
                         f"weight={weight}) exceed the column budget ({MAX_COLUMNS})"
                     )
 
-    def basis(self, charge: tuple[int, ...], weight: int) -> tuple[Monomial, ...]:
+    def basis(self, charge: tuple[int, ...], weight: int) -> tuple[int, ...]:
         # Tuples: a window's many empty bases are then one untracked object.
         if (charge, weight) not in self.bases:
-            self.bases[charge, weight] = tuple(
-                enumerate_monomials(self.orbits, self.tables, charge, weight)
-            )
+            self.bases[charge, weight] = tuple(map(self.key, enumerate_monomials(
+                self.orbits, self.tables, charge, weight
+            )))
         return self.bases[charge, weight]
 
     def pair_weights(self, i: int, j: int, weight: int) -> list[int]:
@@ -256,50 +264,54 @@ class _Slices:
             )
         return self.families[i, j, weight]
 
+    def keyed(self, gens: list | None) -> list | None:
+        return gens and [[(c, self.key(m)) for c, m in terms] for terms in gens]
+
     def family_mod_p(self, key: tuple[int, int, int]):
         if key not in self.residues:
             starts = [start for start, _ in self.start_step]
-            self.residues[key] = family_mod_p(
+            self.residues[key] = self.keyed(family_mod_p(
                 self.family(*key), self.factors[key[:2]], starts,
                 *root_prime(self.orbits.k),
-            )
+            ))
         return self.residues[key]
 
     def rank(self, charge: tuple[int, ...], weight: int, target=None):
         """(row count, rank) of I(charge, weight), memoized; with a target
-        monomial, of those rows plus the target's unit row, not memoized.
-        Each call builds the rows at most once, and a call with a target
-        memoizes the rank without it on the way."""
+        monomial's key, of those rows plus the target's unit row, not
+        memoized.  Each call builds the rows at most once, and a call with a
+        target memoizes the rank without it on the way."""
         key = charge, weight
         if target is None and key in self.ranks:
             return self.ranks[key]
-        monomials = self.basis(charge, weight)
-        rows = _relation_rows(self, charge, weight) if monomials else []
+        rows = _relation_rows(self, charge, weight)
 
         def rank_of_rows() -> int:
-            zero, n = self.field.zero(), len(monomials)
-            dense = tuple(tuple(row.get(c, zero) for c in range(n)) for row in rows)
-            return ExactMatrix(self.field, dense, n).rank() if rows else 0
+            zero, columns = self.field.zero(), sorted(set().union(*rows))
+            dense = tuple(tuple(row.get(c, zero) for c in columns) for row in rows)
+            return ExactMatrix(self.field, dense, len(columns)).rank() if rows else 0
 
         if key not in self.ranks:
             self.ranks[key] = len(rows), rank_of_rows()
         if target is None:
             return self.ranks[key]
-        rows.append({monomials.index(target): self.field.one()})
+        rows.append({target: self.field.one()})
         return len(rows), rank_of_rows()
 
 
 def _relation_rows(
     slices: _Slices, charge: tuple[int, ...], weight: int, family=None
 ) -> list[dict] | None:
-    """The rows of I(m, w), one {column: entry} per cofactor times relation
-    generator: entries the exact coefficients, or those family(key) gives
-    for the family (i, j, relation weight) as one list of (entry, monomial)
-    terms per generator; None as soon as family gives None.  Refused once
-    the row count would exceed MAX_ROWS."""
+    """The rows of I(m, w), one {monomial key: entry} per cofactor times
+    relation generator: entries the exact coefficients, or those family(key)
+    gives for the family (i, j, relation weight) as one list of (entry,
+    monomial key) terms per generator; None as soon as family gives None.
+    Refused once the row count would exceed MAX_ROWS."""
     # A generator's terms have distinct monomials, and so do their products
-    # with one cofactor: each entry is placed, never summed.
-    index = {mono: pos for pos, mono in enumerate(slices.basis(charge, weight))}
+    # with one cofactor: each entry is placed, never summed.  A product's
+    # key is the sum of its factors' keys while no multiplicity overflows.
+    if max(charge) >> slices.width:
+        raise PreconditionViolated(f"charge {charge} overflows {slices.width}-bit keys")
     rows: list[dict] = []
     for i in range(slices.orbits.d):
         for j in range(slices.orbits.d):
@@ -314,7 +326,8 @@ def _relation_rows(
                 if not cofs:
                     continue
                 key = i, j, weight - cof_weight
-                gens = family(key) if family else [g.terms for g in slices.family(*key)]
+                gens = family(key) if family else slices.keyed(
+                    [g.terms for g in slices.family(*key)])
                 if gens is None:
                     return None
                 if len(rows) + len(cofs) * len(gens) > MAX_ROWS:
@@ -322,17 +335,16 @@ def _relation_rows(
                         f"relation row count exceeds budget ({MAX_ROWS}) at "
                         f"bidegree (charge={charge}, weight={weight})"
                     )
-                rows += ({index[tuple(sorted(cof + mono))]: c for c, mono in gen}
+                rows += ({cof + mono: c for c, mono in gen}
                          for cof in cofs for gen in gens)
     return rows
 
 
 def _oracle_rank(
-    slices: _Slices, charge: tuple[int, ...], weight: int, coeff: int
+    slices: _Slices, charge: tuple[int, ...], weight: int, target: int
 ) -> tuple[int, int, bool]:
-    """(row count, rank, proved) of I(m, w): rank |B| - coeff when the two
-    one-prime bounds meet (proved), else the rank by exact elimination."""
-    target = len(slices.basis(charge, weight)) - coeff
+    """(row count, rank, proved) of I(m, w): rank target = |B| - c when the
+    two one-prime bounds meet (proved), else by exact elimination."""
     if slices.factors is not None and target >= 0:
         rows = _relation_rows(slices, charge, weight, slices.family_mod_p)
         p, _ = root_prime(slices.orbits.k)
@@ -347,7 +359,7 @@ def quotient_dimension(
 ) -> int:
     """Dimension of the bidegree slice of the algebra modulo the relations."""
     charge = tuple(charge)
-    slices = _Slices(orbits, tables)
+    slices = _Slices(orbits, tables, max(charge, default=0))
     slices.check_columns([charge], weight, weight)
     return len(slices.basis(charge, weight)) - slices.rank(charge, weight)[1]
 
@@ -447,7 +459,7 @@ def compare_with_character(
     a character coefficient are counted but not listed.
     """
     table = character(orbits, tables, weight_bound)
-    slices = _Slices(orbits, tables)
+    slices = _Slices(orbits, tables, charge_total)
     slices.factors = pair_factors(orbits, tables)
     # Pairings are non-negative, so m^T A m / 2 >= sum_i m_i * start_i: a
     # character series (it starts at q^(m^T A m / 2)) and a basis are both
@@ -458,12 +470,11 @@ def compare_with_character(
     slices.check_columns(charges, 0, weight_bound)
     cells, methods = [], Counter()
     for charge in charges:
-        series = table.series(charge)
+        series, sizes = table.series(charge), slices.sizes(charge, weight_bound)
         for weight in range(slices.lowest(charge), weight_bound + 1):
-            n_monos = len(slices.basis(charge, weight))
-            coeff = series.coeff(weight)
+            n_monos, coeff = sizes[weight], series.coeff(weight)
             n_rows, rank, proved = _oracle_rank(
-                slices, charge, weight, coeff
+                slices, charge, weight, n_monos - coeff
             ) if n_monos else (0, 0, None)
             methods[proved] += 1
             if n_monos or coeff:
@@ -508,11 +519,11 @@ def _membership(slices: _Slices, i: int, j: int, s: int, t: int) -> bool:
     if t * s_i % s_j:
         return True
     w1, w2 = start_i + s * s_i, start_j + t * s_i
-    target = tuple(sorted((TwistedVariable(i, w1), TwistedVariable(j, w2))))
+    target = TwistedVariable(i, w1), TwistedVariable(j, w2)
     charge = monomial_charge(target, orbits.d)
     # The target call first: it builds the rows once and memoizes the rank
     # without the target, which the second call reads.
-    with_target = slices.rank(charge, w1 + w2, target)[1]
+    with_target = slices.rank(charge, w1 + w2, slices.key(target))[1]
     return with_target == slices.rank(charge, w1 + w2)[1]
 
 

@@ -534,18 +534,20 @@ def test_solve_returns_actual_solutions(data):
 
 def _oracle_cells(name_or_lattice, charge_total, weight_bound):
     # The window's cells with monomials, as compare_with_character visits
-    # them: (memo with the pair factors, charge, weight, coefficient).
+    # them: (memo with the pair factors, charge, weight, |B|, coefficient).
     if isinstance(name_or_lattice, str):
         name_or_lattice = analyze(preset(name_or_lattice))
     orbits, tables = name_or_lattice
-    slices = quotient._Slices(orbits, tables)
+    slices = quotient._Slices(orbits, tables, charge_total)
     slices.factors = pair_factors(orbits, tables)
     table = character(orbits, tables, weight_bound)
     lows = [start for start, _ in slices.start_step]
     for charge in quotient._charges_up_to(lows, charge_total, weight_bound):
         for weight in range(slices.lowest(charge), weight_bound + 1):
-            if slices.basis(charge, weight):
-                yield slices, charge, weight, table.series(charge).coeff(weight)
+            monomials = len(quotient.enumerate_monomials(orbits, tables, charge, weight))
+            if monomials:
+                coeff = table.series(charge).coeff(weight)
+                yield slices, charge, weight, monomials, coeff
 
 
 class _Proof(NamedTuple):
@@ -560,10 +562,11 @@ def _certified_and_exact(cells) -> list[_Proof]:
     # Per cell, the oracle's (row count, rank, proved), each rank checked
     # against exact elimination of the same rows.
     out = []
-    for slices, charge, weight, coeff in cells:
-        rows, rank, proved = quotient._oracle_rank(slices, charge, weight, coeff)
+    for slices, charge, weight, monomials, coeff in cells:
+        rows, rank, proved = quotient._oracle_rank(
+            slices, charge, weight, monomials - coeff
+        )
         assert (rows, rank) == slices.rank(charge, weight)
-        monomials = len(slices.basis(charge, weight))
         out.append(_Proof(proved, monomials - coeff, monomials, rows, rank))
     return out
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,31 @@ def test_det_mod_swaps_rows_and_finds_singular_matrices():
     assert modular.det_mod([[0, 1], [1, 0]], p) == p - 1
     assert modular.det_mod([[2, 4], [1, 2]], p) == 0
     assert modular.det_mod([[0, 0, 1], [0, 3, 0], [5, 0, 0]], p) == (-15) % p
+
+
+@pytest.mark.parametrize("p", (modular.root_prime(1)[0], 7))
+def test_det_mod_is_the_exact_det_mod_p(p):
+    # Random integer matrices of size 1-6 with many zero entries, so that
+    # pivots vanish and rows swap; a third get a row that is a combination
+    # of two others, so they are singular.  Mod 7 more pivots vanish.
+    rng, field = random.Random(11), get_field(1)
+    seen = Counter()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, 3, -5, 7)) for _ in range(n)]
+                for _ in range(n)]
+        if n > 2 and not rng.randrange(3):
+            a, b, c = rng.sample(range(n), 3)
+            rows[c] = [2 * x - 3 * y for x, y in zip(rows[a], rows[b])]
+        exact = ExactMatrix.from_rows(field, rows).det().coeffs[0]
+        assert exact.denominator == 1
+        det = modular.det_mod([[x % p for x in r] for r in rows], p)
+        assert det == exact.numerator % p, rows
+        seen["singular"] += exact == 0
+        seen["zero mod p"] += exact != 0 and det == 0
+        seen["zero pivot"] += exact != 0 and rows[0][0] == 0
+    assert seen["singular"] and seen["zero pivot"]
+    assert seen["zero mod p"] or p != 7
 
 
 def test_forged_determinant_fails_the_sweep(monkeypatch):

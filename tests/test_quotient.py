@@ -1,13 +1,18 @@
 """Brute-force quotient oracle and two-variable relation membership."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from twistchar import quotient, twisted
 from twistchar.cyclotomic import ExactMatrix, NoSolution, get_field, rational_binomial
 from twistchar.lattice import analyze
+from twistchar.modular import root_prime
 from twistchar.pascal import verify_invertible
 from twistchar.presets import lattice_from_config, preset
 from twistchar.qseries import character
@@ -489,15 +494,17 @@ def _solve_membership(orbits, tables, i, j, s, t):
     charge = monomial_charge(target, orbits.d)
     weight = monomial_weight(target)
     slices = quotient._Slices(orbits, tables)
-    monomials = slices.basis(charge, weight)
+    monomials = [slices.key(m) for m in enumerate_monomials(orbits, tables, charge, weight)]
     rows = quotient._relation_rows(slices, charge, weight)
     if not rows:
         return False
+    # Rows are keyed by monomial; every key they hold is a basis monomial's.
+    assert set().union(*rows, [slices.key(target)]) <= set(monomials)
     zero = get_field(orbits.k).zero()
-    dense = [[row.get(c, zero) for c in range(len(monomials))] for row in rows]
+    dense = [[row.get(c, zero) for c in monomials] for row in rows]
     span = ExactMatrix(get_field(orbits.k), tuple(zip(*dense)), len(rows))
     try:
-        span.solve([1 if mono == target else 0 for mono in monomials])
+        span.solve([1 if mono == slices.key(target) else 0 for mono in monomials])
         return True
     except NoSolution:
         return False
@@ -543,6 +550,125 @@ def test_oracle_ranks_are_all_certified(data, random_lattices, monkeypatch):
         report = compare_with_character(orbits, tables, charge_total, weight_bound)
         assert report.all_ok and report.certified and not report.exact
         assert report.proved == sum(1 for c in report.cells if c.monomials)
+
+
+# ------------------------------------------------------------- monomial keys
+
+
+def _reference_rows(slices, charge, weight, family):
+    # The row builder the integer keys replaced: each product a sorted tuple
+    # of variables, its column its position in the lexicographic basis.
+    # family(key) gives one list of (entry, monomial) terms per generator.
+    orbits, tables = slices.orbits, slices.tables
+    basis = enumerate_monomials(orbits, tables, charge, weight)
+    index = {mono: pos for pos, mono in enumerate(basis)}
+    rows = []
+    for i in range(orbits.d):
+        for j in range(orbits.d):
+            cof_charge = tuple(c - (a == i) - (a == j) for a, c in enumerate(charge))
+            if min(cof_charge) < 0:
+                continue
+            top = weight - slices.start_step[i][0] - slices.start_step[j][0]
+            for cof_weight in range(slices.lowest(cof_charge), top + 1):
+                cofs = enumerate_monomials(orbits, tables, cof_charge, cof_weight)
+                if not cofs:
+                    continue
+                gens = family((i, j, weight - cof_weight))
+                if gens is None:
+                    return None
+                rows += ({index[tuple(sorted(cof + mono))]: c for c, mono in gen}
+                         for cof in cofs for gen in gens)
+    return rows
+
+
+def _check_keyed_rows(orbits, tables, charge_total, weight_bound):
+    # Every cell of the window: the keyed rows, exact and mod p, equal the
+    # reference rows entry for entry once keys are mapped to positions.
+    slices = quotient._Slices(orbits, tables, charge_total)
+    slices.factors = twisted.pair_factors(orbits, tables)
+    assert slices.factors is not None
+    starts = [start for start, _ in slices.start_step]
+    split = root_prime(orbits.k)
+
+    def exact(key):
+        return [g.terms for g in slices.family(*key)]
+
+    def residues(key):
+        factor = slices.factors[key[:2]]
+        return twisted.family_mod_p(slices.family(*key), factor, starts, *split)
+
+    rows = 0
+    for charge in quotient._charges_up_to(starts, charge_total, weight_bound):
+        for weight in range(slices.lowest(charge), weight_bound + 1):
+            basis = enumerate_monomials(orbits, tables, charge, weight)
+            position = {slices.key(mono): pos for pos, mono in enumerate(basis)}
+            assert len(position) == len(basis), (charge, weight)
+            for family, keyed_family in ((exact, None), (residues, slices.family_mod_p)):
+                expected = _reference_rows(slices, charge, weight, family)
+                keyed = quotient._relation_rows(slices, charge, weight, keyed_family)
+                assert (keyed is None) == (expected is None)
+                assert expected is None or [
+                    {position[key]: entry for key, entry in row.items()} for row in keyed
+                ] == expected, (charge, weight)
+                rows += len(keyed or ())
+    return rows
+
+
+@pytest.mark.parametrize("name, charge_total, weight_bound", BENCHMARK_WINDOWS + LARGE_WINDOWS)
+def test_keyed_rows_equal_the_reference_rows(name, charge_total, weight_bound, data):
+    assert _check_keyed_rows(*data[name], charge_total, weight_bound)
+
+
+def test_keyed_rows_equal_the_reference_rows_on_the_draws(random_lattices):
+    assert all(_check_keyed_rows(*lattice, 3, 20) for lattice in random_lattices)
+
+
+def test_key_width_guard_raises_under_optimization(data):
+    # Fields of 2 bits hold multiplicities up to 3; with a fourth copy of a
+    # variable its key would be the key of the next variable, so a charge
+    # entry of 4 is refused, by a check that python -O keeps.
+    slices = quotient._Slices(*data["rank1"], 3)
+    (start, step), = slices.start_step
+    assert slices.key((V(0, start),) * 4) == slices.key((V(0, start + step),))
+    code = (
+        "from twistchar import quotient\n"
+        "from twistchar.lattice import analyze\n"
+        "from twistchar.presets import preset\n"
+        "slices = quotient._Slices(*analyze(preset('rank1')), 3)\n"
+        "assert False, 'asserts must be stripped'\n"
+        "try:\n"
+        "    quotient._relation_rows(slices, (4,), 16)\n"
+        "except quotient.PreconditionViolated as error:\n"
+        "    print('refused', error)\n"
+    )
+    src = str(Path(quotient.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (
+        0, "refused charge (4,) overflows 2-bit keys\n"
+    ), run.stderr
+    assert quotient._relation_rows(quotient._Slices(*data["rank1"], 4), (4,), 16)
+
+
+@pytest.mark.parametrize("name, charge_total, weight_bound", BENCHMARK_WINDOWS)
+def test_proved_path_enumerates_only_cofactor_bases(name, charge_total, weight_bound,
+                                                    data, monkeypatch):
+    # A cell's own basis is counted, never built; a cofactor has two
+    # variables fewer than its cell.
+    sums = []
+    enumerate_real = quotient.enumerate_monomials
+
+    def enumerate_counted(orbits, tables, charge, weight):
+        sums.append(sum(charge))
+        return enumerate_real(orbits, tables, charge, weight)
+
+    monkeypatch.setattr(quotient, "enumerate_monomials", enumerate_counted)
+    report = compare_with_character(*data[name], charge_total, weight_bound)
+    assert report.proved and not report.exact
+    assert sums and max(sums) <= charge_total - 2
 
 
 def _all_exact_json(orbits, tables, charge_total, weight_bound, monkeypatch):

@@ -217,19 +217,22 @@ def _check_phi_window(orbits, tables, charge_total, weight_bound):
     factors = pair_factors(orbits, tables)
     field = get_field(orbits.k)
     table = character(orbits, tables, weight_bound)
-    slices = quotient._Slices(orbits, tables)
+    slices = quotient._Slices(orbits, tables, charge_total)
     starts = [s for s, _ in slices.start_step]
     charges = quotient._charges_up_to(starts, charge_total, weight_bound)
     cells = 0
     for charge in charges:
         for weight in range(slices.lowest(charge), weight_bound + 1):
-            basis = slices.basis(charge, weight)
+            basis = quotient.enumerate_monomials(orbits, tables, charge, weight)
             if not basis:
                 continue
-            images = [_phi(orbits, tables, factors, mono) for mono in basis]
-            columns = sorted({t for image in images for t in image})
+            # Rows are keyed by monomial: images by key, one per monomial.
+            images = {slices.key(mono): _phi(orbits, tables, factors, mono) for mono in basis}
+            assert len(images) == len(basis)
+            columns = sorted({t for image in images.values() for t in image})
             matrix = ExactMatrix(field, tuple(
-                tuple(image.get(t, field.zero()) for t in columns) for image in images
+                tuple(image.get(t, field.zero()) for t in columns)
+                for image in images.values()
             ), len(columns))
             assert matrix.rank() == table.coefficient(charge, weight), (charge, weight)
             for row in quotient._relation_rows(slices, charge, weight):
