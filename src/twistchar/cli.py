@@ -229,9 +229,10 @@ def _check_oracle(orbits, tables, cfg: RunConfig):
         weight_bound=cfg.weight_bound,
     )
     log.info(
-        "oracle: twisted-module certificate %s; %d ranks proved by two one-prime "
-        "bounds, %d by exact elimination",
-        "held" if report.certified else "failed", report.proved, report.exact,
+        "oracle: twisted-module certificate %s; %d ranks proved by leading "
+        "monomials, %d by mod-p elimination, %d by exact elimination",
+        "held" if report.certified else "failed", report.leads,
+        report.proved - report.leads, report.exact,
     )
     lines = ["  " + line for line in report.text_table().splitlines()]
     return report.all_ok, lines, report.to_json_dict()

@@ -8,21 +8,28 @@ variable of weight w is x_i(n) at mode n = -w / k; modes appear only at
 the boundary (``build_relations``, the membership offsets s, t).
 
 For each bidegree (charge vector, weight) the oracle counts the monomial
-basis B as partitions, expands every relation times every cofactor
-monomial into the rows of I, and proves dim Q = |B| - rank I equal to the
-character coefficient c by two bounds: the rows mod the split prime
-(eta -> omega) reach rank |B| - c, and the certificates of ``twisted``
-give dim Q >= c.  Where either fails, as at every mismatch, the rank comes
-from exact elimination over the cyclotomic field.  Row columns are integer
-keys: x_i(start_i + p * s_i) adds 1 << (p * d + i) * b, so a product's key
-is the sum of its factors' keys, and only cofactor bases are enumerated.
+basis B as partitions and proves dim Q = |B| - rank I by two bounds, I
+spanned by every relation times every cofactor monomial.  Lower: the
+certificates of ``twisted`` give dim Q >= c* = |B(m, w - delta)|, the
+twisted module's count, delta = m^T A m / 2 - sum_i m_i * start_i.  Upper:
+rank I >= |B| - c* mod the split prime (eta -> omega).  Where a bound fails,
+or the character coefficient differs from c*, exact elimination over the
+cyclotomic field gives the rank.
 
-One memo per call (``_Slices``) holds those bases, relation families and
-their residues; each row entry is placed, never summed.  A window walks only
-the charges whose lowest weight sum_i m_i * start_i is in range and counts
-its empty cells in closed form.  A bidegree over MAX_COLUMNS monomials,
-counted as partitions, is refused before any basis is built, and one over
-MAX_ROWS rows before its rows are built.
+Row columns are integer keys: x_i(start_i + p * s_i) adds
+1 << (p * d + i) * b, so a product's key is the sum of its factors' keys.
+Lemma: the row cof * g then has its least key at cof + lead(g), lead(g) the
+least key of g's nonzero residues, and rows with pairwise distinct least
+keys are triangular, so independent.  The count of distinct cof + lead(g)
+thus bounds the rank mod p from below before any row is built; only where
+it falls short of |B| - c* are the rows built and eliminated mod p.
+
+One memo per call (``_Slices``) holds the cofactor bases (the only ones
+enumerated), relation coefficients, families and residues.  A window walks
+only the charges whose lowest weight sum_i m_i * start_i is in range and
+counts its empty cells in closed form.  A bidegree over MAX_COLUMNS
+monomials, counted as partitions, is refused before any basis is built,
+and one over MAX_ROWS rows before its rows or leading keys are read.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -65,10 +73,7 @@ def monomial_weight(mono: Monomial) -> int:
 
 
 def monomial_charge(mono: Monomial, d: int) -> tuple[int, ...]:
-    counts = [0] * d
-    for v in mono:
-        counts[v.orbit] += 1
-    return tuple(counts)
+    return tuple(sum(v.orbit == i for v in mono) for i in range(d))
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,7 @@ def _var_start_step(
 
 
 def enumerate_monomials(
-    orbits: OrbitData,
-    tables: PairingTables,
-    charge: Sequence[int],
-    weight: int,
+    orbits: OrbitData, tables: PairingTables, charge: Sequence[int], weight: int
 ) -> list[Monomial]:
     """All monomials of the given charge vector and exact total weight,
     in lexicographic order."""
@@ -108,17 +110,19 @@ def enumerate_monomials(
         (i, *_var_start_step(orbits, tables, i))
         for i in range(orbits.d) for _ in range(charge[i])
     ]
+    if not slots:
+        return [] if weight else [()]
     floor = [sum(start for _, start, _ in slots[p:]) for p in range(len(slots) + 1)]
     out: list[Monomial] = []
 
     def rec(p: int, acc: list[TwistedVariable], left: int) -> None:
-        if p == len(slots):
-            if left == 0:
-                out.append(tuple(acc))
-            return
         i, w, step = slots[p]
         if acc and acc[-1].orbit == i:
             w = acc[-1].weight
+        if p == len(slots) - 1:  # the last slot takes the weight left
+            if left >= w and (left - w) % step == 0:
+                out.append((*acc, TwistedVariable(i, left)))
+            return
         while w + floor[p + 1] <= left:
             acc.append(TwistedVariable(i, w))
             rec(p + 1, acc, left - w)
@@ -142,10 +146,10 @@ def _relation_coeff(
 
 
 def _generators(
-    orbits: OrbitData, tables: PairingTables, i: int, j: int, weight: int, firsts: list[int]
+    slices: _Slices, i: int, j: int, weight: int, firsts: list[int]
 ) -> list[RelationGenerator]:
     # firsts: the orbit-i weights w1 of the pairs x_i * x_j of this weight.
-    field = get_field(orbits.k)
+    orbits, tables, field = slices.orbits, slices.tables, slices.field
     monos = [
         (w1, tuple(sorted((TwistedVariable(i, w1), TwistedVariable(j, weight - w1)))))
         for w1 in firsts
@@ -155,20 +159,15 @@ def _generators(
         for m in range(1, tables.rotated[i][j][r] + 1):
             acc: dict[Monomial, CyclotomicScalar] = {}
             for w1, mono in monos:
-                coeff = _relation_coeff(orbits, tables, i, r, m, w1)
+                coeff = slices.coeff(i, r, m, w1)
                 acc[mono] = acc.get(mono, field.zero()) + coeff
-            terms = tuple(
-                (c, mono) for mono, c in sorted(acc.items()) if c
-            )
+            terms = tuple((c, mono) for mono, c in sorted(acc.items()) if c)
             gens.append(RelationGenerator((i, j), r, m, weight, terms))
     return gens
 
 
 def build_relations(
-    orbits: OrbitData,
-    tables: PairingTables,
-    pair: tuple[int, int],
-    t: Fraction,
+    orbits: OrbitData, tables: PairingTables, pair: tuple[int, int], t: Fraction
 ) -> list[RelationGenerator]:
     """The full relation family for one ordered orbit pair at total degree t.
 
@@ -186,24 +185,24 @@ def build_relations(
         raise PreconditionViolated(
             f"-{t} is not a sum of admissible modes of orbits {i} and {j}"
         )
-    return _generators(orbits, tables, i, j, int(weight), firsts)
+    return _generators(slices, i, j, int(weight), firsts)
 
 
 class _Slices:
     """Per-call memo of the bidegree slices of one lattice: basis keys and
-    sizes, relation families and their residues mod the split prime by
-    (i, j, relation weight), and (row count, rank) of I(m, w) by (charge,
-    weight).  Key fields are ``width`` bits, for charge entries up to
-    ``top``.  ``factors``: the pair factors, once certificate (a) held."""
+    sizes, relation coefficients by (i, r, m, w1), relation families and
+    their residues mod the split prime by (i, j, relation weight), and
+    (row count, rank) of I(m, w) by (charge, weight).  Key fields are
+    ``width`` bits, for charge entries up to ``top``.  ``factors``: the pair
+    factors, once certificate (a) held."""
 
     def __init__(self, orbits: OrbitData, tables: PairingTables, top: int = 2):
         self.orbits, self.tables = orbits, tables
         self.field = get_field(orbits.k)
         self.bases, self.families, self.ranks, self.residues = {}, {}, {}, {}
         self.counts, self.factors, self.width = {}, None, max(top, 2).bit_length()
-        self.start_step = [
-            _var_start_step(orbits, tables, i) for i in range(orbits.d)
-        ]
+        self.coeff = lru_cache(None)(lambda *key: _relation_coeff(orbits, tables, *key))
+        self.start_step = [_var_start_step(orbits, tables, i) for i in range(orbits.d)]
 
     def key(self, mono: Monomial) -> int:
         d, b, start_step = self.orbits.d, self.width, self.start_step
@@ -251,17 +250,14 @@ class _Slices:
         """The weights w1 of orbit i's variables for which weight - w1 is a
         weight of orbit j's, in increasing order."""
         (start_i, s_i), (start_j, s_j) = self.start_step[i], self.start_step[j]
-        return [
-            w1 for w1 in range(start_i, weight - start_j + 1, s_i)
-            if (weight - w1 - start_j) % s_j == 0
-        ]
+        return [w1 for w1 in range(start_i, weight - start_j + 1, s_i)
+                if (weight - w1 - start_j) % s_j == 0]
 
     def family(self, i: int, j: int, weight: int) -> list[RelationGenerator]:
         if (i, j, weight) not in self.families:
             firsts = self.pair_weights(i, j, weight)
             self.families[i, j, weight] = firsts and _generators(
-                self.orbits, self.tables, i, j, weight, firsts
-            )
+                self, i, j, weight, firsts)
         return self.families[i, j, weight]
 
     def keyed(self, gens: list | None) -> list | None:
@@ -299,25 +295,21 @@ class _Slices:
         return len(rows), rank_of_rows()
 
 
-def _relation_rows(
+def _blocks(
     slices: _Slices, charge: tuple[int, ...], weight: int, family=None
-) -> list[dict] | None:
-    """The rows of I(m, w), one {monomial key: entry} per cofactor times
-    relation generator: entries the exact coefficients, or those family(key)
-    gives for the family (i, j, relation weight) as one list of (entry,
-    monomial key) terms per generator; None as soon as family gives None.
-    Refused once the row count would exceed MAX_ROWS."""
-    # A generator's terms have distinct monomials, and so do their products
-    # with one cofactor: each entry is placed, never summed.  A product's
-    # key is the sum of its factors' keys while no multiplicity overflows.
+) -> list | None:
+    """The rows of I(m, w) in blocks (cofactor keys, generators), one row
+    cof * g per cofactor and generator.  A generator is a list of (entry,
+    monomial key) terms: the exact coefficients, or those family(key) gives
+    for the family (i, j, relation weight); None as soon as family gives
+    None.  Refused once the row count would exceed MAX_ROWS."""
+    # Keys add while no multiplicity overflows its field.
     if max(charge) >> slices.width:
         raise PreconditionViolated(f"charge {charge} overflows {slices.width}-bit keys")
-    rows: list[dict] = []
+    blocks, n_rows = [], 0
     for i in range(slices.orbits.d):
         for j in range(slices.orbits.d):
-            cof_charge = tuple(
-                c - (a == i) - (a == j) for a, c in enumerate(charge)
-            )
+            cof_charge = tuple(c - (a == i) - (a == j) for a, c in enumerate(charge))
             if min(cof_charge) < 0:
                 continue
             top = weight - slices.start_step[i][0] - slices.start_step[j][0]
@@ -330,28 +322,54 @@ def _relation_rows(
                     [g.terms for g in slices.family(*key)])
                 if gens is None:
                     return None
-                if len(rows) + len(cofs) * len(gens) > MAX_ROWS:
+                n_rows += len(cofs) * len(gens)
+                if n_rows > MAX_ROWS:
                     raise BudgetExceeded(
                         f"relation row count exceeds budget ({MAX_ROWS}) at "
-                        f"bidegree (charge={charge}, weight={weight})"
-                    )
-                rows += ({cof + mono: c for c, mono in gen}
-                         for cof in cofs for gen in gens)
-    return rows
+                        f"bidegree (charge={charge}, weight={weight})")
+                blocks.append((cofs, gens))
+    return blocks
+
+
+def _relation_rows(
+    slices: _Slices, charge: tuple[int, ...], weight: int, family=None
+) -> list[dict] | None:
+    """The rows cof * g of ``_blocks`` as {monomial key: entry}, or None."""
+    # A generator's terms have distinct keys, and so do their products with
+    # one cofactor: each entry is placed, never summed.
+    blocks = _blocks(slices, charge, weight, family)
+    return None if blocks is None else [
+        {cof + key: c for c, key in gen}
+        for cofs, gens in blocks for cof in cofs for gen in gens]
+
+
+def _lead_count(blocks: list) -> int:
+    """The number of distinct least keys cof + lead(g) of the rows cof * g,
+    lead(g) the least key of g's terms; a rank lower bound (module doc)."""
+    return len({cof + lead for cofs, gens in blocks
+                for lead in {min(key for _, key in gen) for gen in gens if gen}
+                for cof in cofs})
 
 
 def _oracle_rank(
     slices: _Slices, charge: tuple[int, ...], weight: int, target: int
-) -> tuple[int, int, bool]:
-    """(row count, rank, proved) of I(m, w): rank target = |B| - c when the
-    two one-prime bounds meet (proved), else by exact elimination."""
+) -> tuple[int, int, str]:
+    """(row count, rank, method) of I(m, w).  The rank is target = |B| - c*
+    when the distinct leading keys number target ("leads") or, when they
+    fall short, the rank mod p of the rows reaches it ("mod p"); otherwise,
+    and for target < 0, it comes from exact elimination ("exact")."""
     if slices.factors is not None and target >= 0:
-        rows = _relation_rows(slices, charge, weight, slices.family_mod_p)
-        p, _ = root_prime(slices.orbits.k)
-        # rank_mod empties the rows, not the list.
-        if rows is not None and rank_mod(rows, p, target) == target:
-            return len(rows), target, True
-    return (*slices.rank(charge, weight), False)
+        blocks = _blocks(slices, charge, weight, slices.family_mod_p)
+        if blocks is not None:
+            n_rows, leads = sum(len(c) * len(g) for c, g in blocks), _lead_count(blocks)
+            if leads == target:
+                return n_rows, target, "leads"
+            # Above the target the lower bound dim Q >= c* is contradicted.
+            if leads < target:
+                rows = _relation_rows(slices, charge, weight, slices.family_mod_p)
+                if rank_mod(rows, root_prime(slices.orbits.k)[0], target) == target:
+                    return n_rows, target, "mod p"
+    return (*slices.rank(charge, weight), "exact")
 
 
 def quotient_dimension(
@@ -379,22 +397,16 @@ class OracleCell:
         return self.dimension == self.coefficient
 
     def to_json_dict(self) -> dict:
-        return {
-            "charge": list(self.charge),
-            "weight": self.weight,
-            "monomials": self.monomials,
-            "relations": self.relations,
-            "rank": self.rank,
-            "dimension": self.dimension,
-            "coefficient": self.coefficient,
-            "status": "ok" if self.ok else "MISMATCH",
-        }
+        # The fields in their order, then the status.
+        return {**vars(self), "charge": list(self.charge),
+                "status": "ok" if self.ok else "MISMATCH"}
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    # Not in the JSON: whether certificate (a) held, and how many ranks the
-    # two one-prime bounds proved and how many came from exact elimination.
+    # Not in the JSON: whether certificate (a) held, how many ranks the two
+    # one-prime bounds proved (of them, how many by leading monomials alone)
+    # and how many came from exact elimination.
     charge_total: int
     weight_bound: int
     cells: tuple[OracleCell, ...]
@@ -402,6 +414,7 @@ class OracleReport:
     certified: bool = False
     proved: int = 0
     exact: int = 0
+    leads: int = 0
 
     @property
     def all_ok(self) -> bool:
@@ -412,10 +425,8 @@ class OracleReport:
         return tuple(c for c in self.cells if not c.ok)
 
     def text_table(self) -> str:
-        header = (
-            f"{'charge':<12}{'weight':>7}{'monos':>7}{'rels':>6}"
-            f"{'rank':>6}{'dim':>5}{'char':>6}  status"
-        )
+        header = (f"{'charge':<12}{'weight':>7}{'monos':>7}{'rels':>6}"
+                  f"{'rank':>6}{'dim':>5}{'char':>6}  status")
         lines = [header, "-" * len(header)]
         for c in self.cells:
             lines.append(
@@ -461,30 +472,34 @@ def compare_with_character(
     table = character(orbits, tables, weight_bound)
     slices = _Slices(orbits, tables, charge_total)
     slices.factors = pair_factors(orbits, tables)
-    # Pairings are non-negative, so m^T A m / 2 >= sum_i m_i * start_i: a
-    # character series (it starts at q^(m^T A m / 2)) and a basis are both
-    # zero below their charge's lowest weight, where no cell is visited.
-    charges = _charges_up_to(
-        [start for start, _ in slices.start_step], charge_total, weight_bound
-    )
+    # Pairings are non-negative, so delta = m^T A m / 2 - sum_i m_i * start_i
+    # >= 0: a character series (it starts at q^(m^T A m / 2)) and a basis are
+    # both zero below their charge's lowest weight, where no cell is visited.
+    # The lower bound is c* = |B(m, w - delta)|; a cell whose coefficient
+    # differs from c* goes to exact elimination.
+    charges = _charges_up_to([start for start, _ in slices.start_step],
+                             charge_total, weight_bound)
     slices.check_columns(charges, 0, weight_bound)
-    cells, methods = [], Counter()
+    cells, methods, matrix = [], Counter(), tables.char_matrix
     for charge in charges:
         series, sizes = table.series(charge), slices.sizes(charge, weight_bound)
+        delta = sum(x * charge[a] * charge[b] for a, row in enumerate(matrix)
+                    for b, x in enumerate(row)) // 2 - slices.lowest(charge)
+        lowers = [0] * delta + sizes
         for weight in range(slices.lowest(charge), weight_bound + 1):
             n_monos, coeff = sizes[weight], series.coeff(weight)
-            n_rows, rank, proved = _oracle_rank(
-                slices, charge, weight, n_monos - coeff
-            ) if n_monos else (0, 0, None)
-            methods[proved] += 1
+            target = n_monos - coeff if coeff == lowers[weight] else -1
+            n_rows, rank, method = _oracle_rank(
+                slices, charge, weight, target) if n_monos else (0, 0, None)
+            methods[method] += 1
             if n_monos or coeff:
-                cells.append(OracleCell(
-                    charge, weight, n_monos, n_rows, rank, n_monos - rank, coeff
-                ))
+                cells.append(OracleCell(charge, weight, n_monos, n_rows, rank,
+                                        n_monos - rank, coeff))
     empty = comb(charge_total + orbits.d, orbits.d) * (weight_bound + 1) - len(cells)
     return OracleReport(
         charge_total, weight_bound, tuple(cells), empty,
-        slices.factors is not None, methods[True], methods[False],
+        slices.factors is not None, methods["leads"] + methods["mod p"],
+        methods["exact"], methods["leads"],
     )
 
 
@@ -512,9 +527,7 @@ def _membership(slices: _Slices, i: int, j: int, s: int, t: int) -> bool:
     bound = sum(tables.rotated[i][j])
     if s < 0 or t < 0 or s + t > bound - 1:
         raise PreconditionViolated(
-            f"(s, t) = ({s}, {t}) outside the range s, t >= 0, "
-            f"s + t <= {bound - 1}"
-        )
+            f"(s, t) = ({s}, {t}) outside the range s, t >= 0, s + t <= {bound - 1}")
     (start_i, s_i), (start_j, s_j) = slices.start_step[i], slices.start_step[j]
     if t * s_i % s_j:
         return True
@@ -541,13 +554,8 @@ class MembershipCell:
     trivial: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "pair": [self.i, self.j],
-            "s": self.s,
-            "t": self.t,
-            "member": self.member,
-            "trivial": self.trivial,
-        }
+        return {"pair": [self.i, self.j], "s": self.s, "t": self.t,
+                "member": self.member, "trivial": self.trivial}
 
 
 def new_relations_sweep(
@@ -563,9 +571,7 @@ def new_relations_sweep(
             for s in range(bound):
                 for t in range(bound - s):
                     member = _membership(slices, i, j, s, t)
-                    cells.append(MembershipCell(
-                        i, j, s, t, member, t * s_i % s_j != 0
-                    ))
+                    cells.append(MembershipCell(i, j, s, t, member, t * s_i % s_j != 0))
     return tuple(cells)
 
 
@@ -582,14 +588,10 @@ def membership_matrix(
     """
     start_i, s_i = _var_start_step(orbits, tables, i)
     size = sum(tables.rotated[i][j])
-    rows = [
-        tuple(
-            _relation_coeff(orbits, tables, i, r, m, start_i + p * s_i)
-            for p in range(size)
-        )
-        for r in range(orbits.lengths[i])
-        for m in range(1, tables.rotated[i][j][r] + 1)
-    ]
+    weights = [start_i + p * s_i for p in range(size)]
+    rows = [tuple(_relation_coeff(orbits, tables, i, r, m, w) for w in weights)
+            for r in range(orbits.lengths[i])
+            for m in range(1, tables.rotated[i][j][r] + 1)]
     return ExactMatrix(get_field(orbits.k), tuple(rows), size)
 
 

@@ -545,8 +545,9 @@ def test_verbose_oracle_logs_the_proof_methods():
     assert quiet.returncode == loud.returncode == 0
     assert quiet.stderr == ""
     assert (
-        "INFO twistchar: oracle: twisted-module certificate held; 10 ranks "
-        "proved by two one-prime bounds, 0 by exact elimination\n"
+        "INFO twistchar: oracle: twisted-module certificate held; 9 ranks "
+        "proved by leading monomials, 1 by mod-p elimination, 0 by exact "
+        "elimination\n"
     ) in loud.stderr
     assert loud.stdout == quiet.stdout
 

@@ -563,11 +563,11 @@ def _certified_and_exact(cells) -> list[_Proof]:
     # against exact elimination of the same rows.
     out = []
     for slices, charge, weight, monomials, coeff in cells:
-        rows, rank, proved = quotient._oracle_rank(
+        rows, rank, method = quotient._oracle_rank(
             slices, charge, weight, monomials - coeff
         )
         assert (rows, rank) == slices.rank(charge, weight)
-        out.append(_Proof(proved, monomials - coeff, monomials, rows, rank))
+        out.append(_Proof(method != "exact", monomials - coeff, monomials, rows, rank))
     return out
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from twistchar import quotient, twisted
 from twistchar.cyclotomic import ExactMatrix, NoSolution, get_field, rational_binomial
 from twistchar.lattice import analyze
-from twistchar.modular import root_prime
+from twistchar.modular import rank_mod, root_prime
 from twistchar.pascal import verify_invertible
 from twistchar.presets import lattice_from_config, preset
 from twistchar.qseries import character
@@ -87,6 +88,33 @@ def test_enumerate_monomials_bidegrees_are_exact(name, data):
             assert monomial_weight(mono) == weight
             assert monomial_charge(mono, d) == charge
             assert tuple(sorted(mono)) == mono
+
+
+def _reference_monomials(orbits, tables, charge, weight):
+    # Every multiset of admissible weights per orbit, filtered by total weight.
+    per_orbit = []
+    for i, m in enumerate(charge):
+        start, step = quotient._var_start_step(orbits, tables, i)
+        per_orbit.append(combinations_with_replacement(range(start, weight + 1, step), m))
+    return sorted(
+        tuple(V(i, w) for i, ws in enumerate(choice) for w in ws)
+        for choice in product(*per_orbit) if sum(map(sum, choice)) == weight
+    )
+
+
+@pytest.mark.parametrize("name", PRESETS + ("3-cycle",))
+def test_enumerate_monomials_equals_the_reference_lists(name, data):
+    # The last slot is placed, not searched: the lists and their order are
+    # those of a search over every multiset of weights.
+    orbits, tables = THREE_CYCLE if name == "3-cycle" else data[name]
+    starts = [quotient._var_start_step(orbits, tables, i)[0] for i in range(orbits.d)]
+    checked = 0
+    for charge in quotient._charges_up_to(starts, 3, 16):
+        for weight in range(17):
+            expected = _reference_monomials(orbits, tables, charge, weight)
+            assert enumerate_monomials(orbits, tables, charge, weight) == expected
+            checked += len(expected)
+    assert checked
 
 
 def test_enumerate_monomials_rejects_bad_bidegree(data):
@@ -393,9 +421,9 @@ def test_oracle_builds_each_basis_and_family_once(data, monkeypatch):
         bases[tuple(charge), weight] += 1
         return enumerate_real(orbits, tables, charge, weight)
 
-    def generators_counted(orbits, tables, i, j, weight, firsts):
+    def generators_counted(slices, i, j, weight, firsts):
         families[i, j, weight] += 1
-        return generators_real(orbits, tables, i, j, weight, firsts)
+        return generators_real(slices, i, j, weight, firsts)
 
     monkeypatch.setattr(quotient, "enumerate_monomials", enumerate_counted)
     monkeypatch.setattr(quotient, "_generators", generators_counted)
@@ -550,6 +578,72 @@ def test_oracle_ranks_are_all_certified(data, random_lattices, monkeypatch):
         report = compare_with_character(orbits, tables, charge_total, weight_bound)
         assert report.all_ok and report.certified and not report.exact
         assert report.proved == sum(1 for c in report.cells if c.monomials)
+
+
+def test_an_overstated_coefficient_is_a_mismatch(data, monkeypatch):
+    # rank1's coefficient at ((2,), 12) raised from 2 to 3.  A target
+    # |B| - 3 = 0 taken from the table would be met by any rows; the target
+    # comes from the twisted module's count c* = 2 instead, and a cell whose
+    # coefficient differs from c* takes its rank from exact elimination.
+    character_real = quotient.character
+
+    def overstated(orbits, tables, truncation):
+        table = character_real(orbits, tables, truncation)
+        table.entries[(2,)].coeffs[12] += 1
+        return table
+
+    monkeypatch.setattr(quotient, "character", overstated)
+    report = compare_with_character(*data["rank1"], 3, 20)
+    (cell,) = report.mismatches
+    assert (cell.charge, cell.weight, cell.monomials, cell.rank, cell.coefficient) == (
+        (2,), 12, 3, 1, 3)
+    assert report.exact == 1
+
+
+# ------------------------------------------------------------ leading monomials
+
+
+def _lead_cells(orbits, tables, charge_total, weight_bound):
+    # Per populated cell: the lead count, the number of distinct least keys
+    # of the rows mod p, and the rank mod p of those rows.
+    slices = quotient._Slices(orbits, tables, charge_total)
+    slices.factors = twisted.pair_factors(orbits, tables)
+    p, _ = root_prime(orbits.k)
+    starts = [start for start, _ in slices.start_step]
+    for charge in quotient._charges_up_to(starts, charge_total, weight_bound):
+        sizes = slices.sizes(charge, weight_bound)
+        for weight in range(slices.lowest(charge), weight_bound + 1):
+            if sizes[weight]:
+                blocks = quotient._blocks(slices, charge, weight, slices.family_mod_p)
+                rows = quotient._relation_rows(slices, charge, weight, slices.family_mod_p)
+                leads = len({min(row) for row in rows if row})
+                yield quotient._lead_count(blocks), leads, rank_mod(rows, p, len(rows))
+
+
+@pytest.mark.parametrize("name, charge_total, weight_bound", BENCHMARK_WINDOWS)
+def test_lead_count_is_the_rows_distinct_least_keys(name, charge_total, weight_bound,
+                                                    data):
+    cells = list(_lead_cells(*data[name], charge_total, weight_bound))
+    assert cells and all(count == leads <= rank for count, leads, rank in cells)
+    # On rank1 the leading keys reach the rank at every cell; elsewhere some
+    # cells need the elimination mod p.
+    assert any(count < rank for count, _, rank in cells) == (name != "rank1")
+
+
+def test_lead_count_is_the_rows_distinct_least_keys_on_the_draws(random_lattices):
+    for lattice in random_lattices:
+        cells = list(_lead_cells(*lattice, 3, 16))
+        assert cells and all(count == leads <= rank for count, leads, rank in cells)
+
+
+@pytest.mark.parametrize("name, charge_total, weight_bound, by_leads, populated", [
+    ("rank1", 4, 56, 107, 107), ("swap2", 4, 36, 45, 61),
+    ("x3", 4, 36, 179, 181), ("x4", 4, 36, 156, 159),
+])
+def test_benchmark_windows_need_no_exact_elimination(name, charge_total, weight_bound,
+                                                     by_leads, populated, data):
+    report = compare_with_character(*data[name], charge_total, weight_bound)
+    assert (report.leads, report.proved, report.exact) == (by_leads, populated, 0)
 
 
 # ------------------------------------------------------------- monomial keys
