@@ -18,8 +18,8 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .lattice import LatticeError, LatticeInput, analyze
 from .pascal import pascal_check
@@ -40,10 +40,7 @@ class InputError(ValueError):
     """Bad command-line input; reported on stderr with exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
+class _Run(NamedTuple):
     source_kind: str
     source: str
     truncation: int = 12
@@ -58,7 +55,16 @@ class RunConfig:
     seed: int = 0
     strict_identities: bool = False
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_Run):
+    """Validated run parameters shared by the subcommands."""
+
+    __slots__ = ()
+    # ``_replace`` builds through ``_make``, so it validates too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs) -> "RunConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.source_kind not in ("preset", "config", "none"):
             raise InputError(f"unknown source kind {self.source_kind!r}")
         if self.source_kind == "preset" and self.source not in PRESET_NAMES:
@@ -76,6 +82,7 @@ class RunConfig:
             raise InputError("--max-k and --max-n must be >= 1")
         if self.samples < 1 or self.proof_samples < 0:
             raise InputError("--samples must be >= 1 and --proof-samples >= 0")
+        return self
 
     def lattice(self) -> LatticeInput:
         if self.source_kind == "preset":
@@ -83,6 +90,10 @@ class RunConfig:
         if self.source_kind == "config":
             return load_lattice(self.source)
         raise InputError("this subcommand requires --preset or --config")
+
+
+# The defaults, for the help texts.
+_DEFAULT = RunConfig("none", "")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -98,7 +109,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         source_kind=kind,
         source=source,
-        **{f.name: given[f.name] for f in fields(RunConfig) if f.name in given},
+        **{name: given[name] for name in RunConfig._fields if name in given},
     )
 
 
@@ -385,7 +396,7 @@ def _add_source_args(sub: argparse.ArgumentParser) -> None:
 def _add_output_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--format", dest="out_format", choices=("text", "json"),
-        help=f"output format (default {RunConfig.out_format})",
+        help=f"output format (default {_DEFAULT.out_format})",
     )
     sub.add_argument(
         "--out", dest="out_path", metavar="OUT",
@@ -438,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p_char)
     p_char.add_argument(
         "-T", "--truncation", type=int,
-        help=f"largest retained normalized exponent (default {RunConfig.truncation})",
+        help=f"largest retained normalized exponent (default {_DEFAULT.truncation})",
     )
     _add_output_args(p_char)
 
@@ -447,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "-T", "--truncation", type=int,
         help="truncation for recursion and identity checks "
-        f"(default {RunConfig.truncation})",
+        f"(default {_DEFAULT.truncation})",
     )
     p_verify.add_argument(
         "--recursion", action="store_true",
@@ -474,12 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--charge-bound", type=int,
-        help=f"oracle: largest total charge (default {RunConfig.charge_bound})",
+        help=f"oracle: largest total charge (default {_DEFAULT.charge_bound})",
     )
     p_verify.add_argument(
         "--weight-bound", type=int,
         help="oracle: largest normalized weight "
-        f"(default {RunConfig.weight_bound})",
+        f"(default {_DEFAULT.weight_bound})",
     )
     _add_pascal_args(p_verify)
     _add_output_args(p_verify)

@@ -11,10 +11,9 @@ zero-mode pairing and character matrices, and the vacuum weight.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 PermSpec = Union[str, Sequence[int]]
 
@@ -96,8 +95,7 @@ def parse_permutation(spec: PermSpec, rank: int) -> tuple[int, ...]:
     return tuple(x - 1 for x in one_line)
 
 
-@dataclass(frozen=True)
-class LatticeInput:
+class LatticeInput(NamedTuple):
     """Gram matrix plus basis permutation, indices 0-based internally."""
 
     rank: int
@@ -125,8 +123,7 @@ class LatticeInput:
         )
 
 
-@dataclass(frozen=True)
-class OrbitData:
+class OrbitData(NamedTuple):
     """Cycle structure of the isometry and the derived mode-set data.
 
     ``root_orders[i]`` is the order of the root of unity attached to orbit
@@ -154,8 +151,7 @@ class OrbitData:
         return ((Fraction(n) - self.mode_offsets[i]) * self.lengths[i]).denominator == 1
 
 
-@dataclass(frozen=True)
-class PairingTables:
+class PairingTables(NamedTuple):
     """Zero-mode pairings of the orbit representatives.
 
     ``char_matrix`` is k times ``zero_mode`` and must be integral with even

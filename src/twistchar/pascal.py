@@ -18,7 +18,6 @@ nothing is ever patched to force agreement.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -60,19 +59,25 @@ class PascalIdentityError(AssertionError):
         )
 
 
-@dataclass(frozen=True)
-class PascalSpec:
-    """Parameters of a stacked root-of-unity Pascal matrix."""
-
+class _Spec(NamedTuple):
     conductor: int
     block_sizes: tuple[int, ...]
     z: Fraction
     w: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("z", "w"):
-            if not isinstance(getattr(self, name), Fraction):
-                object.__setattr__(self, name, Fraction(getattr(self, name)))
+
+class PascalSpec(_Spec):
+    """Parameters of a stacked root-of-unity Pascal matrix."""
+
+    __slots__ = ()
+    # ``_replace`` builds through ``_make``, so it validates too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, conductor, block_sizes, z: Rational, w: Rational) -> "PascalSpec":
+        # Fraction(x) copies even a Fraction, a cost the sweep would pay per spec.
+        z = z if isinstance(z, Fraction) else Fraction(z)
+        w = w if isinstance(w, Fraction) else Fraction(w)
+        self = super().__new__(cls, conductor, block_sizes, z, w)
         if self.conductor < 1:
             raise ValueError(f"conductor must be >= 1, got {self.conductor}")
         if len(self.block_sizes) != self.conductor:
@@ -85,6 +90,7 @@ class PascalSpec:
             raise ValueError("block sizes must sum to at least 1")
         if self.w == 0:
             raise ValueError("w must be nonzero")
+        return self
 
 
 def _common_field(*values: Entry) -> CyclotomicField:
@@ -302,8 +308,7 @@ def verify_invertible(spec: PascalSpec) -> InvertibilityResult:
     return InvertibilityResult(invertible, agrees, "mod-p" if det else "exact")
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     """Successful replay of the triangular factorization argument."""
 
     p: int
@@ -348,8 +353,7 @@ def factorization_check(
     )
 
 
-@dataclass(frozen=True)
-class TwoBlocksReport:
+class TwoBlocksReport(NamedTuple):
     """Successful replay of the two-stack row-equivalence argument."""
 
     n: int
@@ -488,15 +492,13 @@ def random_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
             return value
 
 
-@dataclass(frozen=True)
-class SweepFailure:
+class SweepFailure(NamedTuple):
     kind: str
     params: str
     message: str
 
 
-@dataclass(frozen=True)
-class PascalSweepReport:
+class PascalSweepReport(NamedTuple):
     max_k: int
     max_n: int
     samples: int
@@ -516,21 +518,10 @@ class PascalSweepReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_k": self.max_k,
-            "max_n": self.max_n,
-            "samples": self.samples,
-            "proof_samples": self.proof_samples,
-            "seed": self.seed,
-            "specs_checked": self.specs_checked,
-            "factorizations_checked": self.factorizations_checked,
-            "two_blocks_checked": self.two_blocks_checked,
-            "failures": [
-                {"kind": f.kind, "params": f.params, "message": f.message}
-                for f in self.failures
-            ],
-            "ok": self.ok,
-        }
+        # The fields in their order, less the proof methods, then the status.
+        out = {**self._asdict(), "failures": [f._asdict() for f in self.failures]}
+        del out["proved_mod_p"], out["proved_exact"]
+        return {**out, "ok": self.ok}
 
 
 # The most invertibility specs a sweep may run, and the most proof samples

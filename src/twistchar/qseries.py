@@ -13,9 +13,8 @@ integer, and the zero-charge series is exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt, prod
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .lattice import OrbitData, PairingTables
 
@@ -29,16 +28,14 @@ class BudgetExceeded(RuntimeError):
     """The requested table, bidegree or matrix exceeds its budget."""
 
 
-@dataclass(eq=False)
 class RecursionMismatch(AssertionError):
     """A character series fails one of its defining recursions."""
 
-    kind: str
-    orbit: int
-    charge: tuple[int, ...]
-    exponent: int
-    lhs: int
-    rhs: int
+    def __init__(self, kind: str, orbit: int, charge: tuple[int, ...],
+                 exponent: int, lhs: int, rhs: int) -> None:
+        super().__init__(kind, orbit, charge, exponent, lhs, rhs)
+        self.kind, self.orbit, self.charge = kind, orbit, charge
+        self.exponent, self.lhs, self.rhs = exponent, lhs, rhs
 
     def __str__(self) -> str:
         return (f"{self.kind} recursion fails at charge {self.charge}, exponent "
@@ -207,8 +204,7 @@ def inverse_poch_product(
     return _partition_series(parts, truncation)
 
 
-@dataclass
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Multigraded character: one series per charge vector.
 
     ``charge_matrix`` is the integer zero-mode pairing matrix scaled by k;
@@ -221,7 +217,7 @@ class CharacterTable:
     truncation: int
     charge_matrix: tuple[tuple[int, ...], ...]
     steps: tuple[int, ...]
-    entries: dict[tuple[int, ...], QSeries] = field(default_factory=dict)
+    entries: dict[tuple[int, ...], QSeries]
 
     def charges(self) -> list[tuple[int, ...]]:
         return sorted(self.entries)
@@ -234,7 +230,8 @@ class CharacterTable:
         return self.series(m).coeff(n)
 
     def evaluate_at_one(self) -> QSeries:
-        return sum(self.entries.values(), QSeries.zero(self.truncation))
+        coeffs = [s.coeffs for s in self.entries.values()]
+        return QSeries([sum(c) for c in zip([0] * (self.truncation + 1), *coeffs)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -298,6 +295,7 @@ def character(
         truncation=truncation,
         charge_matrix=tuple(tuple(row) for row in matrix),
         steps=steps,
+        entries={},
     )
     # (charge, last raised orbit, norm, unshifted product coefficients); a
     # stack, not recursion, so deep trees cannot hit the recursion limit.
@@ -321,8 +319,7 @@ def character(
     return table
 
 
-@dataclass(frozen=True)
-class RecursionCheck:
+class RecursionCheck(NamedTuple):
     """Summary of a passed recursion check (failures raise instead)."""
 
     kind: str
@@ -417,14 +414,13 @@ def rogers_ramanujan_sum(truncation: int) -> QSeries:
 
 def halved_exponents(series: QSeries) -> QSeries:
     """Substitute q^2 -> q; every exponent must be even."""
-    for e, _ in series.items():
-        if e % 2:
-            raise ValueError(f"odd exponent {e} present; cannot halve")
+    if any(series.coeffs[1::2]):
+        e = next(e for e, c in series.items() if e % 2)
+        raise ValueError(f"odd exponent {e} present; cannot halve")
     return QSeries(series.coeffs[::2])
 
 
-@dataclass(frozen=True)
-class IdentityComparison:
+class IdentityComparison(NamedTuple):
     label: str
     matches: bool
     first_mismatch: int | None
@@ -432,17 +428,11 @@ class IdentityComparison:
     rhs: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "matches": self.matches,
-            "first_mismatch": self.first_mismatch,
-            "lhs": None if self.lhs is None else str(self.lhs),
-            "rhs": None if self.rhs is None else str(self.rhs),
-        }
+        return {**self._asdict(), "lhs": None if self.lhs is None else str(self.lhs),
+                "rhs": None if self.rhs is None else str(self.rhs)}
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     preset: str
     truncation: int
     comparisons: tuple[IdentityComparison, ...]
@@ -452,11 +442,8 @@ class IdentityReport:
         return all(c.matches for c in self.comparisons)
 
     def to_json_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "truncation": self.truncation,
-            "comparisons": [c.to_json_dict() for c in self.comparisons],
-        }
+        return {**self._asdict(),
+                "comparisons": [c.to_json_dict() for c in self.comparisons]}
 
 
 def _compare(label: str, lhs: QSeries, rhs: QSeries) -> IdentityComparison:

@@ -35,7 +35,6 @@ and one over MAX_ROWS rows before its rows or leading keys are read.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -76,8 +75,7 @@ def monomial_charge(mono: Monomial, d: int) -> tuple[int, ...]:
     return tuple(sum(v.orbit == i for v in mono) for i in range(d))
 
 
-@dataclass(frozen=True)
-class RelationGenerator:
+class RelationGenerator(NamedTuple):
     """One relation: labels (orbit pair, rotation r, power m) plus the
     expanded terms in the two-variable monomial basis at its weight."""
 
@@ -191,15 +189,18 @@ def build_relations(
 class _Slices:
     """Per-call memo of the bidegree slices of one lattice: basis keys and
     sizes, relation coefficients by (i, r, m, w1), relation families and
-    their residues mod the split prime by (i, j, relation weight), and
-    (row count, rank) of I(m, w) by (charge, weight).  Key fields are
-    ``width`` bits, for charge entries up to ``top``.  ``factors``: the pair
-    factors, once certificate (a) held."""
+    their residues mod the split prime and distinct least keys by (i, j,
+    relation weight), and (row count, rank) of I(m, w) by (charge, weight).
+    Key fields are ``width`` bits, for charge entries up to ``top``; ``bound``
+    is the window's weight bound.  ``factors``: the pair factors, once
+    certificate (a) held."""
 
-    def __init__(self, orbits: OrbitData, tables: PairingTables, top: int = 2):
-        self.orbits, self.tables = orbits, tables
+    def __init__(self, orbits: OrbitData, tables: PairingTables, top: int = 2,
+                 bound: int = 0):
+        self.orbits, self.tables, self.bound = orbits, tables, bound
         self.field = get_field(orbits.k)
-        self.bases, self.families, self.ranks, self.residues = {}, {}, {}, {}
+        self.bases, self.families, self.ranks = {}, {}, {}
+        self.residues, self.leads = {}, {}
         self.counts, self.factors, self.width = {}, None, max(top, 2).bit_length()
         self.coeff = lru_cache(None)(lambda *key: _relation_coeff(orbits, tables, *key))
         self.start_step = [_var_start_step(orbits, tables, i) for i in range(orbits.d)]
@@ -266,10 +267,11 @@ class _Slices:
     def family_mod_p(self, key: tuple[int, int, int]):
         if key not in self.residues:
             starts = [start for start, _ in self.start_step]
-            self.residues[key] = self.keyed(family_mod_p(
+            gens = self.residues[key] = self.keyed(family_mod_p(
                 self.family(*key), self.factors[key[:2]], starts,
                 *root_prime(self.orbits.k),
             ))
+            self.leads[key] = {min(k for _, k in g) for g in gens or () if g}
         return self.residues[key]
 
     def rank(self, charge: tuple[int, ...], weight: int, target=None):
@@ -298,11 +300,12 @@ class _Slices:
 def _blocks(
     slices: _Slices, charge: tuple[int, ...], weight: int, family=None
 ) -> list | None:
-    """The rows of I(m, w) in blocks (cofactor keys, generators), one row
-    cof * g per cofactor and generator.  A generator is a list of (entry,
-    monomial key) terms: the exact coefficients, or those family(key) gives
-    for the family (i, j, relation weight); None as soon as family gives
-    None.  Refused once the row count would exceed MAX_ROWS."""
+    """The rows of I(m, w) in blocks (cofactor keys, family key,
+    generators), one row cof * g per cofactor and generator.  A generator is
+    a list of (entry, monomial key) terms: the exact coefficients, or those
+    family(key) gives for the family key (i, j, relation weight); None as
+    soon as family gives None.  Refused once the row count would exceed
+    MAX_ROWS."""
     # Keys add while no multiplicity overflows its field.
     if max(charge) >> slices.width:
         raise PreconditionViolated(f"charge {charge} overflows {slices.width}-bit keys")
@@ -313,10 +316,12 @@ def _blocks(
             if min(cof_charge) < 0:
                 continue
             top = weight - slices.start_step[i][0] - slices.start_step[j][0]
+            # One bound per charge, so the size lists come from the memo.
+            sizes = slices.sizes(cof_charge, max(top, slices.bound))
             for cof_weight in range(slices.lowest(cof_charge), top + 1):
-                cofs = slices.basis(cof_charge, cof_weight)
-                if not cofs:
+                if not sizes[cof_weight]:
                     continue
+                cofs = slices.basis(cof_charge, cof_weight)
                 key = i, j, weight - cof_weight
                 gens = family(key) if family else slices.keyed(
                     [g.terms for g in slices.family(*key)])
@@ -327,7 +332,7 @@ def _blocks(
                     raise BudgetExceeded(
                         f"relation row count exceeds budget ({MAX_ROWS}) at "
                         f"bidegree (charge={charge}, weight={weight})")
-                blocks.append((cofs, gens))
+                blocks.append((cofs, key, gens))
     return blocks
 
 
@@ -340,15 +345,15 @@ def _relation_rows(
     blocks = _blocks(slices, charge, weight, family)
     return None if blocks is None else [
         {cof + key: c for c, key in gen}
-        for cofs, gens in blocks for cof in cofs for gen in gens]
+        for cofs, _, gens in blocks for cof in cofs for gen in gens]
 
 
-def _lead_count(blocks: list) -> int:
-    """The number of distinct least keys cof + lead(g) of the rows cof * g,
-    lead(g) the least key of g's terms; a rank lower bound (module doc)."""
-    return len({cof + lead for cofs, gens in blocks
-                for lead in {min(key for _, key in gen) for gen in gens if gen}
-                for cof in cofs})
+def _lead_count(slices: _Slices, blocks: list) -> int:
+    """The number of distinct least keys cof + lead(g) of the rows cof * g of
+    blocks built by ``family_mod_p``, lead(g) the least key of g's terms; a
+    rank lower bound (module doc)."""
+    return len({cof + lead for cofs, key, _ in blocks
+                for lead in slices.leads[key] for cof in cofs})
 
 
 def _oracle_rank(
@@ -361,7 +366,8 @@ def _oracle_rank(
     if slices.factors is not None and target >= 0:
         blocks = _blocks(slices, charge, weight, slices.family_mod_p)
         if blocks is not None:
-            n_rows, leads = sum(len(c) * len(g) for c, g in blocks), _lead_count(blocks)
+            n_rows = sum(len(cofs) * len(gens) for cofs, _, gens in blocks)
+            leads = _lead_count(slices, blocks)
             if leads == target:
                 return n_rows, target, "leads"
             # Above the target the lower bound dim Q >= c* is contradicted.
@@ -377,13 +383,12 @@ def quotient_dimension(
 ) -> int:
     """Dimension of the bidegree slice of the algebra modulo the relations."""
     charge = tuple(charge)
-    slices = _Slices(orbits, tables, max(charge, default=0))
+    slices = _Slices(orbits, tables, max(charge, default=0), weight)
     slices.check_columns([charge], weight, weight)
     return len(slices.basis(charge, weight)) - slices.rank(charge, weight)[1]
 
 
-@dataclass(frozen=True)
-class OracleCell:
+class OracleCell(NamedTuple):
     charge: tuple[int, ...]
     weight: int
     monomials: int
@@ -398,12 +403,11 @@ class OracleCell:
 
     def to_json_dict(self) -> dict:
         # The fields in their order, then the status.
-        return {**vars(self), "charge": list(self.charge),
+        return {**self._asdict(), "charge": list(self.charge),
                 "status": "ok" if self.ok else "MISMATCH"}
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     # Not in the JSON: whether certificate (a) held, how many ranks the two
     # one-prime bounds proved (of them, how many by leading monomials alone)
     # and how many came from exact elimination.
@@ -470,7 +474,7 @@ def compare_with_character(
     a character coefficient are counted but not listed.
     """
     table = character(orbits, tables, weight_bound)
-    slices = _Slices(orbits, tables, charge_total)
+    slices = _Slices(orbits, tables, charge_total, weight_bound)
     slices.factors = pair_factors(orbits, tables)
     # Pairings are non-negative, so delta = m^T A m / 2 - sum_i m_i * start_i
     # >= 0: a character series (it starts at q^(m^T A m / 2)) and a basis are
@@ -540,8 +544,7 @@ def _membership(slices: _Slices, i: int, j: int, s: int, t: int) -> bool:
     return with_target == slices.rank(charge, w1 + w2)[1]
 
 
-@dataclass(frozen=True)
-class MembershipCell:
+class MembershipCell(NamedTuple):
     """One (orbit pair, mode offsets) instance of the two-variable
     membership statement; trivial means the second variable vanishes
     because its mode is inadmissible."""

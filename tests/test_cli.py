@@ -42,6 +42,23 @@ def test_config_validation():
         RunConfig("none", "").lattice()
 
 
+def test_config_is_immutable_and_replace_validates():
+    cfg = RunConfig("preset", "rank1")
+    with pytest.raises(AttributeError):
+        cfg.truncation = 5
+    assert cfg._replace(truncation=5).truncation == 5
+    with pytest.raises(InputError):
+        cfg._replace(truncation=-1)
+
+
+def test_help_texts_show_the_config_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for default in ("(default 12)", "(default text)", "(default 3)", "(default 24)"):
+        assert default in text
+
+
 # --------------------------------------------------------------------- analyze
 
 

@@ -1,7 +1,6 @@
 """Lattice validation and derived orbit data, pinned against hand values."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -228,15 +227,22 @@ def test_non_integral_character_matrix_is_a_guard():
     # mixed forged k makes a diagonal entry odd.
     inp = preset("rank1")
     orbits = validate(inp)
-    fractional = replace(orbits, lengths=(3,), k=3, root_orders=(3,))
+    fractional = orbits._replace(lengths=(3,), k=3, root_orders=(3,))
     with pytest.raises(NonIntegralCharacterMatrix):
         pairings(inp, fractional)
 
     inp2 = LatticeInput.make([[2, 1], [1, 2]], "(1)(2)")
     orbits2 = validate(inp2)
-    odd = replace(orbits2, lengths=(2, 1), k=2)
+    odd = orbits2._replace(lengths=(2, 1), k=2)
     with pytest.raises(NonIntegralCharacterMatrix):
         pairings(inp2, odd)
+
+
+def test_orbit_data_is_immutable():
+    orbits = validate(preset("x3"))
+    with pytest.raises(AttributeError):
+        orbits.k = 2
+    assert orbits._replace(k=2).k == 2 and orbits.k != 2
 
 
 def test_eigenspace_dims_sum_to_rank():

@@ -38,6 +38,31 @@ def test_spec_validation():
         PascalSpec(1, (2,), 0, 0)
 
 
+def test_spec_is_an_immutable_record_of_fractions():
+    spec = PascalSpec(1, (1,), 1, 2)
+    assert (type(spec.z), type(spec.w)) == (Fraction, Fraction)
+    assert spec == (1, (1,), Fraction(1), Fraction(2))
+    with pytest.raises(AttributeError):
+        spec.z = Fraction(3)
+    # _replace builds a new spec, so it coerces and validates like the
+    # constructor.
+    assert type(spec._replace(z=3).z) is Fraction
+    with pytest.raises(ValueError):
+        spec._replace(w=0)
+
+
+def test_sweep_json_keeps_its_key_order(monkeypatch):
+    keys = ["max_k", "max_n", "samples", "proof_samples", "seed", "specs_checked",
+            "factorizations_checked", "two_blocks_checked", "failures", "ok"]
+    assert list(pascal_check(1, 2, 1, seed=0, proof_samples=1).to_json_dict()) == keys
+    monkeypatch.setattr(
+        pascal, "det_mod", lambda rows, p: 2 * modular.det_mod(rows, p) % p
+    )
+    failed = pascal_check(1, 1, 1, seed=0, proof_samples=0).to_json_dict()
+    assert list(failed) == keys
+    assert [list(f) for f in failed["failures"]] == [["kind", "params", "message"]]
+
+
 def test_single_block_with_trivial_root_is_upper_pascal():
     """Root order 1, z=0, w=1 gives the binomial grid binom(col, row)."""
     spec = PascalSpec(1, (3,), 0, 1)

@@ -468,8 +468,16 @@ def test_halved_exponents():
         0: 1, 1: 3, 4: 1
     }
     assert halved_exponents(series(9, {})).truncation == 4
-    with pytest.raises(ValueError):
-        halved_exponents(series(8, {3: 1}))
+    with pytest.raises(ValueError, match="^odd exponent 3 present; cannot halve$"):
+        halved_exponents(series(8, {2: 1, 3: 1, 5: 2}))
+
+
+@pytest.mark.parametrize("name", ["rank1", "swap2", "x3", "x4"])
+def test_evaluate_at_one_is_the_sum_of_the_entries(name):
+    table = character(*analyze(preset(name)), 60)
+    total = sum(table.entries.values(), QSeries.zero(60))
+    assert table.evaluate_at_one() == total
+    assert table._replace(entries={}).evaluate_at_one() == QSeries.zero(60)
 
 
 def test_identity_only_wired_for_x3_and_x4():
@@ -496,6 +504,12 @@ def test_x4_printed_product_differs_but_mod9_matches():
     data = report.to_json_dict()
     assert data["comparisons"][0]["first_mismatch"] == 2
     assert data["comparisons"][1]["matches"] is True
+    assert list(data) == ["preset", "truncation", "comparisons"]
+    assert data["comparisons"][0] == {"label": printed.label, "matches": False,
+                                      "first_mismatch": 2, "lhs": "1", "rhs": "2"}
+    assert list(data["comparisons"][0]) == ["label", "matches", "first_mismatch",
+                                            "lhs", "rhs"]
+    assert data["comparisons"][1]["lhs"] is None
 
 
 def test_x3_summed_character_has_even_exponents_only():

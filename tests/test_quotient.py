@@ -298,6 +298,10 @@ def test_small_oracle_report(data):
     assert (first.charge, first.weight) == ((0,), 0)
     assert first.dimension == first.coefficient == 1
     assert first.to_json_dict()["status"] == "ok"
+    assert list(first.to_json_dict()) == ["charge", "weight", "monomials", "relations",
+                                          "rank", "dimension", "coefficient", "status"]
+    with pytest.raises(AttributeError):
+        first.rank = 0
 
 
 def test_oracle_cells_match_character_directly(data):
@@ -617,7 +621,8 @@ def _lead_cells(orbits, tables, charge_total, weight_bound):
                 blocks = quotient._blocks(slices, charge, weight, slices.family_mod_p)
                 rows = quotient._relation_rows(slices, charge, weight, slices.family_mod_p)
                 leads = len({min(row) for row in rows if row})
-                yield quotient._lead_count(blocks), leads, rank_mod(rows, p, len(rows))
+                count = quotient._lead_count(slices, blocks)
+                yield count, leads, rank_mod(rows, p, len(rows))
 
 
 @pytest.mark.parametrize("name, charge_total, weight_bound", BENCHMARK_WINDOWS)
@@ -763,6 +768,29 @@ def test_proved_path_enumerates_only_cofactor_bases(name, charge_total, weight_b
     report = compare_with_character(*data[name], charge_total, weight_bound)
     assert report.proved and not report.exact
     assert sums and max(sums) <= charge_total - 2
+
+
+@pytest.mark.parametrize("name, charge_total, weight_bound", BENCHMARK_WINDOWS)
+def test_rows_are_built_from_nonempty_cofactor_bases_only(
+    name, charge_total, weight_bound, data, monkeypatch
+):
+    # _blocks skips each cofactor weight whose partition count is 0, on the
+    # proved path, the exact path and the membership sweep alike.
+    empty = []
+    enumerate_real = quotient.enumerate_monomials
+
+    def enumerate_counted(orbits, tables, charge, weight):
+        basis = enumerate_real(orbits, tables, charge, weight)
+        if not basis:
+            empty.append((tuple(charge), weight))
+        return basis
+
+    monkeypatch.setattr(quotient, "enumerate_monomials", enumerate_counted)
+    compare_with_character(*data[name], charge_total, weight_bound)
+    new_relations_sweep(*data[name])
+    monkeypatch.setattr(quotient, "pair_factors", lambda orbits, tables: None)
+    report = compare_with_character(*data[name], 3, 20)
+    assert report.exact and not empty
 
 
 def _all_exact_json(orbits, tables, charge_total, weight_bound, monkeypatch):
