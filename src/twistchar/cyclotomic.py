@@ -104,10 +104,12 @@ class CyclotomicField:
         self.degree = len(modulus) - 1
         self._terms = _lower_terms(modulus)
         self._zero = CyclotomicScalar(self, (0,) * self.degree, 1)
-        # eta**e for 0 <= e < conductor, and the units j > 1 mod conductor.
-        self._eta_powers = tuple(
-            self._make(self._reduce([0] * e + [1]), 1) for e in range(conductor)
-        )
+        # eta**e for 0 <= e < conductor, each eta times the last (numerators
+        # shifted up, the top one folded back), and the units j > 1.
+        powers = [self._reduce([1])]
+        for _ in range(conductor - 1):
+            powers.append(self._reduce([0] + powers[-1]))
+        self._eta_powers = tuple(CyclotomicScalar(self, tuple(v), 1) for v in powers)
         self._units = tuple(
             j for j in range(2, conductor) if math.gcd(j, conductor) == 1
         )

@@ -171,11 +171,6 @@ def _q_stage_matrix(field: CyclotomicField, w: Rational, n: int, p: int) -> Exac
     return ExactMatrix.from_rows(field, rows)
 
 
-def _final_q_matrix(field: CyclotomicField, w: Rational, p: int) -> ExactMatrix:
-    last = field.from_rational(1 / ((p - 1) * Fraction(w)))
-    return _diagonal(field, [field.one()] * (p - 1) + [last])
-
-
 def _assert_equal(identity: str, got: ExactMatrix, expected: ExactMatrix) -> None:
     if got.nrows != expected.nrows or got.ncols != expected.ncols:
         raise PascalIdentityError(
@@ -190,12 +185,11 @@ def _reduction_matrix(
     field: CyclotomicField, w: Rational, p: int, q: int
 ) -> ExactMatrix:
     """The invertible P with P * M = rectangular Pascal, replaying and
-    checking every intermediate stage."""
-    if p == 1:
-        return ExactMatrix.identity(field, 1)
+    checking every stage; the last stage's target is the Pascal matrix
+    itself, and its Q(p - 2) is diag(1, ..., 1, 1/((p - 1) w))."""
     m = a_matrix(field, 1, 0, w, p, q)
     part = ExactMatrix.identity(field, p)
-    for n in range(p - 2):
+    for n in range(p - 1):
         q_n = _q_stage_matrix(field, w, n, p)
         if not q_n.det():
             raise PascalIdentityError(
@@ -207,11 +201,7 @@ def _reduction_matrix(
             part * m,
             _m_stage_matrix(field, w, n + 1, p, q),
         )
-    p_full = _final_q_matrix(field, w, p) * part
-    _assert_equal(
-        "reduced form (P*M = Pascal)", p_full * m, a_matrix(field, 1, 0, 1, p, q)
-    )
-    return p_full
+    return part
 
 
 def stacked_with_root(

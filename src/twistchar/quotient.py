@@ -25,11 +25,13 @@ thus bounds the rank mod p from below before any row is built; only where
 it falls short of |B| - c* are the rows built and eliminated mod p.
 
 One memo per call (``_Slices``) holds the cofactor bases (the only ones
-enumerated), relation coefficients, families and residues.  A window walks
-only the charges whose lowest weight sum_i m_i * start_i is in range and
-counts its empty cells in closed form.  A bidegree over MAX_COLUMNS
-monomials, counted as partitions, is refused before any basis is built,
-and one over MAX_ROWS rows before its rows or leading keys are read.
+enumerated), relation coefficients, families and each family's two keyed
+forms, exact and mod p with least keys; a proved cell walks its row blocks
+(``_blocks``) once.  A window walks only the charges whose lowest weight
+sum_i m_i * start_i is in range and counts its empty cells in closed form.
+A bidegree over MAX_COLUMNS monomials, counted as partitions, is refused
+before any basis is built, and one over MAX_ROWS rows before its rows or
+leading keys are read.
 """
 
 from __future__ import annotations
@@ -188,9 +190,10 @@ def build_relations(
 
 class _Slices:
     """Per-call memo of the bidegree slices of one lattice: basis keys and
-    sizes, relation coefficients by (i, r, m, w1), relation families and
-    their residues mod the split prime and distinct least keys by (i, j,
-    relation weight), and (row count, rank) of I(m, w) by (charge, weight).
+    sizes, relation coefficients by (i, r, m, w1), relation families by (i,
+    j, relation weight) with their two keyed forms, exact (``keyed``) and
+    mod the split prime with least keys (``family_mod_p``), each memoized
+    once, and (row count, rank) of I(m, w) by (charge, weight).
     Key fields are ``width`` bits, for charge entries up to ``top``; ``bound``
     is the window's weight bound.  ``factors``: the pair factors, once
     certificate (a) held."""
@@ -200,7 +203,7 @@ class _Slices:
         self.orbits, self.tables, self.bound = orbits, tables, bound
         self.field = get_field(orbits.k)
         self.bases, self.families, self.ranks = {}, {}, {}
-        self.residues, self.leads = {}, {}
+        self.exact, self.residues, self.leads = {}, {}, {}
         self.counts, self.factors, self.width = {}, None, max(top, 2).bit_length()
         self.coeff = lru_cache(None)(lambda *key: _relation_coeff(orbits, tables, *key))
         self.start_step = [_var_start_step(orbits, tables, i) for i in range(orbits.d)]
@@ -261,16 +264,22 @@ class _Slices:
                 self, i, j, weight, firsts)
         return self.families[i, j, weight]
 
-    def keyed(self, gens: list | None) -> list | None:
-        return gens and [[(c, self.key(m)) for c, m in terms] for terms in gens]
+    def keyed(self, key: tuple[int, int, int]) -> list:
+        """Per generator of family key, its (coefficient, monomial key)s."""
+        if key not in self.exact:
+            self.exact[key] = [[(c, self.key(m)) for c, m in g.terms]
+                               for g in self.family(*key)]
+        return self.exact[key]
 
-    def family_mod_p(self, key: tuple[int, int, int]):
+    def family_mod_p(self, key: tuple[int, int, int]) -> list | None:
+        """Per generator of family key, its nonzero (residue, monomial key)s,
+        least keys into ``leads``; None where certificate (b) fails."""
         if key not in self.residues:
             starts = [start for start, _ in self.start_step]
-            gens = self.residues[key] = self.keyed(family_mod_p(
-                self.family(*key), self.factors[key[:2]], starts,
-                *root_prime(self.orbits.k),
-            ))
+            gens = family_mod_p(self.family(*key), self.factors[key[:2]], starts,
+                                *root_prime(self.orbits.k))
+            gens = self.residues[key] = gens and [
+                [(r, self.key(m)) for r, m in terms] for terms in gens]
             self.leads[key] = {min(k for _, k in g) for g in gens or () if g}
         return self.residues[key]
 
@@ -282,7 +291,7 @@ class _Slices:
         key = charge, weight
         if target is None and key in self.ranks:
             return self.ranks[key]
-        rows = _relation_rows(self, charge, weight)
+        rows = _relation_rows(_blocks(self, charge, weight)[0], self.keyed)
 
         def rank_of_rows() -> int:
             zero, columns = self.field.zero(), sorted(set().union(*rows))
@@ -297,14 +306,10 @@ class _Slices:
         return len(rows), rank_of_rows()
 
 
-def _blocks(
-    slices: _Slices, charge: tuple[int, ...], weight: int, family=None
-) -> list | None:
-    """The rows of I(m, w) in blocks (cofactor keys, family key,
-    generators), one row cof * g per cofactor and generator.  A generator is
-    a list of (entry, monomial key) terms: the exact coefficients, or those
-    family(key) gives for the family key (i, j, relation weight); None as
-    soon as family gives None.  Refused once the row count would exceed
+def _blocks(slices: _Slices, charge: tuple[int, ...], weight: int) -> tuple[list, int]:
+    """The rows of I(m, w) in blocks (cofactor keys, family key (i, j,
+    relation weight)), one row cof * g per cofactor and generator of the
+    family, and their count.  Refused once the count would exceed
     MAX_ROWS."""
     # Keys add while no multiplicity overflows its field.
     if max(charge) >> slices.width:
@@ -323,37 +328,24 @@ def _blocks(
                     continue
                 cofs = slices.basis(cof_charge, cof_weight)
                 key = i, j, weight - cof_weight
-                gens = family(key) if family else slices.keyed(
-                    [g.terms for g in slices.family(*key)])
-                if gens is None:
-                    return None
-                n_rows += len(cofs) * len(gens)
+                # Both forms keep one term list per generator, zero ones too.
+                n_rows += len(cofs) * len(slices.family(*key))
                 if n_rows > MAX_ROWS:
                     raise BudgetExceeded(
                         f"relation row count exceeds budget ({MAX_ROWS}) at "
                         f"bidegree (charge={charge}, weight={weight})")
-                blocks.append((cofs, key, gens))
-    return blocks
+                blocks.append((cofs, key))
+    return blocks, n_rows
 
 
-def _relation_rows(
-    slices: _Slices, charge: tuple[int, ...], weight: int, family=None
-) -> list[dict] | None:
-    """The rows cof * g of ``_blocks`` as {monomial key: entry}, or None."""
+def _relation_rows(blocks: list, form) -> list[dict]:
+    """The rows cof * g of ``_blocks`` as {monomial key: entry}, g's terms
+    from form(family key): ``_Slices.keyed`` or ``_Slices.family_mod_p``."""
     # A generator's terms have distinct keys, and so do their products with
     # one cofactor: each entry is placed, never summed.
-    blocks = _blocks(slices, charge, weight, family)
-    return None if blocks is None else [
-        {cof + key: c for c, key in gen}
-        for cofs, _, gens in blocks for cof in cofs for gen in gens]
-
-
-def _lead_count(slices: _Slices, blocks: list) -> int:
-    """The number of distinct least keys cof + lead(g) of the rows cof * g of
-    blocks built by ``family_mod_p``, lead(g) the least key of g's terms; a
-    rank lower bound (module doc)."""
-    return len({cof + lead for cofs, key, _ in blocks
-                for lead in slices.leads[key] for cof in cofs})
+    return [{cof + key: c for c, key in gen}
+            for cofs, gens in [(cofs, form(key)) for cofs, key in blocks]
+            for cof in cofs for gen in gens]
 
 
 def _oracle_rank(
@@ -364,15 +356,15 @@ def _oracle_rank(
     fall short, the rank mod p of the rows reaches it ("mod p"); otherwise,
     and for target < 0, it comes from exact elimination ("exact")."""
     if slices.factors is not None and target >= 0:
-        blocks = _blocks(slices, charge, weight, slices.family_mod_p)
-        if blocks is not None:
-            n_rows = sum(len(cofs) * len(gens) for cofs, _, gens in blocks)
-            leads = _lead_count(slices, blocks)
+        blocks, n_rows = _blocks(slices, charge, weight)
+        if all(slices.family_mod_p(key) is not None for _, key in blocks):
+            leads = len({cof + lead for cofs, key in blocks
+                         for lead in slices.leads[key] for cof in cofs})
             if leads == target:
                 return n_rows, target, "leads"
             # Above the target the lower bound dim Q >= c* is contradicted.
             if leads < target:
-                rows = _relation_rows(slices, charge, weight, slices.family_mod_p)
+                rows = _relation_rows(blocks, slices.family_mod_p)
                 if rank_mod(rows, root_prime(slices.orbits.k)[0], target) == target:
                     return n_rows, target, "mod p"
     return (*slices.rank(charge, weight), "exact")

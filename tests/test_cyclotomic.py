@@ -1,7 +1,11 @@
 """Field arithmetic and exact linear algebra, pinned against hand values."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -133,6 +137,30 @@ def test_eta_to_wraps_exponents():
         field = get_field(k)
         for e in range(-2 * k, 2 * k):
             assert field.eta_to(e) == field.eta ** e
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 12, 60, 420))
+def test_eta_powers_are_the_reduced_monomials(k):
+    # Each power is eta times the last; x**e reduced from scratch agrees.
+    field = get_field(k)
+    for e in range(k):
+        assert field.eta_to(e).nums == tuple(field._reduce([0] * e + [1])), e
+        assert field.eta_to(e).den == 1
+
+
+def test_eta_powers_take_linear_time_in_the_conductor():
+    # k = 9240 = lcm(2, ..., 11), the order of a rank-30 permutation lattice's
+    # isometry.  Reducing each x**e from scratch is quadratic in k and took
+    # minutes; the recurrence is linear, and the cyclotomic polynomial
+    # takes most of the time left.
+    src = str(Path(modular.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )}
+    code = "from twistchar.cyclotomic import get_field\nprint(get_field(9240).degree)\n"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=20)
+    assert (run.returncode, run.stdout) == (0, "1920\n"), run.stderr
 
 
 @pytest.mark.parametrize("conductor", (1, 2, 3, 4, 5, 6, 8, 12))

@@ -527,7 +527,8 @@ def _solve_membership(orbits, tables, i, j, s, t):
     weight = monomial_weight(target)
     slices = quotient._Slices(orbits, tables)
     monomials = [slices.key(m) for m in enumerate_monomials(orbits, tables, charge, weight)]
-    rows = quotient._relation_rows(slices, charge, weight)
+    blocks = quotient._blocks(slices, charge, weight)[0]
+    rows = quotient._relation_rows(blocks, slices.keyed)
     if not rows:
         return False
     # Rows are keyed by monomial; every key they hold is a basis monomial's.
@@ -618,10 +619,11 @@ def _lead_cells(orbits, tables, charge_total, weight_bound):
         sizes = slices.sizes(charge, weight_bound)
         for weight in range(slices.lowest(charge), weight_bound + 1):
             if sizes[weight]:
-                blocks = quotient._blocks(slices, charge, weight, slices.family_mod_p)
-                rows = quotient._relation_rows(slices, charge, weight, slices.family_mod_p)
+                blocks = quotient._blocks(slices, charge, weight)[0]
+                rows = quotient._relation_rows(blocks, slices.family_mod_p)
                 leads = len({min(row) for row in rows if row})
-                count = quotient._lead_count(slices, blocks)
+                count = len({cof + lead for cofs, key in blocks
+                             for lead in slices.leads[key] for cof in cofs})
                 yield count, leads, rank_mod(rows, p, len(rows))
 
 
@@ -649,6 +651,31 @@ def test_benchmark_windows_need_no_exact_elimination(name, charge_total, weight_
                                                      by_leads, populated, data):
     report = compare_with_character(*data[name], charge_total, weight_bound)
     assert (report.leads, report.proved, report.exact) == (by_leads, populated, 0)
+
+
+@pytest.mark.parametrize("name, charge_total, weight_bound, populated", [
+    ("swap2", 4, 36, 61), ("x3", 4, 36, 181), ("x4", 4, 36, 159), ("rank1", 4, 56, 107),
+])
+def test_proved_cells_walk_their_blocks_once(name, charge_total, weight_bound,
+                                             populated, data, monkeypatch):
+    # The leading keys and the rows mod p share one list of blocks.
+    walks = []
+    blocks_real = quotient._blocks
+    monkeypatch.setattr(
+        quotient, "_blocks", lambda *args: walks.append(args[1:]) or blocks_real(*args)
+    )
+    report = compare_with_character(*data[name], charge_total, weight_bound)
+    assert report.proved == populated and not report.exact
+    assert len(walks) == len(set(walks)) == populated
+
+
+def test_keyed_family_is_memoized(data):
+    slices = quotient._Slices(*data["x3"])
+    key = 0, 1, 18
+    keyed = slices.keyed(key)
+    assert keyed and slices.keyed(key) is keyed
+    assert keyed == [[(c, slices.key(m)) for c, m in g.terms]
+                     for g in slices.family(*key)]
 
 
 # ------------------------------------------------------------- monomial keys
@@ -702,9 +729,11 @@ def _check_keyed_rows(orbits, tables, charge_total, weight_bound):
             basis = enumerate_monomials(orbits, tables, charge, weight)
             position = {slices.key(mono): pos for pos, mono in enumerate(basis)}
             assert len(position) == len(basis), (charge, weight)
-            for family, keyed_family in ((exact, None), (residues, slices.family_mod_p)):
+            blocks = quotient._blocks(slices, charge, weight)[0]
+            for family, form in ((exact, slices.keyed), (residues, slices.family_mod_p)):
                 expected = _reference_rows(slices, charge, weight, family)
-                keyed = quotient._relation_rows(slices, charge, weight, keyed_family)
+                keyed = None if any(form(key) is None for _, key in blocks) else (
+                    quotient._relation_rows(blocks, form))
                 assert (keyed is None) == (expected is None)
                 assert expected is None or [
                     {position[key]: entry for key, entry in row.items()} for row in keyed
@@ -736,7 +765,7 @@ def test_key_width_guard_raises_under_optimization(data):
         "slices = quotient._Slices(*analyze(preset('rank1')), 3)\n"
         "assert False, 'asserts must be stripped'\n"
         "try:\n"
-        "    quotient._relation_rows(slices, (4,), 16)\n"
+        "    quotient._blocks(slices, (4,), 16)\n"
         "except quotient.PreconditionViolated as error:\n"
         "    print('refused', error)\n"
     )
@@ -749,7 +778,8 @@ def test_key_width_guard_raises_under_optimization(data):
     assert (run.returncode, run.stdout) == (
         0, "refused charge (4,) overflows 2-bit keys\n"
     ), run.stderr
-    assert quotient._relation_rows(quotient._Slices(*data["rank1"], 4), (4,), 16)
+    slices = quotient._Slices(*data["rank1"], 4)
+    assert quotient._relation_rows(quotient._blocks(slices, (4,), 16)[0], slices.keyed)
 
 
 @pytest.mark.parametrize("name, charge_total, weight_bound", BENCHMARK_WINDOWS)

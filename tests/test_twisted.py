@@ -235,7 +235,8 @@ def _check_phi_window(orbits, tables, charge_total, weight_bound):
                 for image in images.values()
             ), len(columns))
             assert matrix.rank() == table.coefficient(charge, weight), (charge, weight)
-            for row in quotient._relation_rows(slices, charge, weight):
+            blocks = quotient._blocks(slices, charge, weight)[0]
+            for row in quotient._relation_rows(blocks, slices.keyed):
                 total = {}
                 for col, entry in row.items():
                     for t, value in images[col].items():
