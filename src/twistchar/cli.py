@@ -12,11 +12,8 @@ Subcommands:
 Exit codes: 0 on success, 1 when a requested check fails, 2 on bad input.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -32,9 +29,6 @@ from .qseries import (
     verify_partition_identity,
 )
 from .quotient import BudgetExceeded, compare_with_character, new_relations_sweep
-
-log = logging.getLogger("twistchar")
-
 
 class InputError(ValueError):
     """Bad command-line input; reported on stderr with exit code 2."""
@@ -54,6 +48,7 @@ class _Run(NamedTuple):
     proof_samples: int = 50
     seed: int = 0
     strict_identities: bool = False
+    verbose: bool = False
 
 
 class RunConfig(_Run):
@@ -113,10 +108,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _info(cfg: RunConfig, message: str) -> None:
+    # -v progress lines go to stderr; stdout holds only the report.
+    if cfg.verbose:
+        print(f"INFO twistchar: {message}", file=sys.stderr)
+
+
 def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.out_path:
         Path(cfg.out_path).write_text(text + "\n")
-        log.info("wrote %s", cfg.out_path)
+        _info(cfg, f"wrote {cfg.out_path}")
     else:
         print(text)
 
@@ -192,7 +193,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_character(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     orbits, tables = analyze(cfg.lattice())
-    log.info("building character table, truncation %d", cfg.truncation)
+    _info(cfg, f"building character table, truncation {cfg.truncation}")
     table = character(orbits, tables, cfg.truncation)
     if cfg.out_format == "json":
         _emit(json.dumps(table.to_json_dict(), indent=2), cfg)
@@ -228,23 +229,18 @@ def _check_recursion(orbits, tables, cfg: RunConfig):
 
 
 def _check_oracle(orbits, tables, cfg: RunConfig):
-    log.info(
-        "oracle sweep: charge total <= %d, weight <= %d",
-        cfg.charge_bound,
-        cfg.weight_bound,
-    )
+    _info(cfg, f"oracle sweep: charge total <= {cfg.charge_bound}, "
+               f"weight <= {cfg.weight_bound}")
     report = compare_with_character(
         orbits,
         tables,
         charge_total=cfg.charge_bound,
         weight_bound=cfg.weight_bound,
     )
-    log.info(
-        "oracle: twisted-module certificate %s; %d ranks proved by leading "
-        "monomials, %d by mod-p elimination, %d by exact elimination",
-        "held" if report.certified else "failed", report.leads,
-        report.proved - report.leads, report.exact,
-    )
+    _info(cfg, f"oracle: twisted-module certificate "
+               f"{'held' if report.certified else 'failed'}; {report.leads} ranks "
+               f"proved by leading monomials, {report.proved - report.leads} by "
+               f"mod-p elimination, {report.exact} by exact elimination")
     lines = ["  " + line for line in report.text_table().splitlines()]
     return report.all_ok, lines, report.to_json_dict()
 
@@ -297,21 +293,13 @@ def _check_new_relations(orbits, tables):
 
 
 def _check_pascal(cfg: RunConfig):
-    log.info(
-        "pascal sweep: max_k=%d max_n=%d samples=%d seed=%d",
-        cfg.max_k,
-        cfg.max_n,
-        cfg.samples,
-        cfg.seed,
-    )
+    _info(cfg, f"pascal sweep: max_k={cfg.max_k} max_n={cfg.max_n} "
+               f"samples={cfg.samples} seed={cfg.seed}")
     report = pascal_check(
         cfg.max_k, cfg.max_n, cfg.samples, cfg.seed, cfg.proof_samples
     )
-    log.info(
-        "pascal sweep: %d specs proved mod p, %d by exact elimination",
-        report.proved_mod_p,
-        report.proved_exact,
-    )
+    _info(cfg, f"pascal sweep: {report.proved_mod_p} specs proved mod p, "
+               f"{report.proved_exact} by exact elimination")
     lines = [
         f"  {report.specs_checked} stacked specs, "
         f"{report.factorizations_checked} factorization replays, "
@@ -506,11 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-        level=logging.INFO if args.verbose else logging.WARNING,
-    )
     try:
         return args.func(args)
     except (BudgetExceeded, LatticeError, InputError, OSError) as exc:

@@ -13,12 +13,12 @@ Matrix rank, determinant, solving and inversion all run one exact
 elimination over Q(eta).
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
+
+from .modular import prime_factors
 
 Rational = Union[int, Fraction]
 
@@ -73,21 +73,32 @@ def _lower_terms(monic: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple((j, m) for j, m in enumerate(monic[:-1]) if m)
 
 
+def _spread(poly: Sequence[int], e: int) -> list[int]:
+    # The coefficients of poly(x^e).
+    out = [0] * ((len(poly) - 1) * e + 1)
+    out[::e] = poly
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients (low-to-high) of the n-th cyclotomic polynomial."""
+    """Integer coefficients (low-to-high) of the n-th cyclotomic polynomial.
+
+    Phi_(m p)(x) = Phi_m(x^p) / Phi_m(x) for squarefree m and a prime p not
+    dividing m builds Phi_r for r = rad(n), the product of n's distinct
+    primes, from Phi_1 = x - 1; then Phi_n(x) = Phi_r(x^(n/r)).
+    """
     if n < 1:
         raise ValueError(f"conductor must be >= 1, got {n}")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = cyclotomic_polynomial(d)
-            deg = len(den) - 1
-            _divide_monic(poly, _lower_terms(den), deg)
-            if any(poly[:deg]):
-                raise ArithmeticError("inexact polynomial division")
-            poly = poly[deg:]
-    return tuple(poly)
+    poly, rad = [-1, 1], 1
+    for p in prime_factors(n):
+        deg = len(poly) - 1
+        num = _spread(poly, p)
+        _divide_monic(num, _lower_terms(poly), deg)
+        if any(num[:deg]):
+            raise ArithmeticError("inexact polynomial division")
+        poly, rad = num[deg:], rad * p
+    return tuple(_spread(poly, n // rad))
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,6 @@ doubled order k, the per-orbit evenness flags, the allowed mode sets, the
 zero-mode pairing and character matrices, and the vacuum weight.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from math import lcm

@@ -11,9 +11,6 @@ oracle takes its upper bounds on quotient dimensions from ``rank_mod``, the
 Pascal sweep its invertibility proofs from ``det_mod``.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -72,6 +69,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, increasing, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] * (n > 1)
+
+
 @lru_cache(maxsize=None)
 def root_prime(k: int) -> tuple[int, int]:
     """(p, omega): the first prime p = 1 (mod k) above 2^61, and
@@ -79,7 +88,7 @@ def root_prime(k: int) -> tuple[int, int]:
     p = (1 << 61) + 1 + (-(1 << 61)) % k
     while not is_prime(p):
         p += k
-    factors = [q for q in range(2, k + 1) if k % q == 0 and is_prime(q)]
+    factors = prime_factors(k)
     g = 2
     while True:
         omega = pow(g, (p - 1) // k, p)
@@ -88,18 +97,15 @@ def root_prime(k: int) -> tuple[int, int]:
         g += 1
 
 
-def residue(x: Fraction, p: int) -> int | None:
-    """x mod p, or None when p divides the denominator of x."""
-    den = x.denominator % p
-    return x.numerator * pow(den, -1, p) % p if den else None
-
-
 def image(nums: Sequence[int], den: int, p: int, omega: int) -> int | None:
     """The image mod p of sum_e nums[e] * eta^e / den under eta -> omega, or
-    None when p divides den."""
+    None when p divides den; a rational a/b is ((a,), b)."""
     if not den % p:
         return None
-    return sum(a * pow(omega, e, p) for e, a in enumerate(nums)) * pow(den, -1, p) % p
+    acc = 0
+    for a in reversed(nums):  # Horner's rule
+        acc = (acc * omega + a) % p
+    return acc * pow(den, -1, p) % p
 
 
 def det_mod(rows: list[list[int]], p: int) -> int:

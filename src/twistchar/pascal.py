@@ -15,8 +15,6 @@ failed identity raises PascalIdentityError naming the first bad entry;
 nothing is ever patched to force agreement.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +31,7 @@ from .cyclotomic import (
     get_field,
     rational_binomial,
 )
-from .modular import det_mod, residue, root_prime
+from .modular import det_mod, image, root_prime
 from .qseries import BudgetExceeded
 
 
@@ -186,16 +184,15 @@ def _reduction_matrix(
 ) -> ExactMatrix:
     """The invertible P with P * M = rectangular Pascal, replaying and
     checking every stage; the last stage's target is the Pascal matrix
-    itself, and its Q(p - 2) is diag(1, ..., 1, 1/((p - 1) w))."""
+    itself, and its Q(p - 2) is diag(1, ..., 1, 1/((p - 1) w)).
+
+    No determinant is taken: each Q(n) is lower bidiagonal with diagonal
+    entries 1 or (i - n)/((n + 1) w), i > n, nonzero because every caller
+    validates w != 0; so each Q(n), and their product P, is invertible."""
     m = a_matrix(field, 1, 0, w, p, q)
     part = ExactMatrix.identity(field, p)
     for n in range(p - 1):
-        q_n = _q_stage_matrix(field, w, n, p)
-        if not q_n.det():
-            raise PascalIdentityError(
-                f"stage matrix Q({n}) singular", n, n, q_n.det(), field.one()
-            )
-        part = q_n * part
+        part = _q_stage_matrix(field, w, n, p) * part
         _assert_equal(
             f"stage {n + 1} row reduction (P({n + 1})*M)",
             part * m,
@@ -288,7 +285,7 @@ def verify_invertible(spec: PascalSpec) -> InvertibilityResult:
     """
     k, sizes = spec.conductor, spec.block_sizes
     p, omega = root_prime(k)
-    z, w = residue(spec.z, p), residue(spec.w, p)
+    z, w = (image((x.numerator,), x.denominator, p, omega) for x in (spec.z, spec.w))
     if z is None or w is None:
         return InvertibilityResult(bool(build_stacked(spec).det()), None, "exact")
     det = det_mod(_stacked_mod(sizes, z, w, p, omega), p)
@@ -318,7 +315,9 @@ def factorization_check(
     x^j * binomial(z + j*w, i) into a lower-triangular Toeplitz factor, the
     binomial-grid factor M, and the diagonal of powers; each intermediate
     row-reduction stage; and the final reduced Pascal form.  Raises
-    PascalIdentityError on the first failure.
+    PascalIdentityError on the first failure.  The reduction matrix P is
+    invertible as the product of the stage matrices Q(n), so det P is not
+    taken.
     """
     if p < 1 or q < 1:
         raise ValueError(f"need p >= 1 and q >= 1, got p={p}, q={q}")
@@ -333,11 +332,7 @@ def factorization_check(
     m = a_matrix(field, 1, 0, w, p, q)
     h = _diagonal(field, _powers(xc, q))
     _assert_equal("product decomposition (A = Z*M*H)", zm * m * h, a)
-    p_full = _reduction_matrix(field, w, p, q)
-    if not p_full.det():
-        raise PascalIdentityError(
-            "reduction matrix P singular", -1, -1, p_full.det(), field.one()
-        )
+    _reduction_matrix(field, w, p, q)
     return FactorizationReport(
         p=p, q=q, x=str(xc), z=Fraction(z), w=Fraction(w), stages=max(p - 2, 0)
     )
@@ -353,14 +348,19 @@ class TwoBlocksReport(NamedTuple):
     y: str
 
 
-def _block_diag(
-    field: CyclotomicField, size: int, lower: ExactMatrix
+def _eliminator(
+    field: CyclotomicField, x: CyclotomicScalar, y: CyclotomicScalar, s: int, t: int
 ) -> ExactMatrix:
-    top = ExactMatrix.identity(field, size)
-    zero = field.zero()
-    rows = [row + (zero,) * lower.ncols for row in top.rows]
-    rows += [(zero,) * size + row for row in lower.rows]
-    return ExactMatrix(field, tuple(rows), size + lower.ncols)
+    # Q' = [[I, 0], [Q, I]], where Q[i][j] = -(y/x)^i * binomial(j, i) *
+    # ((y - x)/x)^(j - i) for j >= i eliminates the upper block from the lower.
+    x_inv, zero = x.inverse(), field.zero()
+    ratio, shift = y * x_inv, (y - x) * x_inv
+    ident = ExactMatrix.identity(field, s + t).rows
+    return ExactMatrix(field, ident[:s] + tuple(
+        tuple(-(ratio ** i) * rational_binomial(j, i) * shift ** (j - i) if j >= i
+              else zero for j in range(s)) + ident[s + i][s:]
+        for i in range(t)
+    ), s + t)
 
 
 def two_blocks_check(
@@ -369,11 +369,19 @@ def two_blocks_check(
     """Replay the row equivalence of two stacked power-Pascal blocks.
 
     B stacks the s-row block at x over the t-row block at y; B' replaces
-    the lower block by the (y - x) block compressed through the shifted
-    upper-triangular C.  The explicit transforming matrices are rebuilt and
-    (U')^-1 (V')^-1 Q' B = B' is checked entrywise, along with each
-    intermediate identity.  Requires x != y, both nonzero, s >= t >= 0,
-    s + t <= n.
+    the lower block by the (y - x) block A' compressed through the shifted
+    upper-triangular C.  Each identity of the argument is checked entrywise,
+    once: Q'B = [upper; W C], W = V A (A the (y - x) block at z = s),
+    Z(s) Z(-s) = I and U A = A'.  Requires x != y, both nonzero,
+    s >= t >= 0, s + t <= n.
+
+    They imply the rest: (U')^-1 (V')^-1 Q' B = blockdiag(I, U V^-1) Q' B =
+    [upper; U V^-1 W C] = [upper; A' C] = B', and T = blockdiag(I, U V^-1) Q'
+    is invertible by construction (Q' unit lower triangular; V diagonal with
+    entries y^i (y - x)^(s - i) != 0; U = P Z(-s), P invertible as built by
+    ``_reduction_matrix`` and Z(-s) unit lower triangular), so B' = T B has
+    the row space of B.  With t = 0 both stacks are the upper block, and
+    nothing is replayed.
     """
     field = _common_field(x, y)
     xc, yc = _coerce_entry(field, x), _coerce_entry(field, y)
@@ -385,42 +393,23 @@ def two_blocks_check(
         raise ValueError(
             f"need s >= t >= 0 and s + t <= n with n >= 1, got n={n}, s={s}, t={t}"
         )
+    report = TwoBlocksReport(n=n, s=s, t=t, x=str(xc), y=str(yc))
+    if t == 0:
+        return report
     d = yc - xc
 
     upper = a_matrix(field, xc, 0, 1, s, n)
     b = upper.stack(a_matrix(field, yc, 0, 1, t, n))
     # C = [0 | C'] with C'[i][j] = binomial(s+j, s+i) * x^(j-i) above the diagonal.
     zero = field.zero()
-    xs = _powers(xc, max(n - s, 1))
-    c_rows = [
+    xs = _powers(xc, n - s)
+    c = ExactMatrix.from_rows(field, [
         [zero] * s + [
             xs[j - i] * rational_binomial(s + j, s + i) if j >= i else zero
             for j in range(n - s)
         ]
         for i in range(n - s)
-    ]
-    c = ExactMatrix.from_rows(field, c_rows) if n - s else ExactMatrix(field, (), n)
-    b_prime = upper.stack(a_matrix(field, d, 0, 1, t, n - s) * c)
-
-    if t == 0:
-        _assert_equal("degenerate stack (B = B')", b, b_prime)
-        return TwoBlocksReport(n=n, s=s, t=t, x=str(xc), y=str(yc))
-
-    # Q eliminates the upper block from the lower one.
-    x_inv = xc.inverse()
-    q = ExactMatrix.from_rows(field, [
-        [
-            -((yc * x_inv) ** i) * rational_binomial(j, i) * ((d * x_inv) ** (j - i))
-            if j >= i else zero
-            for j in range(s)
-        ]
-        for i in range(t)
     ])
-    # Q' = [[I, 0], [Q, I]].
-    ident = ExactMatrix.identity(field, s + t).rows
-    q_prime = ExactMatrix(
-        field, ident[:s] + tuple(q.rows[i] + ident[s + i][s:] for i in range(t)), s + t
-    )
 
     w_direct = ExactMatrix.from_rows(field, [
         [rational_binomial(s + j, i) * yc ** i * d ** (s + j - i) for j in range(n - s)]
@@ -428,13 +417,12 @@ def two_blocks_check(
     ])
     _assert_equal(
         "eliminated lower block (Q'B = [A'; W*C])",
-        q_prime * b,
+        _eliminator(field, xc, yc, s, t) * b,
         upper.stack(w_direct * c),
     )
 
     inner = a_matrix(field, d, s, 1, t, n - s)
-    v_diag = [(yc ** i) * (d ** (s - i)) for i in range(t)]
-    v = _diagonal(field, v_diag)
+    v = _diagonal(field, [(yc ** i) * (d ** (s - i)) for i in range(t)])
     _assert_equal("diagonal extraction (W = V*A)", v * inner, w_direct)
 
     # Z(s)^-1 = Z(-s) by Vandermonde's identity; replayed, not assumed.
@@ -450,20 +438,7 @@ def two_blocks_check(
         u * inner,
         a_matrix(field, d, 0, 1, t, n - s),
     )
-
-    # U' = blockdiag(I, U^-1) and V' = blockdiag(I, V), so
-    # (U')^-1 (V')^-1 = blockdiag(I, U * V^-1) with V^-1 diagonal.
-    v_inv = _diagonal(field, [e.inverse() for e in v_diag])
-    _assert_equal(
-        "full chain ((U')^-1 (V')^-1 Q' B = B')",
-        _block_diag(field, s, u * v_inv) * q_prime * b,
-        b_prime,
-    )
-    if not b.rank() == b_prime.rank() == b.stack(b_prime).rank():
-        raise PascalIdentityError(
-            "row spaces differ", -1, -1, field.zero(), field.zero()
-        )
-    return TwoBlocksReport(n=n, s=s, t=t, x=str(xc), y=str(yc))
+    return report
 
 
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:

@@ -7,8 +7,6 @@ Config files are JSON objects with keys:
   perm  -- permutation, as a 1-based one-line array or a cycle string "(1)(2 3)"
 """
 
-from __future__ import annotations
-
 import json
 from pathlib import Path
 from typing import Union

@@ -11,8 +11,6 @@ conformal weight above the twisted vacuum, which is always a non-negative
 integer, and the zero-charge series is exactly 1.
 """
 
-from __future__ import annotations
-
 from math import isqrt, prod
 from typing import Iterable, NamedTuple, Sequence, Union
 

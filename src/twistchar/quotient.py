@@ -34,17 +34,15 @@ before any basis is built, and one over MAX_ROWS rows before its rows or
 leading keys are read.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicScalar, ExactMatrix, get_field, rational_binomial
 from .lattice import OrbitData, PairingTables
-from .modular import rank_mod, root_prime
+from .modular import prime_factors, rank_mod, root_prime
 from .pascal import PascalSpec, stacked_with_root
 from .qseries import BudgetExceeded, _partition_series, character
 from .twisted import family_mod_p, pair_factors
@@ -53,6 +51,9 @@ from .twisted import family_mod_p, pair_factors
 # rows.
 MAX_COLUMNS = 2000
 MAX_ROWS = 20000
+# The most numerators, k * phi(k), of the eta-power table of Q(eta_k), about
+# 16 bytes each: k = 9240 needs 1.77 * 10^7.
+MAX_FIELD_TABLE = 2 * 10 ** 7
 
 
 class PreconditionViolated(ValueError):
@@ -146,7 +147,7 @@ def _relation_coeff(
 
 
 def _generators(
-    slices: _Slices, i: int, j: int, weight: int, firsts: list[int]
+    slices: "_Slices", i: int, j: int, weight: int, firsts: list[int]
 ) -> list[RelationGenerator]:
     # firsts: the orbit-i weights w1 of the pairs x_i * x_j of this weight.
     orbits, tables, field = slices.orbits, slices.tables, slices.field
@@ -201,7 +202,14 @@ class _Slices:
     def __init__(self, orbits: OrbitData, tables: PairingTables, top: int = 2,
                  bound: int = 0):
         self.orbits, self.tables, self.bound = orbits, tables, bound
-        self.field = get_field(orbits.k)
+        k, primes = orbits.k, prime_factors(orbits.k)
+        phi = k // prod(primes) * prod(q - 1 for q in primes)
+        if k * phi > MAX_FIELD_TABLE:
+            raise BudgetExceeded(
+                f"the field Q(eta_{k}) needs a table of {k * phi} numerators, "
+                f"over the budget of {MAX_FIELD_TABLE}"
+            )
+        self.field = get_field(k)
         self.bases, self.families, self.ranks = {}, {}, {}
         self.exact, self.residues, self.leads = {}, {}, {}
         self.counts, self.factors, self.width = {}, None, max(top, 2).bit_length()

@@ -31,8 +31,6 @@ the coefficients at B's exponents determine the product.  As
 2 deg P_ij = 2h sum_r rotated[i][j][r] = A_ij, the shift is m^T A m / 2.
 """
 
-from __future__ import annotations
-
 from typing import Sequence
 
 from .cyclotomic import CyclotomicScalar, get_field

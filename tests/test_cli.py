@@ -477,6 +477,38 @@ def test_oversized_character_table_exits_2(argv):
     assert "budget" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def _capped_memory():
+    import resource
+
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("check", ["--oracle", "--new-relations"])
+def test_field_too_large_to_build_exits_2(tmp_path, check):
+    # Cycles (2)(3)(5)(7)(11)(13): k = 60060 and phi(k) = 11520, so the
+    # eta-power table of Q(eta_k) would hold 6.9 * 10^8 numerators.  The
+    # memory cap and the timeout make a regression fail fast.
+    cycles, start = "", 1
+    for length in (2, 3, 5, 7, 11, 13):
+        cycles += "(" + " ".join(map(str, range(start, start + length))) + ")"
+        start += length
+    cfg = tmp_path / "rank41.json"
+    cfg.write_text(json.dumps({"rank": 41, "perm": cycles, "gram": [
+        [2 * (i == j) for j in range(41)] for i in range(41)]}))
+    src = Path(twistchar.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistchar.cli", "verify", "--config", str(cfg), check],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        preexec_fn=_capped_memory, timeout=60, check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == (
+        "error: the field Q(eta_60060) needs a table of 691891200 numerators, "
+        "over the budget of 20000000\n"
+    )
+
+
 def test_argparse_rejects_unknown_preset(capsys):
     with pytest.raises(SystemExit) as err:
         main(["analyze", "--preset", "bogus"])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -17,6 +18,8 @@ from twistchar.cyclotomic import (
     ExactMatrix,
     NoSolution,
     NotADivisor,
+    _divide_monic,
+    _lower_terms,
     cyclotomic_polynomial,
     get_field,
     rational_binomial,
@@ -111,6 +114,26 @@ def test_cyclotomic_polynomials_multiply_to_x_n_minus_one():
                         out[i + j] += a * b
                 prod = out
         assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+@lru_cache(maxsize=None)
+def _divisor_by_divisor(n):
+    # The reference construction: x^n - 1 divided by Phi_d for every proper
+    # divisor d of n.
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _divisor_by_divisor(d)
+            deg = len(den) - 1
+            _divide_monic(poly, _lower_terms(den), deg)
+            assert not any(poly[:deg]), (n, d)
+            poly = poly[deg:]
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomial_equals_the_divisor_by_divisor_construction():
+    for n in [*range(1, 301), 720, 2310]:
+        assert cyclotomic_polynomial(n) == _divisor_by_divisor(n), n
 
 
 def test_field_degrees():

@@ -207,6 +207,49 @@ def test_replay_detects_forged_stage():
     assert err.value.row == 1 and err.value.col == 0
 
 
+def _with_entry(matrix, i, j, value):
+    rows = [list(row) for row in matrix.rows]
+    rows[i][j] = value
+    return ExactMatrix(matrix.field, tuple(map(tuple, rows)), matrix.ncols)
+
+
+def test_singular_stage_matrix_fails_its_stage_identity(monkeypatch):
+    # P is invertible because each Q(n) has a nonzero diagonal; a Q(0) with
+    # a zero there breaks the stage identity it was built for.
+    original = pascal._q_stage_matrix
+
+    def forged(field, w, n, p):
+        q_n = original(field, w, n, p)
+        return _with_entry(q_n, p - 1, p - 1, field.zero()) if n == 0 else q_n
+
+    monkeypatch.setattr(pascal, "_q_stage_matrix", forged)
+    with pytest.raises(PascalIdentityError) as err:
+        factorization_check(1, 0, 1, 4, 4)
+    assert err.value.identity == "stage 1 row reduction (P(1)*M)"
+
+
+def test_perturbed_diagonal_fails_diagonal_extraction(monkeypatch):
+    original = pascal._diagonal
+    monkeypatch.setattr(pascal, "_diagonal", lambda field, entries: original(
+        field, [entries[0] + 1, *entries[1:]]))
+    with pytest.raises(PascalIdentityError) as err:
+        two_blocks_check(1, 2, 4, 2, 2)
+    assert err.value.identity == "diagonal extraction (W = V*A)"
+
+
+def test_perturbed_eliminator_fails_the_eliminated_lower_block(monkeypatch):
+    original = pascal._eliminator
+
+    def forged(field, x, y, s, t):
+        q = original(field, x, y, s, t)
+        return _with_entry(q, s, 0, q.rows[s][0] + 1)
+
+    monkeypatch.setattr(pascal, "_eliminator", forged)
+    with pytest.raises(PascalIdentityError) as err:
+        two_blocks_check(1, 2, 4, 2, 2)
+    assert err.value.identity == "eliminated lower block (Q'B = [A'; W*C])"
+
+
 # ------------------------------------------------------- mod-p certificate
 
 
@@ -229,7 +272,8 @@ def _image_mod_p(scalar, k):
     # The image of an element of Q(eta_k) under eta -> omega in F_p.
     p, omega = modular.root_prime(k)
     return sum(
-        modular.residue(c, p) * pow(omega, e, p) for e, c in enumerate(scalar.coeffs)
+        c.numerator * pow(c.denominator, -1, p) * pow(omega, e, p)
+        for e, c in enumerate(scalar.coeffs)
     ) % p
 
 
@@ -263,6 +307,13 @@ def test_root_prime_has_a_root_of_exact_order(k):
     assert all(pow(omega, j, p) != 1 for j in range(1, k))
 
 
+def test_prime_factors_are_the_distinct_prime_divisors():
+    primes = [q for q in range(3000) if modular.is_prime(q)]
+    for n in range(1, 3000):
+        assert modular.prime_factors(n) == [q for q in primes if n % q == 0], n
+    assert modular.prime_factors(60060) == [2, 3, 5, 7, 11, 13]
+
+
 def test_is_prime_matches_trial_division():
     def trial(n):
         return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
@@ -279,7 +330,8 @@ def test_is_prime_matches_trial_division():
 def test_det_mod_p_is_the_image_of_the_exact_det():
     for spec in _seeded_specs(3, (1, 2, 3, 4), 4):
         p, omega = modular.root_prime(spec.conductor)
-        z, w = modular.residue(spec.z, p), modular.residue(spec.w, p)
+        z, w = (modular.image((x.numerator,), x.denominator, p, omega)
+                for x in (spec.z, spec.w))
         rows = pascal._stacked_mod(spec.block_sizes, z, w, p, omega)
         det = build_stacked(spec).det()
         assert modular.det_mod(rows, p) == _image_mod_p(det, spec.conductor), spec

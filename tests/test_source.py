@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import twistchar
 
 SOURCES = sorted(Path(twistchar.__file__).parent.glob("*.py"))
@@ -58,31 +60,38 @@ def test_runtime_imports_are_stdlib_only():
     assert SOURCES and not found, found
 
 
-def test_no_dataclasses_import_in_the_package():
-    # Each @dataclass compiles its methods with exec when the module is
-    # imported, and dataclasses itself loads inspect, dis and ast: every
-    # command pays that at start-up.  Records are named tuples instead.
+# Modules whose import every command would pay for at start-up: each
+# @dataclass compiles its methods with exec when its module is imported, and
+# dataclasses itself loads inspect, dis and ast; logging loads traceback,
+# tokenize and string for six -v lines.  Records are named tuples instead,
+# and -v lines are printed.
+START_UP_IMPORTS = ("dataclasses", "logging")
+
+
+@pytest.mark.parametrize("module", START_UP_IMPORTS)
+def test_no_start_up_import_in_the_package(module):
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text()))
-        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        if (isinstance(node, ast.ImportFrom) and node.module == module)
         or (
             isinstance(node, ast.Import)
-            and any(alias.name == "dataclasses" for alias in node.names)
+            and any(alias.name == module for alias in node.names)
         )
     ]
     assert SOURCES and not found, found
 
 
-def test_importing_the_package_leaves_dataclasses_unloaded():
+@pytest.mark.parametrize("module", START_UP_IMPORTS)
+def test_importing_the_package_leaves_module_unloaded(module):
     # A fresh interpreter, as each command runs in one.
     modules = [f"twistchar.{path.stem}" for path in SOURCES if path.stem != "__init__"]
     code = (
         "import importlib, sys\n"
         f"for name in {modules!r}:\n"
         "    importlib.import_module(name)\n"
-        "print('dataclasses' in sys.modules)\n"
+        f"print({module!r} in sys.modules)\n"
     )
     src = str(Path(twistchar.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
