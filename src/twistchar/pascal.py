@@ -179,26 +179,20 @@ def _assert_equal(identity: str, got: ExactMatrix, expected: ExactMatrix) -> Non
         raise PascalIdentityError(identity, *diff)
 
 
-def _reduction_matrix(
-    field: CyclotomicField, w: Rational, p: int, q: int
-) -> ExactMatrix:
-    """The invertible P with P * M = rectangular Pascal, replaying and
-    checking every stage; the last stage's target is the Pascal matrix
-    itself, and its Q(p - 2) is diag(1, ..., 1, 1/((p - 1) w)).
+def _reduction_stages(
+    field: CyclotomicField, w: Rational, m: ExactMatrix, p: int
+) -> list[ExactMatrix]:
+    """[m, Q(0) m, Q(1) Q(0) m, ...]: the p-row m after each reduction stage,
+    no product of the Q(n) formed.  From M = a_matrix(field, 1, 0, w, p, q),
+    stage n is _m_stage_matrix(field, w, n, p, q), and the last is Pascal.
 
     No determinant is taken: each Q(n) is lower bidiagonal with diagonal
     entries 1 or (i - n)/((n + 1) w), i > n, nonzero because every caller
-    validates w != 0; so each Q(n), and their product P, is invertible."""
-    m = a_matrix(field, 1, 0, w, p, q)
-    part = ExactMatrix.identity(field, p)
+    validates w != 0; so each Q(n) is invertible."""
+    stages = [m]
     for n in range(p - 1):
-        part = _q_stage_matrix(field, w, n, p) * part
-        _assert_equal(
-            f"stage {n + 1} row reduction (P({n + 1})*M)",
-            part * m,
-            _m_stage_matrix(field, w, n + 1, p, q),
-        )
-    return part
+        stages.append(_q_stage_matrix(field, w, n, p) * stages[-1])
+    return stages
 
 
 def stacked_with_root(
@@ -315,9 +309,8 @@ def factorization_check(
     x^j * binomial(z + j*w, i) into a lower-triangular Toeplitz factor, the
     binomial-grid factor M, and the diagonal of powers; each intermediate
     row-reduction stage; and the final reduced Pascal form.  Raises
-    PascalIdentityError on the first failure.  The reduction matrix P is
-    invertible as the product of the stage matrices Q(n), so det P is not
-    taken.
+    PascalIdentityError on the first failure.  Each stage matrix Q(n) is
+    invertible (``_reduction_stages``), so no determinant is taken.
     """
     if p < 1 or q < 1:
         raise ValueError(f"need p >= 1 and q >= 1, got p={p}, q={q}")
@@ -332,7 +325,10 @@ def factorization_check(
     m = a_matrix(field, 1, 0, w, p, q)
     h = _diagonal(field, _powers(xc, q))
     _assert_equal("product decomposition (A = Z*M*H)", zm * m * h, a)
-    _reduction_matrix(field, w, p, q)
+    stages = _reduction_stages(field, w, m, p)
+    for n in range(1, p):
+        _assert_equal(f"stage {n} row reduction (P({n})*M)",
+                      stages[n], _m_stage_matrix(field, w, n, p, q))
     return FactorizationReport(
         p=p, q=q, x=str(xc), z=Fraction(z), w=Fraction(w), stages=max(p - 2, 0)
     )
@@ -372,16 +368,16 @@ def two_blocks_check(
     the lower block by the (y - x) block A' compressed through the shifted
     upper-triangular C.  Each identity of the argument is checked entrywise,
     once: Q'B = [upper; W C], W = V A (A the (y - x) block at z = s),
-    Z(s) Z(-s) = I and U A = A'.  Requires x != y, both nonzero,
+    Z(s) Z(-s) = I and U A = A', U = Q(t - 2) ... Q(0) Z(-s) at w = 1
+    applied one factor at a time.  Requires x != y, both nonzero,
     s >= t >= 0, s + t <= n.
 
     They imply the rest: (U')^-1 (V')^-1 Q' B = blockdiag(I, U V^-1) Q' B =
     [upper; U V^-1 W C] = [upper; A' C] = B', and T = blockdiag(I, U V^-1) Q'
     is invertible by construction (Q' unit lower triangular; V diagonal with
-    entries y^i (y - x)^(s - i) != 0; U = P Z(-s), P invertible as built by
-    ``_reduction_matrix`` and Z(-s) unit lower triangular), so B' = T B has
-    the row space of B.  With t = 0 both stacks are the upper block, and
-    nothing is replayed.
+    entries y^i (y - x)^(s - i) != 0; each Q(n) invertible and Z(-s) unit
+    lower triangular), so B' = T B has the row space of B.  With t = 0 both
+    stacks are the upper block, and nothing is replayed.
     """
     field = _common_field(x, y)
     xc, yc = _coerce_entry(field, x), _coerce_entry(field, y)
@@ -432,10 +428,9 @@ def two_blocks_check(
         _z_matrix(field, s, t) * z_inv,
         ExactMatrix.identity(field, t),
     )
-    u = _reduction_matrix(field, 1, t, n - s) * z_inv
     _assert_equal(
         "inner block reduction (U*A = A')",
-        u * inner,
+        _reduction_stages(field, 1, z_inv * inner, t)[-1],
         a_matrix(field, d, 0, 1, t, n - s),
     )
     return report

@@ -213,9 +213,9 @@ def _with_entry(matrix, i, j, value):
     return ExactMatrix(matrix.field, tuple(map(tuple, rows)), matrix.ncols)
 
 
-def test_singular_stage_matrix_fails_its_stage_identity(monkeypatch):
-    # P is invertible because each Q(n) has a nonzero diagonal; a Q(0) with
-    # a zero there breaks the stage identity it was built for.
+def _forge_singular_q0(monkeypatch):
+    # Each Q(n) is invertible because its diagonal is nonzero; this Q(0) has
+    # a zero there.
     original = pascal._q_stage_matrix
 
     def forged(field, w, n, p):
@@ -223,9 +223,43 @@ def test_singular_stage_matrix_fails_its_stage_identity(monkeypatch):
         return _with_entry(q_n, p - 1, p - 1, field.zero()) if n == 0 else q_n
 
     monkeypatch.setattr(pascal, "_q_stage_matrix", forged)
+
+
+def test_singular_stage_matrix_fails_its_stage_identity(monkeypatch):
+    _forge_singular_q0(monkeypatch)
     with pytest.raises(PascalIdentityError) as err:
         factorization_check(1, 0, 1, 4, 4)
     assert err.value.identity == "stage 1 row reduction (P(1)*M)"
+
+
+def test_singular_stage_matrix_fails_the_inner_block_reduction(monkeypatch):
+    # The two-stack replay checks only where the stages lead, U*A = A'.
+    _forge_singular_q0(monkeypatch)
+    with pytest.raises(PascalIdentityError) as err:
+        two_blocks_check(1, 2, 6, 3, 3)
+    assert err.value.identity == "inner block reduction (U*A = A')"
+
+
+def test_replays_reduce_the_matrix_itself(monkeypatch):
+    # Each stage matrix multiplies the matrix being reduced, once; the
+    # product of the stage matrices is never formed, and M is built once.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted("mul", ExactMatrix.__mul__))
+    monkeypatch.setattr(pascal, "a_matrix", counted("a", pascal.a_matrix))
+    # Z*M*H: 2 products; 5 stages: one product each; a_matrix for A and M.
+    factorization_check(1, 0, 1, 6, 6)
+    assert (calls["mul"], calls["a"]) == (7, 2)
+    calls.clear()
+    # Q'*B, W*C, V*A, Z(s)*Z(-s), Z(-s)*A, then 2 stages.
+    two_blocks_check(1, 2, 6, 3, 3)
+    assert calls["mul"] == 7
 
 
 def test_perturbed_diagonal_fails_diagonal_extraction(monkeypatch):
