@@ -196,7 +196,7 @@ def cmd_character(args: argparse.Namespace) -> int:
     _info(cfg, f"building character table, truncation {cfg.truncation}")
     table = character(orbits, tables, cfg.truncation)
     if cfg.out_format == "json":
-        _emit(json.dumps(table.to_json_dict(), indent=2), cfg)
+        _emit(table.to_json(), cfg)
         return 0
     lines = [
         f"character table: d = {table.d}, k = {table.k}, truncation "

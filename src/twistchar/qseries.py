@@ -11,7 +11,9 @@ conformal weight above the twisted vacuum, which is always a non-negative
 integer, and the zero-charge series is exactly 1.
 """
 
+from itertools import accumulate, compress, count
 from math import isqrt, prod
+from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .lattice import OrbitData, PairingTables
@@ -74,7 +76,8 @@ class QSeries:
 
     def items(self) -> list[tuple[int, int]]:
         """The nonzero terms (exponent, coefficient), in ascending order."""
-        return [(e, c) for e, c in enumerate(self.coeffs) if c]
+        c = self.coeffs
+        return list(zip(compress(count(), c), filter(None, c)))
 
     @property
     def is_zero(self) -> bool:
@@ -96,12 +99,12 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        return QSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return QSeries(list(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        return QSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return QSeries(list(map(sub, self.coeffs, other.coeffs)))
 
     def __mul__(self, other: Union["QSeries", int]) -> "QSeries":
         if isinstance(other, int):
@@ -168,9 +171,14 @@ def _partition_series(parts: Iterable[int], truncation: int) -> QSeries:
 
 def _add_part(coeffs: list[int], part: int) -> None:
     # Multiply the truncated series in place by 1 / (1 - q^part): one
-    # partition-count pass, lowest exponent first.
-    for n in range(part, len(coeffs)):
-        coeffs[n] += coeffs[n - part]
+    # partition-count pass, as a running sum per residue class mod part or
+    # row by row of part terms, whichever is at most sqrt(len) C-level steps.
+    if part * part < len(coeffs):
+        for r in range(part):
+            coeffs[r::part] = accumulate(coeffs[r::part])
+    else:
+        for s in range(part, len(coeffs), part):
+            coeffs[s:s + part] = map(add, coeffs[s:s + part], coeffs[s - part:s])
 
 
 def poch_infinite(start: int, step: int, truncation: int) -> QSeries:
@@ -180,9 +188,8 @@ def poch_infinite(start: int, step: int, truncation: int) -> QSeries:
     out = QSeries.one(truncation)
     coeffs = out.coeffs
     for a in range(start, truncation + 1, step):
-        # Multiply by (1 - q^a) in place, highest exponent first.
-        for n in range(truncation, a - 1, -1):
-            coeffs[n] -= coeffs[n - a]
+        # Multiply by (1 - q^a); map is read whole before the slice is set.
+        coeffs[a:] = map(sub, coeffs[a:], coeffs)
     return out
 
 
@@ -229,24 +236,23 @@ class CharacterTable(NamedTuple):
 
     def evaluate_at_one(self) -> QSeries:
         coeffs = [s.coeffs for s in self.entries.values()]
-        return QSeries([sum(c) for c in zip([0] * (self.truncation + 1), *coeffs)])
+        return QSeries(list(map(sum, zip([0] * (self.truncation + 1), *coeffs))))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "k": self.k,
-            "truncation": self.truncation,
-            "normalization": NORMALIZATION,
-            "charges": [
-                {
-                    "m": list(m),
-                    "series": {
-                        str(e): str(c) for e, c in self.entries[m].items()
-                    },
-                }
-                for m in self.charges()
-            ],
-        }
+    def to_json(self) -> str:
+        """``json.dumps(..., indent=2)`` of the table, written directly: per
+        charge m, the nonzero coefficients as strings keyed by exponent."""
+        charges = []
+        for m in self.charges():
+            c = self.entries[m].coeffs
+            terms = ",\n        ".join(
+                map('"{}": "{}"'.format, compress(count(), c), filter(None, c)))
+            charges.append(
+                '    {\n      "m": [\n        ' + ",\n        ".join(map(str, m))
+                + '\n      ],\n      "series": '
+                + ("{\n        " + terms + "\n      }" if terms else "{}") + "\n    }")
+        return (f'{{\n  "d": {self.d},\n  "k": {self.k},\n  "truncation": '
+                f'{self.truncation},\n  "normalization": "{NORMALIZATION}",\n'
+                '  "charges": [\n' + ",\n".join(charges) + "\n  ]\n}")
 
 
 def character(
@@ -333,11 +339,14 @@ def check_recursions(
 
     For each charge m and u = m + e_i the exact sequences give A_u =
     q^(step_i u_i) A_u + q^off A_m, off = A_ii/2 + sum_j m_j A_ji.  One pass
-    over the sorted charges m compares each pair once, as whole lists, and
-    returns (length-step, adjacent-charge) RecursionChecks, or the mismatches
-    at the first differing (u, exponent): A_u against both shifted terms, and
-    A_u - q^(step_i u_i) A_u against q^off A_m.  Length-step also counts each
-    u outside the table; where u_i = 0 it holds with shift 0.  The charges
+    over the sorted charges m checks each pair once.  Below h, the lowest
+    exponent of q^off A_m, it holds exactly when A_u vanishes; from h on,
+    (1 - q^(step_i u_i)) A_u is compared with A_m's tail as one list.  Only
+    a failing pair is scanned term by term, for the mismatches that replace
+    the (length-step, adjacent-charge) RecursionChecks: at its first
+    differing exponent, A_u against both shifted terms, and A_u -
+    q^(step_i u_i) A_u against q^off A_m.  Length-step also counts each u
+    outside the table; where u_i = 0 it holds with shift 0.  The charges
     must be closed under u -> u - e_i, as ``character``'s are since A >= 0.
     """
     a, t = table.charge_matrix, table.truncation
@@ -346,15 +355,21 @@ def check_recursions(
         u = m[:i] + (m[i] + 1,) + m[i + 1:]
         outside += u not in table.entries
         up = table.series(u)
-        shifted = up.shifted(table.steps[i] * u[i])
+        sh = table.steps[i] * u[i]
         off = a[i][i] // 2 + sum(row[i] * c for row, c in zip(a, m))
+        low = table.entries[m].coeffs
+        j = next(compress(count(), low), t + 1)
+        h = off + j
+        tail = up.coeffs[h:t + 1]
+        if (not any(up.coeffs[:h])
+                and tail[:sh] + list(map(sub, tail[sh:], tail)) == low[j:j + len(tail)]):
+            continue
+        shifted = up.shifted(sh)
         lower = table.entries[m].shifted(off)
-        diff = up.first_difference(shifted + lower)
-        if diff is not None:
-            e, lhs, rhs = diff
-            return (RecursionMismatch("length-step", i, u, e, lhs, rhs),
-                    RecursionMismatch("adjacent-charge", i, u, e,
-                                      lhs - shifted.coeffs[e], lower.coeffs[e]))
+        e, lhs, rhs = up.first_difference(shifted + lower)
+        return (RecursionMismatch("length-step", i, u, e, lhs, rhs),
+                RecursionMismatch("adjacent-charge", i, u, e,
+                                  lhs - shifted.coeffs[e], lower.coeffs[e]))
     cells = len(table.entries)
     return (RecursionCheck("length-step", i, t, cells + outside),
             RecursionCheck("adjacent-charge", i, t, cells))
@@ -388,10 +403,8 @@ def separated_partition_counts(truncation: int) -> list[int]:
     below1 = list(below2)  # parts <= p - 1
     for p in range(1, width):
         row = list(below1)
-        for n in range(p, width):
-            row[n] += below2[n - p]
-            if n >= 2 * p:
-                row[n] += below2[n - 2 * p]
+        row[p:] = map(add, row[p:], below2)
+        row[2 * p:] = map(add, row[2 * p:], below2)
         below2, below1 = below1, row
     return below1
 

@@ -1,5 +1,6 @@
 """Truncated q-series, characters, recursions, partition identities."""
 
+import json
 import random
 from itertools import product
 from math import isqrt
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from twistchar.lattice import analyze
 from twistchar.presets import lattice_from_config, preset
 from twistchar.qseries import (
+    NORMALIZATION,
     QSeries,
     RecursionCheck,
     RecursionMismatch,
@@ -26,6 +28,7 @@ from twistchar.qseries import (
     separated_partition_count,
     separated_partition_counts,
     verify_partition_identity,
+    _add_part,
 )
 
 PRESETS = ("rank1", "swap2", "x3", "x4")
@@ -216,11 +219,38 @@ def test_character_coefficients_are_nonnegative():
 
 def test_table_json_has_string_coefficients():
     orbits, tables = analyze(preset("rank1"))
-    data = character(orbits, tables, 6).to_json_dict()
+    data = json.loads(character(orbits, tables, 6).to_json())
     assert data["k"] == 2
     assert data["normalization"] == "k-weight-shifted"
     assert data["charges"][1]["m"] == [1]
     assert data["charges"][1]["series"] == {"2": "1", "4": "1", "6": "1"}
+
+
+def _reference_json_dict(table):
+    # The table's JSON form as a dict, for json.dumps(..., indent=2).
+    return {
+        "d": table.d,
+        "k": table.k,
+        "truncation": table.truncation,
+        "normalization": NORMALIZATION,
+        "charges": [
+            {"m": list(m),
+             "series": {str(e): str(c) for e, c in table.entries[m].items()}}
+            for m in table.charges()
+        ],
+    }
+
+
+def test_json_writer_matches_the_stdlib_encoder(random_lattices):
+    # Byte for byte, including a series planted all zero ("series": {}).
+    lattices = [(analyze(preset(name)), t) for name in PRESETS for t in (0, 1, 37, 200)]
+    lattices += [(lattice, t) for lattice in random_lattices for t in (0, 1, 37)]
+    for (orbits, tables), t in lattices:
+        table = character(orbits, tables, t)
+        assert table.to_json() == json.dumps(_reference_json_dict(table), indent=2)
+    table.entries[table.charges()[-1]].coeffs[:] = [0] * (t + 1)
+    assert '"series": {}' in table.to_json()
+    assert table.to_json() == json.dumps(_reference_json_dict(table), indent=2)
 
 
 # ------------------------------------------------------------------ recursions
@@ -394,6 +424,43 @@ def test_one_scan_matches_the_two_reference_checks(random_lattices):
     assert failures > 100
 
 
+def test_recursion_fault_at_each_edge_of_the_compared_tail():
+    # check_recursions compares each A_u from the lowest exponent h of
+    # q^off A_m, which is A_u's own lowest exponent on a clean table, up to
+    # T; below h it only asks that A_u vanish.  One fault at h - 1, h or T
+    # of each charge's series must be reported as the two scans report it,
+    # and found, except at A_0's q^T: the zero charge is never u, so that
+    # term lies past every comparison.
+    orbits, tables = analyze(preset("x3"))
+    t = 60
+    clean = character(orbits, tables, t)
+    for u in clean.charges():
+        low = next(e for e, c in enumerate(clean.entries[u].coeffs) if c)
+        for exponent in {low - 1, low, t} - {-1}:
+            table = character(orbits, tables, t)
+            table.entries[u].coeffs[exponent] += 1
+            found = False
+            for i in range(orbits.d):
+                got = [str(r) if isinstance(r, RecursionMismatch) else (r.kind, r.cells)
+                       for r in check_recursions(table, i)]
+                assert got == [_outcome(_reference_length_step, table, i),
+                               _outcome(_reference_adjacent_charge, table, i)]
+                found |= isinstance(got[0], str)
+            assert found or (any(u), exponent) == (False, t), (u, exponent)
+
+
+def test_clean_recursion_scan_reports_no_difference(capsys, monkeypatch):
+    # The term-by-term scan runs only for a pair that fails.
+    from twistchar import cli
+
+    calls = []
+    monkeypatch.setattr(QSeries, "first_difference",
+                        lambda self, other: calls.append(1))
+    assert cli.main(["verify", "--preset", "x3", "--recursion", "-T", "200"]) == 0
+    assert calls == []
+    capsys.readouterr()
+
+
 def test_verify_scans_each_orbit_once(capsys, monkeypatch):
     from twistchar import cli, qseries
 
@@ -543,6 +610,47 @@ def test_ring_laws(a, b, c):
     assert a + QSeries.zero(12) == a
     assert a * QSeries.one(12) == a
     assert (a - a).is_zero
+
+
+# Lengths 1-80 drawn first, so that long lists are as likely as short ones.
+signed_lists = st.integers(min_value=1, max_value=80).flatmap(
+    lambda n: st.lists(st.integers(min_value=-50, max_value=50), min_size=n, max_size=n))
+
+
+def _add_part_by_index(coeffs, part):
+    # Reference: the partition-count pass as one index loop.
+    for n in range(part, len(coeffs)):
+        coeffs[n] += coeffs[n - part]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(signed_lists, st.one_of(st.integers(min_value=1, max_value=9),
+                               st.integers(min_value=1, max_value=100)))
+def test_add_part_matches_the_index_loop(coeffs, part):
+    # Parts with part^2 < len, part^2 >= len and part >= len all occur.
+    want = list(coeffs)
+    _add_part_by_index(want, part)
+    _add_part(coeffs, part)
+    assert coeffs == want
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=0, max_value=80))
+def test_poch_infinite_matches_the_factor_loop(start, step, t):
+    want = [1] + [0] * t
+    for a in range(start, t + 1, step):
+        for n in range(t, a - 1, -1):
+            want[n] -= want[n - a]
+    assert poch_infinite(start, step, t).coeffs == want
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(signed_lists, signed_lists)
+def test_add_and_sub_match_termwise_sums(a, b):
+    n = min(len(a), len(b))
+    assert (QSeries(a) + QSeries(b)).coeffs == [a[e] + b[e] for e in range(n)]
+    assert (QSeries(a) - QSeries(b)).coeffs == [a[e] - b[e] for e in range(n)]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
