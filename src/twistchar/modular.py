@@ -1,7 +1,7 @@
 """Ranks and determinants proved by arithmetic modulo a prime.
 
-For a root order k, ``root_prime(k)`` gives the first prime p = 1 (mod k)
-above 2^61 with an element omega of exact order k, so that eta -> omega
+For a root order k, ``root_prime(k)`` gives the largest prime p = 1 (mod k)
+below 2^30 with an element omega of exact order k, so that eta -> omega
 maps Z[eta] (and every fraction whose denominator p does not divide) to
 F_p as a ring homomorphism.  A minor nonzero mod p is then nonzero over
 Q(eta): the rank mod p of a matrix is a lower bound on its rank over
@@ -9,6 +9,11 @@ Q(eta), and a determinant nonzero mod p is nonzero.  Two determinants that
 differ mod p differ over Q(eta); agreement mod p proves nothing.  The
 oracle takes its upper bounds on quotient dimensions from ``rank_mod``, the
 Pascal sweep its invertibility proofs from ``det_mod``.
+
+This holds for every prime, and a residue that is 0 or undefined falls
+back to exact arithmetic; the size of p sets only how often that runs and
+how likely a wrong closed form is to agree with a determinant mod p by
+chance.  Below 2^30 a residue is one CPython digit, a product two.
 """
 
 from functools import lru_cache
@@ -83,11 +88,12 @@ def prime_factors(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def root_prime(k: int) -> tuple[int, int]:
-    """(p, omega): the first prime p = 1 (mod k) above 2^61, and
-    omega = g^((p-1)/k) for the least g >= 2 that gives exact order k."""
-    p = (1 << 61) + 1 + (-(1 << 61)) % k
-    while not is_prime(p):
-        p += k
+    """(p, omega): the largest prime p = 1 (mod k) below 2^30, and
+    omega = g^((p-1)/k) for the least g >= 2 that gives exact order k;
+    ValueError if no prime of that progression lies in (k, 2^30)."""
+    p = next(filter(is_prime, range(((1 << 30) - 2) // k * k + 1, k, -k)), None)
+    if p is None:
+        raise ValueError(f"no prime p = 1 (mod {k}) lies in ({k}, 2^30)")
     factors = prime_factors(k)
     g = 2
     while True:

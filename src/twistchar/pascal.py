@@ -129,17 +129,9 @@ def _m_stage_matrix(
     # Stage-n target of the row reduction: Pascal rows through n, then rows
     # binomial(j-1, n) * binomial(j*w, i-n); the j = 0 column of the lower
     # rows uses binomial(-1, n) = (-1)^n.
-    rows = []
-    for i in range(p):
-        if i <= n:
-            rows.append([rational_binomial(j, i) for j in range(q)])
-        else:
-            rows.append(
-                [
-                    rational_binomial(j - 1, n) * rational_binomial(j * w, i - n)
-                    for j in range(q)
-                ]
-            )
+    rows = [[rational_binomial(j, i) for j in range(q)] if i <= n else
+            [rational_binomial(j - 1, n) * rational_binomial(j * w, i - n)
+             for j in range(q)] for i in range(p)]
     return ExactMatrix.from_rows(field, rows)
 
 

@@ -348,6 +348,10 @@ def check_recursions(
     q^(step_i u_i) A_u against q^off A_m.  Length-step also counts each u
     outside the table; where u_i = 0 it holds with shift 0.  The charges
     must be closed under u -> u - e_i, as ``character``'s are since A >= 0.
+    Last, A_0 = 1 is checked, a difference reported at the zero charge by
+    both kinds.  Passing in every direction i proves the table the character
+    mod q^(T+1): 1 - q^(step_i u_i) is a unit of Z[[q]] for u_i >= 1, so A_u
+    is fixed by A_(u - e_i), and so, by induction on sum u, by A_0 = 1.
     """
     a, t = table.charge_matrix, table.truncation
     outside = 0
@@ -370,6 +374,11 @@ def check_recursions(
         return (RecursionMismatch("length-step", i, u, e, lhs, rhs),
                 RecursionMismatch("adjacent-charge", i, u, e,
                                   lhs - shifted.coeffs[e], lower.coeffs[e]))
+    zero, one = (0,) * table.d, QSeries.one(t)
+    if table.series(zero) != one:
+        e, lhs, rhs = table.series(zero).first_difference(one)
+        return (RecursionMismatch("length-step", i, zero, e, lhs, rhs),
+                RecursionMismatch("adjacent-charge", i, zero, e, lhs, rhs))
     cells = len(table.entries)
     return (RecursionCheck("length-step", i, t, cells + outside),
             RecursionCheck("adjacent-charge", i, t, cells))

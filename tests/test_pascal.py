@@ -330,15 +330,20 @@ def test_closed_form_equals_exact_determinant(orders, max_n):
         assert build_stacked(spec).det() == _closed_form(spec), spec
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", [*range(1, 13), 9240])
 def test_root_prime_has_a_root_of_exact_order(k):
     p, omega = modular.root_prime(k)
-    assert p > 2 ** 61 and (p - 1) % k == 0 and modular.is_prime(p)
-    # p is the first such prime: every smaller candidate is composite.
-    start = 2 ** 61 + 1 + (-(2 ** 61)) % k
-    assert not any(modular.is_prime(q) for q in range(start, p, k))
+    assert k < p < 2 ** 30 and (p - 1) % k == 0 and modular.is_prime(p)
+    # p is the largest such prime: every larger candidate is composite.
+    assert not any(modular.is_prime(q) for q in range(p + k, 2 ** 30, k))
     assert pow(omega, k, p) == 1
     assert all(pow(omega, j, p) != 1 for j in range(1, k))
+
+
+def test_root_prime_refuses_a_progression_without_a_prime():
+    # 2^30 - 1 = 3^2 * 7 * 11 * 31 * 151 * 331 is the only candidate above k.
+    with pytest.raises(ValueError, match="no prime"):
+        modular.root_prime(2 ** 30 - 2)
 
 
 def test_prime_factors_are_the_distinct_prime_divisors():
@@ -402,6 +407,15 @@ def test_det_mod_is_the_exact_det_mod_p(p):
         seen["zero pivot"] += exact != 0 and rows[0][0] == 0
     assert seen["singular"] and seen["zero pivot"]
     assert seen["zero mod p"] or p != 7
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_benchmark_sweep_is_proved_mod_p_throughout(seed):
+    # Every spec of the benchmark's sweep is proved by its residue; a split
+    # prime that divides a drawn denominator or a determinant moves specs
+    # onto exact elimination and fails here.
+    report = pascal_check(4, 6, 10, seed, 0)
+    assert (report.proved_mod_p, report.proved_exact) == (3250, 0)
 
 
 def test_forged_determinant_fails_the_sweep(monkeypatch):

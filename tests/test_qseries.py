@@ -343,6 +343,15 @@ def test_recursion_mismatch_messages_are_pinned(charge, exponent, messages):
     assert got == messages
 
 
+def _reference_initial_value(table, i, kind):
+    # A_0 = 1 through q^T, the initial value that, with the recursions,
+    # fixes the character; a difference is reported at the zero charge.
+    zero = (0,) * table.d
+    diff = table.series(zero).first_difference(QSeries.one(table.truncation))
+    if diff is not None:
+        raise RecursionMismatch(kind, i, zero, *diff)
+
+
 def _reference_length_step(table, i):
     # The length-step check as two separate scans made it: every charge and
     # every m + e_i, each against its own shift plus the (m - e_i) term.
@@ -365,6 +374,7 @@ def _reference_length_step(table, i):
         if diff is not None:
             raise RecursionMismatch("length-step", i, m, *diff)
         cells += 1
+    _reference_initial_value(table, i, "length-step")
     return RecursionCheck("length-step", i, table.truncation, cells)
 
 
@@ -383,6 +393,7 @@ def _reference_adjacent_charge(table, i):
         if diff is not None:
             raise RecursionMismatch("adjacent-charge", i, tuple(upper), *diff)
         cells += 1
+    _reference_initial_value(table, i, "adjacent-charge")
     return RecursionCheck("adjacent-charge", i, table.truncation, cells)
 
 
@@ -429,8 +440,7 @@ def test_recursion_fault_at_each_edge_of_the_compared_tail():
     # q^off A_m, which is A_u's own lowest exponent on a clean table, up to
     # T; below h it only asks that A_u vanish.  One fault at h - 1, h or T
     # of each charge's series must be reported as the two scans report it,
-    # and found, except at A_0's q^T: the zero charge is never u, so that
-    # term lies past every comparison.
+    # and found; A_0's q^T, past every pair's comparison, by A_0 = 1.
     orbits, tables = analyze(preset("x3"))
     t = 60
     clean = character(orbits, tables, t)
@@ -446,7 +456,25 @@ def test_recursion_fault_at_each_edge_of_the_compared_tail():
                 assert got == [_outcome(_reference_length_step, table, i),
                                _outcome(_reference_adjacent_charge, table, i)]
                 found |= isinstance(got[0], str)
-            assert found or (any(u), exponent) == (False, t), (u, exponent)
+            assert found, (u, exponent)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_every_planted_fault_is_caught(name):
+    # The recursions and A_0 = 1 fix the character, so +1 at any (charge,
+    # exponent) of the table, q^0 through q^24, must fail some orbit's check.
+    orbits, tables = analyze(preset(name))
+    table = character(orbits, tables, 24)
+    planted = missed = 0
+    for m in table.charges():
+        coeffs = table.entries[m].coeffs
+        for e in range(len(coeffs)):
+            coeffs[e] += 1
+            planted += 1
+            missed += all(isinstance(r, RecursionCheck) for i in range(orbits.d)
+                          for r in check_recursions(table, i))
+            coeffs[e] -= 1
+    assert (planted, missed) == (25 * len(table.entries), 0)
 
 
 def test_clean_recursion_scan_reports_no_difference(capsys, monkeypatch):

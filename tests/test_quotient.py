@@ -653,6 +653,19 @@ def test_benchmark_windows_need_no_exact_elimination(name, charge_total, weight_
     assert (report.leads, report.proved, report.exact) == (by_leads, populated, 0)
 
 
+@pytest.mark.parametrize("name, charge_total, weight_bound, counts", [
+    ("x3", 6, 48, (448, 9, 0)), ("x4", 6, 60, (517, 19, 0)),
+    ("swap2", 6, 60, (105, 49, 0)),
+])
+def test_larger_windows_pin_their_proof_methods(name, charge_total, weight_bound,
+                                                counts, data):
+    # (leads, mod p, exact) cell counts, as the test above pins them on the
+    # benchmark windows: a change of the split prime, or of the rows built
+    # mod p, that pushes a cell onto another method fails here.
+    report = compare_with_character(*data[name], charge_total, weight_bound)
+    assert (report.leads, report.proved - report.leads, report.exact) == counts
+
+
 @pytest.mark.parametrize("name, charge_total, weight_bound, populated", [
     ("swap2", 4, 36, 61), ("x3", 4, 36, 181), ("x4", 4, 36, 159), ("rank1", 4, 56, 107),
 ])
