@@ -241,7 +241,8 @@ def _check_oracle(orbits, tables, cfg: RunConfig):
                f"{'held' if report.certified else 'failed'}; {report.leads} ranks "
                f"proved by leading monomials, {report.proved - report.leads} by "
                f"mod-p elimination, {report.exact} by exact elimination")
-    lines = ["  " + line for line in report.text_table().splitlines()]
+    lines = ([] if cfg.out_format == "json" else
+             ["  " + line for line in report.text_table().splitlines()])
     return report.all_ok, lines, report.to_json_dict()
 
 

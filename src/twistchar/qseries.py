@@ -9,11 +9,20 @@ ever invents unknown coefficients or drops known ones.
 Character exponents are normalized: the stored exponent is k times the
 conformal weight above the twisted vacuum, which is always a non-negative
 integer, and the zero-charge series is exactly 1.
+
+Parity lemma: A_m is zero at each exponent not = Q(m)/2 (mod 2).  Proof:
+``validate`` sets k = 2 lcm(l_i), so each step s_i = k / l_i is even, and
+gcd_i s_i = 2 (for each prime p, some l_i holds lcm's full power of p, and
+p does not divide that lcm / l_i).  So prod_i 1 / (q^s_i; q^s_i)_(m_i) is a
+series in x = q^2, and A_m lives on the class of base_m = Q(m)/2.  For u =
+m + e_i, Q(u) = Q(m) + 2 (A m)_i + A_ii, so base_u = base_m + off (off =
+A_ii/2 + (A m)_i), and s_i u_i is even: both sides of (1 - q^(s_i u_i)) A_u
+= q^off A_m lie on the class of base_u.
 """
 
 from itertools import accumulate, compress, count
 from math import isqrt, prod
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .lattice import OrbitData, PairingTables
@@ -271,12 +280,13 @@ def character(
     charge is reached once, by raising orbit 0, then orbit 1, and so on.
     The child's product is m's times the single factor
     1 / (1 - q^((m_j + 1) * s_j)): one partition-count pass over m's
-    coefficients, cut to the child's own truncation.  Its norm is
-    Q(m) + 2 (A m)_j + A_jj.  A child whose norm exceeds 2T is pruned with
-    its whole subtree, and this is exact: A is entrywise non-negative,
-    because ``validate`` refuses a negative Gram entry, so norms only grow
-    down the tree.  Children are visited in decreasing j, which enters the
-    charges in sorted order.
+    coefficients in x = q^2 (the parity lemma), cut to the child's own
+    truncation, and written once into its dense series by a strided slice.
+    Its norm is Q(m) + 2 (A m)_j + A_jj.  A child whose norm exceeds 2T is
+    pruned with its whole subtree, and this is exact: A is entrywise
+    non-negative, because ``validate`` refuses a negative Gram entry, so
+    norms only grow down the tree.  Children are visited in decreasing j,
+    which enters the charges in sorted order.
 
     Raises BudgetExceeded, before building anything, when the charge search
     box (each m_i up to the largest value with A_ii m_i^2 <= 2T) times T + 1
@@ -293,33 +303,27 @@ def character(
             f"over the budget of {MAX_TABLE_CELLS}"
         )
     steps = tuple(orbits.k // l for l in orbits.lengths)
-    table = CharacterTable(
-        d=orbits.d,
-        k=orbits.k,
-        truncation=truncation,
-        charge_matrix=tuple(tuple(row) for row in matrix),
-        steps=steps,
-        entries={},
-    )
-    # (charge, last raised orbit, norm, unshifted product coefficients); a
+    table = CharacterTable(d=orbits.d, k=orbits.k, truncation=truncation,
+                           charge_matrix=tuple(tuple(row) for row in matrix),
+                           steps=steps, entries={})
+    # (charge, last raised orbit, norm, product coefficients in x = q^2); a
     # stack, not recursion, so deep trees cannot hit the recursion limit.
-    stack = [((0,) * d, 0, 0, QSeries.one(truncation).coeffs)]
+    stack = [((0,) * d, 0, 0, [1] + [0] * (truncation // 2))]
     while stack:
-        m, last, norm, coeffs = stack.pop()
+        m, last, norm, xs = stack.pop()
         base, odd = divmod(norm, 2)
         if odd:
             raise ArithmeticError(f"charge {m} has odd norm {norm}")
-        table.entries[m] = QSeries([0] * base + coeffs)
+        table.entries[m] = series = QSeries.zero(truncation)
+        series.coeffs[base::2] = xs
         for j in range(last, d):
-            child_norm = norm + 2 * sum(
-                a * c for a, c in zip(matrix[j], m)
-            ) + matrix[j][j]
+            child_norm = norm + 2 * sum(map(mul, matrix[j], m)) + matrix[j][j]
             if child_norm > 2 * truncation:
                 continue
             child = m[:j] + (m[j] + 1,) + m[j + 1:]
-            child_coeffs = coeffs[: truncation - child_norm // 2 + 1]
-            _add_part(child_coeffs, child[j] * steps[j])
-            stack.append((child, j, child_norm, child_coeffs))
+            child_xs = xs[: (truncation - child_norm // 2) // 2 + 1]
+            _add_part(child_xs, child[j] * steps[j] // 2)
+            stack.append((child, j, child_norm, child_xs))
     return table
 
 
@@ -339,38 +343,43 @@ def check_recursions(
 
     For each charge m and u = m + e_i the exact sequences give A_u =
     q^(step_i u_i) A_u + q^off A_m, off = A_ii/2 + sum_j m_j A_ji.  One pass
-    over the sorted charges m checks each pair once.  Below h, the lowest
-    exponent of q^off A_m, it holds exactly when A_u vanishes; from h on,
-    (1 - q^(step_i u_i)) A_u is compared with A_m's tail as one list.  Only
-    a failing pair is scanned term by term, for the mismatches that replace
-    the (length-step, adjacent-charge) RecursionChecks: at its first
-    differing exponent, A_u against both shifted terms, and A_u -
-    q^(step_i u_i) A_u against q^off A_m.  Length-step also counts each u
-    outside the table; where u_i = 0 it holds with shift 0.  The charges
-    must be closed under u -> u - e_i, as ``character``'s are since A >= 0.
-    Last, A_0 = 1 is checked, a difference reported at the zero charge by
-    both kinds.  Passing in every direction i proves the table the character
-    mod q^(T+1): 1 - q^(step_i u_i) is a unit of Z[[q]] for u_i >= 1, so A_u
-    is fixed by A_(u - e_i), and so, by induction on sum u, by A_0 = 1.
+    over the sorted charges m checks each pair once.  A_m starts at b =
+    Q(m)/2 and q^off A_m at h = b + off; by the parity lemma the pair holds
+    when A_u vanishes below h and A_m below b, both vanish on the other
+    class from there, and (1 - q^(step_i u_i)) A_u equals q^off A_m on h's
+    class, compared at stride 2 as one list.  Any other pair is scanned
+    term by term, and passes if no term differs; else its first differing
+    exponent gives the mismatches that replace the (length-step,
+    adjacent-charge) RecursionChecks: A_u against both shifted terms, and
+    A_u - q^(step_i u_i) A_u against q^off A_m.  Length-step also counts
+    each u outside the table; where u_i = 0 it holds with shift 0.  The
+    charges must be closed under u -> u - e_i, as ``character``'s are since
+    A >= 0.  Last, A_0 = 1 is checked, a difference reported at the zero
+    charge by both kinds.  Passing in every direction i proves the table the
+    character mod q^(T+1): 1 - q^(step_i u_i) is a unit of Z[[q]] for
+    u_i >= 1, so A_u is fixed by A_(u - e_i), and so, by induction on sum u,
+    by A_0 = 1.
     """
     a, t = table.charge_matrix, table.truncation
-    outside = 0
+    absent, outside = QSeries.zero(t), 0
     for m in table.charges():
         u = m[:i] + (m[i] + 1,) + m[i + 1:]
-        outside += u not in table.entries
-        up = table.series(u)
-        sh = table.steps[i] * u[i]
-        off = a[i][i] // 2 + sum(row[i] * c for row, c in zip(a, m))
-        low = table.entries[m].coeffs
-        j = next(compress(count(), low), t + 1)
-        h = off + j
-        tail = up.coeffs[h:t + 1]
-        if (not any(up.coeffs[:h])
-                and tail[:sh] + list(map(sub, tail[sh:], tail)) == low[j:j + len(tail)]):
+        c = table.entries.get(u, absent).coeffs
+        outside += c is absent.coeffs
+        am = [sum(map(mul, col, m)) for col in zip(*a)]
+        sh, off = table.steps[i] * u[i], a[i][i] // 2 + am[i]
+        b = sum(map(mul, am, m)) // 2
+        low, h = table.entries[m].coeffs, b + off
+        tail, half = c[h::2], sh // 2
+        if (not sh % 2 and not any(c[:h]) and not any(c[h + 1::2]) and not any(low[:b])
+                and not any(low[b + 1::2]) and low[b:b + 2 * len(tail):2]
+                == tail[:half] + list(map(sub, tail[half:], tail))):
             continue
-        shifted = up.shifted(sh)
-        lower = table.entries[m].shifted(off)
-        e, lhs, rhs = up.first_difference(shifted + lower)
+        up = table.series(u)
+        shifted, lower = up.shifted(sh), table.entries[m].shifted(off)
+        if (diff := up.first_difference(shifted + lower)) is None:
+            continue
+        e, lhs, rhs = diff
         return (RecursionMismatch("length-step", i, u, e, lhs, rhs),
                 RecursionMismatch("adjacent-charge", i, u, e,
                                   lhs - shifted.coeffs[e], lower.coeffs[e]))
@@ -471,6 +480,17 @@ def _compare(label: str, lhs: QSeries, rhs: QSeries) -> IdentityComparison:
     return IdentityComparison(label, diff is None, *(diff or (None, None, None)))
 
 
+def _compare_product(label: str, summed: QSeries, factors) -> IdentityComparison:
+    # Truncations 8, 16, ... up to T, until one differs: a truncated product
+    # is exact through its truncation, so its first mismatch is the full one's.
+    t, n = summed.truncation, 8
+    while True:
+        comparison = _compare(label, summed, inverse_poch_product(factors, min(n, t)))
+        if not comparison.matches or n >= t:
+            return comparison
+        n *= 2
+
+
 def verify_partition_identity(name: str, truncation: int) -> IdentityReport:
     """Compare a preset's summed character with candidate partition sides.
 
@@ -481,7 +501,8 @@ def verify_partition_identity(name: str, truncation: int) -> IdentityReport:
 
     x4: the summed character is compared with two candidate infinite
     products; the report records agreement or the first mismatch for each,
-    and callers decide whether a mismatch is fatal.
+    and callers decide whether a mismatch is fatal.  Each product is
+    computed only through its first mismatch, at doubling truncations.
     """
     from .presets import preset
     from .lattice import analyze
@@ -499,14 +520,12 @@ def verify_partition_identity(name: str, truncation: int) -> IdentityReport:
                      summed, counts),
         )
     else:
-        printed = inverse_poch_product(((1, 1), (3, 1), (6, 1), (9, 1)), truncation)
-        mod9 = inverse_poch_product(((1, 9), (3, 9), (6, 9), (8, 9)), truncation)
         comparisons = (
-            _compare("infinite product 1/((q;q)(q^3;q)(q^6;q)(q^9;q))",
-                     summed, printed),
-            _compare(
+            _compare_product("infinite product 1/((q;q)(q^3;q)(q^6;q)(q^9;q))",
+                             summed, ((1, 1), (3, 1), (6, 1), (9, 1))),
+            _compare_product(
                 "infinite product 1/((q;q^9)(q^3;q^9)(q^6;q^9)(q^8;q^9)) "
                 "[alternate modulus-9 form]",
-                summed, mod9),
+                summed, ((1, 9), (3, 9), (6, 9), (8, 9))),
         )
     return IdentityReport(name, truncation, comparisons)

@@ -133,6 +133,16 @@ def test_verify_oracle(capsys):
     assert "all consistent" in out
 
 
+def test_json_oracle_formats_no_text_table(capsys, monkeypatch):
+    from twistchar.quotient import OracleReport
+
+    monkeypatch.setattr(OracleReport, "text_table",
+                        lambda self: pytest.fail("text table formatted for JSON output"))
+    code, out, _ = run(capsys, "verify", "--preset", "rank1", "--oracle",
+                       "--charge-bound", "2", "--weight-bound", "12", "--format", "json")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_verify_identities_x3(capsys):
     code, out, _ = run(
         capsys, "verify", "--preset", "x3", "--identities", "-T", "16"

@@ -3,7 +3,7 @@
 import json
 import random
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,9 @@ from twistchar.lattice import analyze
 from twistchar.presets import lattice_from_config, preset
 from twistchar.qseries import (
     NORMALIZATION,
+    CharacterTable,
+    IdentityComparison,
+    IdentityReport,
     QSeries,
     RecursionCheck,
     RecursionMismatch,
@@ -29,6 +32,7 @@ from twistchar.qseries import (
     separated_partition_counts,
     verify_partition_identity,
     _add_part,
+    _compare_product,
 )
 
 PRESETS = ("rank1", "swap2", "x3", "x4")
@@ -511,6 +515,80 @@ def test_verify_scans_each_orbit_once(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_every_series_lives_on_its_parity_class(random_lattices):
+    # validate sets k = 2 lcm(l_i), so the steps have gcd 2 and A_m is zero
+    # at every exponent of the other parity than Q(m)/2.
+    lattices = [analyze(preset(name)) for name in PRESETS] + list(random_lattices)
+    for orbits, tables in lattices:
+        table = character(orbits, tables, 40)
+        assert gcd(*table.steps) == 2
+        for m, s in table.entries.items():
+            base = quadratic_value(table.charge_matrix, m) // 2
+            assert s.coeffs[base] == 1
+            assert all((e - base) % 2 == 0 for e, _ in s.items()), m
+
+
+def _planted_off_parity(table):
+    # Copies of the table, each with an off-parity fault: +1 at every
+    # off-parity exponent e of every charge m; and, for each orbit i with
+    # u = m + e_i in the table, A_m's q^e and A_u's q^(e + off) / (1 - q^sh)
+    # bumped together, so that the dense identity of (m, u) still holds.
+    a, t = table.charge_matrix, table.truncation
+
+    def copy():
+        return table._replace(entries={m: QSeries(list(s.coeffs))
+                                       for m, s in table.entries.items()})
+
+    for m in table.charges():
+        base = quadratic_value(a, m) // 2
+        for e in range(1 - base % 2, t + 1, 2):
+            single = copy()
+            single.entries[m].coeffs[e] += 1
+            yield single
+            for i in range(table.d):
+                u = m[:i] + (m[i] + 1,) + m[i + 1:]
+                if u not in table.entries:
+                    continue
+                off = a[i][i] // 2 + sum(a[j][i] * m[j] for j in range(table.d))
+                double = copy()
+                double.entries[m].coeffs[e] += 1
+                for x in range(e + off, t + 1, table.steps[i] * u[i]):
+                    double.entries[u].coeffs[x] += 1
+                yield double
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_off_parity_faults_are_judged_as_the_dense_scans_judge_them(name):
+    # A pair with a nonzero on the other parity class leaves the stride-2
+    # comparison for the term-by-term scan, which decides; every verdict and
+    # mismatch must be the reference scans' (with their A_0 = 1 check).
+    orbits, tables = analyze(preset(name))
+    planted, verdicts = 0, set()
+    for table in _planted_off_parity(character(orbits, tables, 24)):
+        planted += 1
+        for i in range(orbits.d):
+            got = [str(r) if isinstance(r, RecursionMismatch) else (r.kind, r.cells)
+                   for r in check_recursions(table, i)]
+            assert got == [_outcome(_reference_length_step, table, i),
+                           _outcome(_reference_adjacent_charge, table, i)]
+            verdicts.add(isinstance(got[0], str))
+    # With one orbit, each fault reaches the one direction's scan.
+    assert planted > 20 and verdicts == ({True} if orbits.d == 1 else {False, True})
+
+
+def test_odd_shift_is_scanned_term_by_term():
+    # The stride-2 comparison is sound only for an even shift s_i u_i.  On
+    # this hand-made table with step 3, A_1 = q + q^3 + q^5 would pass it
+    # (shift 3 // 2 on the odd class), but (1 - q^3) A_1 != q A_0 at q^3.
+    table = CharacterTable(d=1, k=3, truncation=6, charge_matrix=((2,),), steps=(3,),
+                           entries={(0,): QSeries.one(6),
+                                    (1,): QSeries([0, 1, 0, 1, 0, 1, 0])})
+    got = [str(r) for r in check_recursions(table, 0)]
+    assert got == [_outcome(_reference_length_step, table, 0),
+                   _outcome(_reference_adjacent_charge, table, 0)]
+    assert got[0] == "length-step recursion fails at charge (1,), exponent 3: 1 != 0 (orbit 0)"
+
+
 # ------------------------------------------------------- partition identities
 
 
@@ -605,6 +683,89 @@ def test_x4_printed_product_differs_but_mod9_matches():
     assert list(data["comparisons"][0]) == ["label", "matches", "first_mismatch",
                                             "lhs", "rhs"]
     assert data["comparisons"][1]["lhs"] is None
+
+
+X4_SIDES = (
+    ("infinite product 1/((q;q)(q^3;q)(q^6;q)(q^9;q))", ((1, 1), (3, 1), (6, 1), (9, 1))),
+    ("infinite product 1/((q;q^9)(q^3;q^9)(q^6;q^9)(q^8;q^9)) "
+     "[alternate modulus-9 form]", ((1, 9), (3, 9), (6, 9), (8, 9))),
+)
+
+
+def _reference_identity_report(name, truncation):
+    # The report with each x4 product side computed in full, through q^T.
+    orbits, tables = analyze(preset(name))
+    summed = halved_exponents(character(orbits, tables, 2 * truncation).evaluate_at_one())
+    if name == "x3":
+        sides = [("separated-partition count (parts repeat <= 2, no gap-1 pairs)",
+                  QSeries(separated_partition_counts(truncation)))]
+    else:
+        sides = [(label, inverse_poch_product(factors, truncation))
+                 for label, factors in X4_SIDES]
+    comparisons = []
+    for label, side in sides:
+        diff = summed.first_difference(side)
+        comparisons.append(IdentityComparison(label, diff is None, *(diff or (None,) * 3)))
+    return IdentityReport(name, truncation, tuple(comparisons))
+
+
+@pytest.mark.parametrize("truncation", [0, 1, 2, 3, 7, 8, 9, 16, 17, 100, 500])
+@pytest.mark.parametrize("name", ["x3", "x4"])
+def test_identity_report_equals_the_full_product_report(name, truncation):
+    assert verify_partition_identity(name, truncation) == \
+        _reference_identity_report(name, truncation)
+
+
+@pytest.mark.parametrize("name", ["x3", "x4"])
+def test_identity_cli_output_equals_the_full_product_output(name, capsys, monkeypatch):
+    from twistchar import cli
+
+    def outputs():
+        got = []
+        for strict in ((), ("--strict-identities",)):
+            for fmt in ("text", "json"):
+                code = cli.main(["verify", "--preset", name, "--identities", "-T", "60",
+                                 *strict, "--format", fmt])
+                got.append((code, capsys.readouterr().out))
+        return got
+
+    stopped = outputs()
+    monkeypatch.setattr(cli, "verify_partition_identity", _reference_identity_report)
+    assert stopped == outputs()
+    assert [code for code, _ in stopped] == ([0, 0, 0, 0] if name == "x3" else [0, 0, 1, 1])
+
+
+def test_x4_printed_product_stops_at_its_first_mismatch(monkeypatch):
+    # The printed product first differs at q^2; it is never built past q^16,
+    # while the matching modulus-9 side reaches the truncation.
+    from twistchar import qseries
+
+    built = []
+
+    def recorded(factors, truncation):
+        built.append((tuple(factors), truncation))
+        return inverse_poch_product(factors, truncation)
+
+    monkeypatch.setattr(qseries, "inverse_poch_product", recorded)
+    report = verify_partition_identity("x4", 500)
+    assert report.comparisons[0].first_mismatch == 2
+    (_, printed), (_, mod9) = X4_SIDES
+    assert 0 < max(t for f, t in built if f == printed) <= 16
+    assert max(t for f, t in built if f == mod9) == 500
+
+
+@pytest.mark.parametrize("exponent", [0, 7, 8, 9, 16, 17, 40, 99, 100])
+def test_product_mismatch_past_the_first_truncation_is_the_full_products(exponent):
+    # A mismatch found at truncation 8, 16, ..., or at T itself, is the one
+    # the full product shows.
+    factors = ((1, 9), (3, 9))
+    full = inverse_poch_product(factors, 100)
+    summed = QSeries(list(full.coeffs))
+    summed.coeffs[exponent] += 1
+    assert _compare_product("p", summed, factors) == IdentityComparison(
+        "p", False, exponent, full.coeffs[exponent] + 1, full.coeffs[exponent])
+    assert _compare_product("p", full, factors) == IdentityComparison(
+        "p", True, None, None, None)
 
 
 def test_x3_summed_character_has_even_exponents_only():
