@@ -86,7 +86,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
     Phi_(m p)(x) = Phi_m(x^p) / Phi_m(x) for squarefree m and a prime p not
     dividing m builds Phi_r for r = rad(n), the product of n's distinct
-    primes, from Phi_1 = x - 1; then Phi_n(x) = Phi_r(x^(n/r)).
+    primes, from Phi_1 = x - 1; then Phi_n(x) = Phi_r(x^(n/r)).  Each
+    division is exact: Phi_(m p)(x) * Phi_m(x) = Phi_m(x^p) for a prime p
+    not dividing m: the p phi(m) distinct roots of Phi_m(x^p) are the x
+    with x^p of order m, which are the roots of unity of order m p and of
+    order m.
     """
     if n < 1:
         raise ValueError(f"conductor must be >= 1, got {n}")
@@ -95,8 +99,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         deg = len(poly) - 1
         num = _spread(poly, p)
         _divide_monic(num, _lower_terms(poly), deg)
-        if any(num[:deg]):
-            raise ArithmeticError("inexact polynomial division")
         poly, rad = num[deg:], rad * p
     return tuple(_spread(poly, n // rad))
 

@@ -40,10 +40,6 @@ class NotIsometry(LatticeError):
     pass
 
 
-class NonIntegralCharacterMatrix(LatticeError):
-    pass
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -152,12 +148,13 @@ class OrbitData(NamedTuple):
 class PairingTables(NamedTuple):
     """Zero-mode pairings of the orbit representatives.
 
-    ``char_matrix`` is k times ``zero_mode`` and must be integral with even
-    diagonal; ``a_half[i]`` is half the i-th diagonal zero-mode pairing and
-    is the lowest admissible variable degree for orbit i (negated).
     ``rotated[i][j][r]`` is the pairing of the r-th rotation of orbit i's
-    representative with orbit j's representative; its sum over r equals
-    lengths[i] times zero_mode[i][j].
+    representative with orbit j's representative, and c_ij is its sum over
+    r.  Every other table is c_ij scaled: ``zero_mode`` c_ij / l_i,
+    ``char_matrix`` (k / l_i) c_ij, ``twisted_gram`` (the Gram sums over
+    both cycles) l_j c_ij, and ``a_half[i]`` c_ii / (2 l_i), the lowest
+    admissible variable degree of orbit i, negated.  ``analyze`` proves
+    these equal the definitions.
     """
 
     zero_mode: tuple[tuple[Fraction, ...], ...]
@@ -283,72 +280,43 @@ def eigenspace_dim(orbits: OrbitData, j: int) -> int:
     return _eigenspace_dims(orbits.lengths, orbits.k)[j]
 
 
-def pairings(inp: LatticeInput, orbits: OrbitData) -> PairingTables:
-    """Zero-mode pairing tables of the orbit-sum vectors.
+def analyze(inp: LatticeInput) -> tuple[OrbitData, PairingTables]:
+    """Validate the input and derive the pairing tables of its orbits.
 
-    The (i, j) zero-mode pairing is the full cycle-by-cycle Gram sum divided
-    by both cycle lengths; scaled by k it must land in the integers with an
-    even diagonal, otherwise NonIntegralCharacterMatrix is raised.
+    Write sigma for the isometry, rep_i for orbit i's representative, l_i
+    for its cycle length and c_ij = sum_r (sigma^r rep_i, rep_j).  Three
+    facts make every table a scaling of c_ij, with no check left to run:
+
+    - The isometry gives every vector sigma^t rep_j of cycle j the pairing
+      sum c_ij with cycle i (sigma^-t permutes cycle i).  So the Gram sum
+      over both cycles is l_j c_ij, and the zero-mode pairing, that sum
+      over l_i l_j, is c_ij / l_i.
+    - k / l_i = 2 lcm(l) / l_i is an even integer, so A = (k / l_i) c_ij is
+      integral with an even diagonal, and every norm m^T A m is even.
+    - Rotations r and l_i - r pair equally with rep_i (apply sigma^-r, then
+      symmetry), and the r = 0 term is an even diagonal entry.  So c_ii is
+      even for odd l_i, and c_ii = (rep_i, sigma^(l_i/2) rep_i) (mod 2) for
+      even l_i: c_ii is even exactly when ``validate`` sets orbit i's
+      evenness flag.  Hence -a_i = -c_ii / (2 l_i) lies in the mode set
+      offset + (1/l_i) Z, and a_i times the root order is an integer.
     """
-    gram = inp.gram
-    d = orbits.d
-    twisted = [
-        [
-            sum(gram[a][b] for a in orbits.cycles[i] for b in orbits.cycles[j])
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    zero_mode = tuple(
-        tuple(
-            Fraction(twisted[i][j], orbits.lengths[i] * orbits.lengths[j])
-            for j in range(d)
-        )
-        for i in range(d)
-    )
-    char_rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            scaled = orbits.k * zero_mode[i][j]
-            if scaled.denominator != 1:
-                raise NonIntegralCharacterMatrix(
-                    f"k * zero-mode pairing at ({i}, {j}) is {scaled}"
-                )
-            row.append(int(scaled))
-        if row[i] % 2:
-            raise NonIntegralCharacterMatrix(
-                f"character matrix diagonal entry at ({i}, {i}) is odd: {row[i]}"
-            )
-        char_rows.append(tuple(row))
-    a_half = tuple(zero_mode[i][i] / 2 for i in range(d))
-    for i in range(d):
-        # The lowest admissible degree -a_i always lies in the mode set.
-        if not orbits.contains_mode(i, -a_half[i]) or (
-            (a_half[i] * orbits.root_orders[i]).denominator != 1
-        ):
-            raise ArithmeticError(f"-a_{i} = {-a_half[i]} is not an admissible mode")
+    orbits = validate(inp)
+    lengths, d = orbits.lengths, orbits.d
     rotated = tuple(
-        tuple(
-            tuple(gram[a][orbits.reps[j]] for a in orbits.cycles[i])
-            for j in range(d)
-        )
-        for i in range(d)
+        tuple(tuple(inp.gram[a][rep] for a in cycle) for rep in orbits.reps)
+        for cycle in orbits.cycles
     )
-    for i in range(d):
-        for j in range(d):
-            if sum(rotated[i][j]) != orbits.lengths[i] * zero_mode[i][j]:
-                raise ArithmeticError(f"rotated pairings of ({i}, {j}) miss their sum")
-    return PairingTables(
-        zero_mode=zero_mode,
-        char_matrix=tuple(char_rows),
-        twisted_gram=tuple(tuple(row) for row in twisted),
-        a_half=a_half,
+    c = [[sum(pairs) for pairs in row] for row in rotated]
+    return orbits, PairingTables(
+        zero_mode=tuple(
+            tuple(Fraction(x, lengths[i]) for x in c[i]) for i in range(d)
+        ),
+        char_matrix=tuple(
+            tuple(orbits.k // lengths[i] * x for x in c[i]) for i in range(d)
+        ),
+        twisted_gram=tuple(
+            tuple(lengths[j] * x for j, x in enumerate(c[i])) for i in range(d)
+        ),
+        a_half=tuple(Fraction(c[i][i], 2 * lengths[i]) for i in range(d)),
         rotated=rotated,
     )
-
-
-def analyze(inp: LatticeInput) -> tuple[OrbitData, PairingTables]:
-    """validate + pairings in one call."""
-    orbits = validate(inp)
-    return orbits, pairings(inp, orbits)

@@ -18,6 +18,7 @@ nothing is ever patched to force agreement.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -250,14 +251,15 @@ def _stacked_mod(
 @lru_cache(maxsize=None)
 def _root_factor(k: int, sizes: tuple[int, ...]) -> int:
     # The closed form's part free of z and w, mod p, with x_r = omega^r:
-    # prod_r x_r^C(N_r, 2) * prod_{r<s} (x_s - x_r)^(N_r*N_s).
+    # prod_r x_r^C(N_r, 2) * prod_{r<s} (x_s - x_r)^(N_r*N_s).  A factor of
+    # an empty block is a 0-th power, 1, so only nonempty blocks are visited.
     p, omega = root_prime(k)
-    xs = [pow(omega, r, p) for r in range(k)]
+    blocks = [(pow(omega, r, p), n) for r, n in enumerate(sizes) if n]
     out = 1
-    for r, n_r in enumerate(sizes):
-        out = out * pow(xs[r], n_r * (n_r - 1) // 2, p) % p
-        for s in range(r + 1, k):
-            out = out * pow(xs[s] - xs[r], n_r * sizes[s], p) % p
+    for b, (x_r, n_r) in enumerate(blocks):
+        out = out * pow(x_r, n_r * (n_r - 1) // 2, p) % p
+        for x_s, n_s in blocks[b + 1:]:
+            out = out * pow(x_s - x_r, n_r * n_s, p) % p
     return out
 
 
@@ -429,11 +431,12 @@ def two_blocks_check(
 
 
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All ordered tuples of ``parts`` non-negative integers summing to total."""
-    if parts == 1:
-        return [(total,)]
-    return [(first,) + rest for first in range(total + 1)
-            for rest in compositions(total - first, parts - 1)]
+    """All ordered tuples of ``parts`` non-negative integers summing to total,
+    in lexicographic order: stars and bars, the parts - 1 bars at increasing
+    positions among total + parts - 1 slots."""
+    slots = total + parts - 1
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+            for bars in combinations(range(slots), parts - 1)]
 
 
 def random_rational(rng: random.Random, nonzero: bool = False) -> Fraction:

@@ -240,9 +240,6 @@ class CharacterTable(NamedTuple):
         found = self.entries.get(tuple(m))
         return found if found is not None else QSeries.zero(self.truncation)
 
-    def coefficient(self, m: Sequence[int], n: int) -> int:
-        return self.series(m).coeff(n)
-
     def evaluate_at_one(self) -> QSeries:
         coeffs = [s.coeffs for s in self.entries.values()]
         return QSeries(list(map(sum, zip([0] * (self.truncation + 1), *coeffs))))
@@ -282,11 +279,13 @@ def character(
     1 / (1 - q^((m_j + 1) * s_j)): one partition-count pass over m's
     coefficients in x = q^2 (the parity lemma), cut to the child's own
     truncation, and written once into its dense series by a strided slice.
-    Its norm is Q(m) + 2 (A m)_j + A_jj.  A child whose norm exceeds 2T is
-    pruned with its whole subtree, and this is exact: A is entrywise
-    non-negative, because ``validate`` refuses a negative Gram entry, so
-    norms only grow down the tree.  Children are visited in decreasing j,
-    which enters the charges in sorted order.
+    Its norm is Q(m) + 2 (A m)_j + A_jj, and every norm is even: ``analyze``
+    proves that A has an even diagonal (A_jj = (k / l_j) c_jj, and k / l_j
+    is even).  A child whose norm exceeds 2T is pruned with its whole
+    subtree, and this is exact: A is entrywise non-negative, because
+    ``validate`` refuses a negative Gram entry, so norms only grow down the
+    tree.  Children are visited in decreasing j, which enters the charges
+    in sorted order.
 
     Raises BudgetExceeded, before building anything, when the charge search
     box (each m_i up to the largest value with A_ii m_i^2 <= 2T) times T + 1
@@ -311,11 +310,8 @@ def character(
     stack = [((0,) * d, 0, 0, [1] + [0] * (truncation // 2))]
     while stack:
         m, last, norm, xs = stack.pop()
-        base, odd = divmod(norm, 2)
-        if odd:
-            raise ArithmeticError(f"charge {m} has odd norm {norm}")
         table.entries[m] = series = QSeries.zero(truncation)
-        series.coeffs[base::2] = xs
+        series.coeffs[norm // 2::2] = xs
         for j in range(last, d):
             child_norm = norm + 2 * sum(map(mul, matrix[j], m)) + matrix[j][j]
             if child_norm > 2 * truncation:
@@ -427,12 +423,6 @@ def separated_partition_counts(truncation: int) -> list[int]:
     return below1
 
 
-def separated_partition_count(n: int) -> int:
-    """Partitions of n with no part repeated more than twice and no two
-    parts differing by exactly 1."""
-    return separated_partition_counts(n)[n]
-
-
 def rogers_ramanujan_sum(truncation: int) -> QSeries:
     """Truncated sum over m of q^(m^2) / (q; q)_m."""
     total = QSeries.zero(truncation)
@@ -465,10 +455,6 @@ class IdentityReport(NamedTuple):
     preset: str
     truncation: int
     comparisons: tuple[IdentityComparison, ...]
-
-    @property
-    def all_match(self) -> bool:
-        return all(c.matches for c in self.comparisons)
 
     def to_json_dict(self) -> dict:
         return {**self._asdict(),

@@ -70,10 +70,6 @@ class TwistedVariable(NamedTuple):
 Monomial = tuple[TwistedVariable, ...]
 
 
-def monomial_weight(mono: Monomial) -> int:
-    return sum(v.weight for v in mono)
-
-
 def monomial_charge(mono: Monomial, d: int) -> tuple[int, ...]:
     return tuple(sum(v.orbit == i for v in mono) for i in range(d))
 

@@ -616,6 +616,22 @@ def test_verbose_oracle_logs_the_proof_methods():
 # SHA-256 of stdout, with the exit code, for reports whose bytes must stay
 # the same across internal rewrites: any changed byte fails here.
 PINNED_OUTPUTS = [
+    (("analyze", "--preset", "rank1"), 0,
+     "0b0f699318507c08469e77ad857e79f156d6906ead6d02ba0b071c61384b5ca6"),
+    (("analyze", "--preset", "rank1", "--format", "json"), 0,
+     "cbf209b2c032c4cbe0f5d7e3599615eb9a4a5e3a4edb8626d0a0820f7eca8505"),
+    (("analyze", "--preset", "swap2"), 0,
+     "d93309a821e989743d5277a52c04cf585645ff22a7a35b464edc207f2b0aa597"),
+    (("analyze", "--preset", "swap2", "--format", "json"), 0,
+     "7358782f25dfcff7d3199537643ab1de60be17238529336f9469340d2a5ede9d"),
+    (("analyze", "--preset", "x3"), 0,
+     "b9a801ea8c66bd553ef4ef208908e63843565e8ed1bac3120918736e66260738"),
+    (("analyze", "--preset", "x3", "--format", "json"), 0,
+     "489312ebb05259185998b0af1e82566c3ff76ec3bc546e1106d1a105988696ee"),
+    (("analyze", "--preset", "x4"), 0,
+     "6f7f15d266e49424757778051113fcd9973f9f681bdd246241d07ab431e26804"),
+    (("analyze", "--preset", "x4", "--format", "json"), 0,
+     "5c6e1552468dea211c5747a0ca6ae6de842e71f50443f0741b7c35fbd024f815"),
     (("character", "--preset", "rank1", "-T", "60", "--format", "json"), 0,
      "fc772244c5d218e52081f81ebfeca10a5f02e615d908be693529182cae603bbd"),
     (("character", "--preset", "swap2", "-T", "60", "--format", "json"), 0,
@@ -653,7 +669,9 @@ PINNED_OUTPUTS = [
 
 @pytest.mark.parametrize(
     "argv, expected_code, digest", PINNED_OUTPUTS,
-    ids=["character-rank1", "character-swap2", "character-x3", "character-x4",
+    ids=["analyze-rank1-text", "analyze-rank1", "analyze-swap2-text", "analyze-swap2",
+         "analyze-x3-text", "analyze-x3", "analyze-x4-text", "analyze-x4",
+         "character-rank1", "character-swap2", "character-x3", "character-x4",
          "character-x4-text", "verify-x3-recursion-identities",
          "verify-x4-strict-identities", "oracle-rank1-text", "oracle-swap2",
          "oracle-x3-new-relations", "oracle-x4-new-relations",
@@ -684,6 +702,27 @@ def test_config_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a9aa281b0502b521c052fde5333ad0def4f1fc16c8149159cf3be3dca16e16d4"
     )
+
+
+@pytest.mark.parametrize("out_format, digest", [
+    ("text", "213161310068619eeb4c3f7a5048165e89020e1786dfd541f6fe780c7f8c1e12"),
+    ("json", "233e30688b5e15da23f2c78db9b3b5b38fda26d89bb2237bec3ec6c612413616"),
+])
+def test_uneven_three_cycles_analyze_bytes_are_pinned(capsys, tmp_path, monkeypatch,
+                                                      out_format, digest):
+    # Two 3-cycles whose cycles pair unevenly: rotated (2, 0, 2) against
+    # (2, 2, 0), so the zero-mode pairing averages unequal rotations.
+    monkeypatch.chdir(tmp_path)
+    Path("two_three_cycles.json").write_text(json.dumps({
+        "rank": 6,
+        "gram": [[4, 2, 0, 2, 2, 2], [2, 4, 0, 2, 0, 0], [0, 0, 4, 2, 0, 2],
+                 [2, 2, 2, 4, 0, 2], [2, 0, 0, 0, 4, 2], [2, 0, 2, 2, 2, 4]],
+        "perm": [6, 5, 2, 1, 3, 4],
+    }))
+    code, out, err = run(capsys, "analyze", "--config", "two_three_cycles.json",
+                         "--format", out_format)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_empty_charge_window_output_is_pinned(capsys, tmp_path, monkeypatch):

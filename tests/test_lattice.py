@@ -10,15 +10,14 @@ from twistchar.lattice import (
     LatticeError,
     LatticeInput,
     NegativeEntry,
-    NonIntegralCharacterMatrix,
     NotEven,
     NotIsometry,
     NotPositiveDefinite,
     NotSymmetric,
     OrbitData,
+    PairingTables,
     analyze,
     eigenspace_dim,
-    pairings,
     parse_permutation,
     validate,
 )
@@ -220,24 +219,6 @@ def test_not_isometry():
         validate(LatticeInput.make([[2, 1], [1, 4]], "(1 2)"))
 
 
-def test_non_integral_character_matrix_is_a_guard():
-    # Not reachable from inputs that pass validation (the scaled pairings
-    # are always even integers there), so exercise the guard with forged
-    # orbit data: wrong lengths make the scaled pairing fractional, and a
-    # mixed forged k makes a diagonal entry odd.
-    inp = preset("rank1")
-    orbits = validate(inp)
-    fractional = orbits._replace(lengths=(3,), k=3, root_orders=(3,))
-    with pytest.raises(NonIntegralCharacterMatrix):
-        pairings(inp, fractional)
-
-    inp2 = LatticeInput.make([[2, 1], [1, 2]], "(1)(2)")
-    orbits2 = validate(inp2)
-    odd = orbits2._replace(lengths=(2, 1), k=2)
-    with pytest.raises(NonIntegralCharacterMatrix):
-        pairings(inp2, odd)
-
-
 def test_orbit_data_is_immutable():
     orbits = validate(preset("x3"))
     with pytest.raises(AttributeError):
@@ -324,8 +305,54 @@ def test_orbit_relabeling_leaves_invariants_alone():
     assert chi1.first_difference(chi2) is None
 
 
-def test_analyze_equals_validate_plus_pairings():
-    inp = preset("x3")
-    orbits, tables = analyze(inp)
-    assert orbits == validate(inp)
-    assert tables == pairings(inp, orbits)
+def _reference_tables(inp, orbits):
+    """The tables as the Gram double sums over both cycles, scaled by
+    Fractions: the computation ``analyze`` made before it derived every
+    table from the rotated pairings."""
+    gram, d = inp.gram, orbits.d
+    twisted = [[sum(gram[a][b] for a in orbits.cycles[i] for b in orbits.cycles[j])
+                for j in range(d)] for i in range(d)]
+    zero_mode = tuple(
+        tuple(Fraction(twisted[i][j], orbits.lengths[i] * orbits.lengths[j])
+              for j in range(d))
+        for i in range(d)
+    )
+    scaled = [[orbits.k * x for x in row] for row in zero_mode]
+    assert all(x.denominator == 1 for row in scaled for x in row)
+    assert all(scaled[i][i] % 2 == 0 for i in range(d))
+    a_half = tuple(zero_mode[i][i] / 2 for i in range(d))
+    for i in range(d):
+        assert orbits.contains_mode(i, -a_half[i])
+        assert (a_half[i] * orbits.root_orders[i]).denominator == 1
+    rotated = tuple(
+        tuple(tuple(gram[a][orbits.reps[j]] for a in orbits.cycles[i]) for j in range(d))
+        for i in range(d)
+    )
+    return PairingTables(
+        zero_mode=zero_mode,
+        char_matrix=tuple(tuple(int(x) for x in row) for row in scaled),
+        twisted_gram=tuple(map(tuple, twisted)),
+        a_half=a_half,
+        rotated=rotated,
+    )
+
+
+def _assert_reference_tables(inputs):
+    for inp in inputs:
+        orbits, tables = analyze(inp)
+        assert orbits == validate(inp)
+        assert tables == _reference_tables(inp, orbits), inp
+
+
+def test_analyze_equals_the_reference_on_presets_draws_and_census(random_inputs, census):
+    _assert_reference_tables([preset(name) for name in PRESET_NAMES])
+    _assert_reference_tables(random_inputs)
+    assert len(census) == 114
+    _assert_reference_tables(census)
+
+
+def test_analyze_equals_the_reference_on_wide_draws(wide_inputs):
+    _assert_reference_tables(wide_inputs)
+    orbits = [validate(inp) for inp in wide_inputs]
+    assert max(o.k for o in orbits) >= 12 and max(inp.rank for inp in wide_inputs) == 7
+    assert {e for o in orbits for e in o.evenness} == {True, False}

@@ -176,6 +176,46 @@ def test_compositions_cover_all_shapes():
     assert len(set(shapes)) == 15
 
 
+def _reference_compositions(total, parts):
+    # The recursive construction, one call per part.
+    if parts == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total + 1)
+            for rest in _reference_compositions(total - first, parts - 1)]
+
+
+def test_compositions_equal_the_recursive_reference():
+    for total in range(7):
+        for parts in range(1, 7):
+            assert compositions(total, parts) == _reference_compositions(total, parts)
+
+
+def test_compositions_of_many_parts_need_no_recursion():
+    # The recursive construction hit the recursion limit from parts = 501.
+    shapes = compositions(1, 1000)
+    assert len(shapes) == 1000 and shapes[0] == (0,) * 999 + (1,)
+    assert compositions(0, 5000) == [(0,) * 5000]
+
+
+def _reference_root_factor(k, sizes):
+    # Every (r, s) pair, empty blocks included.
+    p, omega = modular.root_prime(k)
+    xs = [pow(omega, r, p) for r in range(k)]
+    out = 1
+    for r, n_r in enumerate(sizes):
+        out = out * pow(xs[r], n_r * (n_r - 1) // 2, p) % p
+        for s in range(r + 1, k):
+            out = out * pow(xs[s] - xs[r], n_r * sizes[s], p) % p
+    return out
+
+
+def test_root_factor_equals_the_all_pairs_reference():
+    for k in range(1, 7):
+        for total in range(1, 7):
+            for shape in compositions(total, k):
+                assert pascal._root_factor(k, shape) == _reference_root_factor(k, shape)
+
+
 def test_sweep_small_and_deterministic():
     a = pascal_check(2, 3, 2, seed=1, proof_samples=3)
     b = pascal_check(2, 3, 2, seed=1, proof_samples=3)

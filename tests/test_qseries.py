@@ -28,7 +28,6 @@ from twistchar.qseries import (
     poch_infinite,
     poch_inverse,
     rogers_ramanujan_sum,
-    separated_partition_count,
     separated_partition_counts,
     verify_partition_identity,
     _add_part,
@@ -594,10 +593,8 @@ def test_odd_shift_is_scanned_term_by_term():
 
 def test_separated_partition_counts():
     # n = 5 admits exactly 5, 4+1, 3+1+1; gap-1 pairs and triples are out.
-    assert [separated_partition_count(n) for n in range(6)] == [1, 1, 2, 1, 3, 3]
-    with pytest.raises(ValueError):
-        separated_partition_count(-1)
-    with pytest.raises(ValueError):
+    assert [separated_partition_counts(n)[n] for n in range(6)] == [1, 1, 2, 1, 3, 3]
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
         separated_partition_counts(-1)
 
 
@@ -620,14 +617,14 @@ def test_separated_counts_against_brute_force():
         return count
 
     for n in range(13):
-        assert separated_partition_count(n) == brute(n)
+        assert separated_partition_counts(n)[n] == brute(n)
     assert separated_partition_counts(12) == [brute(n) for n in range(13)]
 
 
 def test_x3_identity_at_large_truncation():
     # A recursive count once hit Python's recursion limit here.
     report = verify_partition_identity("x3", 500)
-    assert report.all_match
+    assert all(c.matches for c in report.comparisons)
 
 
 def test_rogers_ramanujan_sum_coefficients():
@@ -662,7 +659,7 @@ def test_identity_only_wired_for_x3_and_x4():
 
 def test_x3_identity_matches():
     report = verify_partition_identity("x3", 20)
-    assert report.all_match
+    assert all(c.matches for c in report.comparisons)
     assert len(report.comparisons) == 1
     assert report.comparisons[0].first_mismatch is None
 
@@ -673,7 +670,7 @@ def test_x4_printed_product_differs_but_mod9_matches():
     assert printed.matches is False
     assert (printed.first_mismatch, printed.lhs, printed.rhs) == (2, 1, 2)
     assert mod9.matches is True
-    assert not report.all_match
+    assert not all(c.matches for c in report.comparisons)
     data = report.to_json_dict()
     assert data["comparisons"][0]["first_mismatch"] == 2
     assert data["comparisons"][1]["matches"] is True

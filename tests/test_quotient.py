@@ -28,7 +28,6 @@ from twistchar.quotient import (
     membership_matrix_decomposition,
     membership_pascal_spec,
     monomial_charge,
-    monomial_weight,
     new_relations_membership,
     new_relations_sweep,
     quotient_dimension,
@@ -60,7 +59,7 @@ def V(orbit, weight):
 
 def test_monomial_helpers():
     mono = (V(0, 2), V(1, 3), V(0, 4))
-    assert monomial_weight(mono) == 9
+    assert sum(v.weight for v in mono) == 9
     assert monomial_charge(mono, 2) == (2, 1)
     assert monomial_charge((), 3) == (0, 0, 0)
 
@@ -85,7 +84,7 @@ def test_enumerate_monomials_bidegrees_are_exact(name, data):
     charge = tuple(1 for _ in range(d))
     for weight in range(12):
         for mono in enumerate_monomials(orbits, tables, charge, weight):
-            assert monomial_weight(mono) == weight
+            assert sum(v.weight for v in mono) == weight
             assert monomial_charge(mono, d) == charge
             assert tuple(sorted(mono)) == mono
 
@@ -309,7 +308,7 @@ def test_oracle_cells_match_character_directly(data):
     report = compare_with_character(orbits, tables, 2, 12)
     table = character(orbits, tables, 12)
     for cell in report.cells:
-        assert cell.coefficient == table.coefficient(cell.charge, cell.weight)
+        assert cell.coefficient == table.series(cell.charge).coeff(cell.weight)
         assert cell.dimension == cell.monomials - cell.rank
 
 
@@ -453,7 +452,7 @@ def test_sweep_ranks_each_relation_slice_once(name, data, monkeypatch):
     bidegrees = set()
     for c in cells:
         target = _mode_target(orbits, tables, c.i, c.j, c.s, c.t)
-        bidegrees.add((monomial_charge(target, orbits.d), monomial_weight(target)))
+        bidegrees.add((monomial_charge(target, orbits.d), sum(v.weight for v in target)))
     assert len(ranked) == len(cells) + len(bidegrees)
 
 
@@ -524,7 +523,7 @@ def _solve_membership(orbits, tables, i, j, s, t):
     if target is None:
         return True
     charge = monomial_charge(target, orbits.d)
-    weight = monomial_weight(target)
+    weight = sum(v.weight for v in target)
     slices = quotient._Slices(orbits, tables)
     monomials = [slices.key(m) for m in enumerate_monomials(orbits, tables, charge, weight)]
     blocks = quotient._blocks(slices, charge, weight)[0]
@@ -583,6 +582,32 @@ def test_oracle_ranks_are_all_certified(data, random_lattices, monkeypatch):
         report = compare_with_character(orbits, tables, charge_total, weight_bound)
         assert report.all_ok and report.certified and not report.exact
         assert report.proved == sum(1 for c in report.cells if c.monomials)
+
+
+# Two 3-cycles whose cycles pair unevenly: rotated (2, 0, 2) against (2, 2, 0).
+TWO_THREE_CYCLES = {
+    "rank": 6,
+    "gram": [[4, 2, 0, 2, 2, 2], [2, 4, 0, 2, 0, 0], [0, 0, 4, 2, 0, 2],
+             [2, 2, 2, 4, 0, 2], [2, 0, 0, 0, 4, 2], [2, 0, 2, 2, 2, 4]],
+    "perm": [6, 5, 2, 1, 3, 4],
+}
+
+
+def test_uneven_three_cycles_fail_certificate_a_and_fall_back_to_exact():
+    # P_10(y2, y1) is P_01(y1, y2) times eta^2, a cube root of unity and not
+    # +-1, so certificate (a) fails on a lattice of the paper's class and
+    # every rank comes from exact elimination.
+    orbits, tables = analyze(lattice_from_config(TWO_THREE_CYCLES))
+    assert (tables.rotated[0][1], tables.rotated[1][0]) == ((2, 0, 2), (2, 2, 0))
+    p01, p10 = (twisted.pair_factor(orbits, tables, *pair) for pair in ((0, 1), (1, 0)))
+    eta2 = get_field(orbits.k).eta_to(2)
+    assert {(e1, e2): c for (e2, e1), c in p10.items()} == {
+        e: eta2 * c for e, c in p01.items()}
+    assert twisted.pair_factors(orbits, tables) is None
+    report = compare_with_character(orbits, tables, 2, 16)
+    assert (len(report.cells), report.certified, report.proved, report.exact) == (
+        22, False, 0, 22)
+    assert report.all_ok
 
 
 def test_an_overstated_coefficient_is_a_mismatch(data, monkeypatch):

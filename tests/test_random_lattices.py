@@ -1,16 +1,25 @@
-"""Seeded random valid lattices beyond the four presets.
+"""Seeded random valid lattices and the census, beyond the four presets.
 
 The draws come from the ``random_lattices`` fixture in ``conftest.py``.
 On every kept lattice the oracle, the membership sweep, the monomial
 enumerator, the character's lowest weights and both character recursions
 are checked, and a relation mutation that sends every root of unity to 1
 must be caught exactly on the lattices whose relations see those roots.
+The oracle, the membership sweep and both recursions also run on every
+pair of the ``census`` fixture.
 """
 
 from itertools import combinations_with_replacement, product
 
 from twistchar import quotient
-from twistchar.qseries import character, check_coefficient_recursion, check_recursion
+from twistchar.lattice import analyze
+from twistchar.qseries import (
+    RecursionCheck,
+    character,
+    check_coefficient_recursion,
+    check_recursion,
+    check_recursions,
+)
 from twistchar.quotient import (
     TwistedVariable,
     compare_with_character,
@@ -111,3 +120,14 @@ def test_random_lattices_see_the_relation_roots(random_lattices, monkeypatch):
         for orbits, tables in random_lattices
     ]
     assert caught == sees
+
+
+def test_census_passes_the_oracle_the_sweep_and_both_recursions(census):
+    for inp in census:
+        orbits, tables = analyze(inp)
+        assert compare_with_character(orbits, tables, CHARGE_BOUND, WEIGHT_BOUND).all_ok, inp
+        assert all(c.member for c in new_relations_sweep(orbits, tables)), inp
+        table = character(orbits, tables, 40)
+        for i in range(orbits.d):
+            assert all(isinstance(res, RecursionCheck)
+                       for res in check_recursions(table, i)), (inp, i)

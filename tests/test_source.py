@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,3 +101,60 @@ def test_importing_the_package_leaves_module_unloaded(module):
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+
+def _public_names(tree):
+    # As the CI step counts them: module-level functions, classes and
+    # assigned names without a leading underscore.
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def _uses(tree):
+    # Identifiers a module reads: loaded names, attributes, imported names
+    # and the words of string constants other than docstrings (the bench
+    # tracer names what it patches in strings).  A module-level statement's
+    # reads of the names it defines itself are left out.
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    used = set()
+    for statement in tree.body:
+        found = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.update(node.name.split("."))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+        used |= found - set(_public_names(ast.Module([statement], [])))
+    return used
+
+
+def test_every_public_name_is_used_beyond_its_definition():
+    # A public name that no code of the package, its tests or the benchmark
+    # reads is dead API: delete it, or make it private where it is used.
+    root = Path(twistchar.__file__).parents[2]
+    files = [path for folder in ("src", "tests", "bench")
+             for path in sorted((root / folder).rglob("*.py"))]
+    used = set().union(*(_uses(ast.parse(path.read_text())) for path in files))
+    names = [(path.name, name) for path in SOURCES
+             for name in _public_names(ast.parse(path.read_text()))]
+    unused = [f"{module}: {name}" for module, name in names if name not in used]
+    assert names and not unused, unused

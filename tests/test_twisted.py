@@ -234,7 +234,7 @@ def _check_phi_window(orbits, tables, charge_total, weight_bound):
                 tuple(image.get(t, field.zero()) for t in columns)
                 for image in images.values()
             ), len(columns))
-            assert matrix.rank() == table.coefficient(charge, weight), (charge, weight)
+            assert matrix.rank() == table.series(charge).coeff(weight), (charge, weight)
             blocks = quotient._blocks(slices, charge, weight)[0]
             for row in quotient._relation_rows(blocks, slices.keyed):
                 total = {}
