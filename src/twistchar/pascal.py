@@ -224,7 +224,8 @@ class InvertibilityResult(NamedTuple):
     method: str  # what proved `invertible`: "mod-p" or "exact"
 
 
-@lru_cache(maxsize=None)
+# maxsize=1 here and below: the sweep asks for each key ``samples`` times in a row.
+@lru_cache(maxsize=1)
 def _root_powers(p: int, omega: int, k: int, n: int) -> tuple[tuple[int, ...], ...]:
     # Row r < k holds omega^(r*c) mod p for the columns c < n.
     return tuple(tuple(pow(omega, r * c, p) for c in range(n)) for r in range(k))
@@ -248,7 +249,7 @@ def _stacked_mod(
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _root_factor(k: int, sizes: tuple[int, ...]) -> int:
     # The closed form's part free of z and w, mod p, with x_r = omega^r:
     # prod_r x_r^C(N_r, 2) * prod_{r<s} (x_s - x_r)^(N_r*N_s).  A factor of

@@ -9,9 +9,9 @@ the boundary (``build_relations``, the membership offsets s, t).
 
 For each bidegree (charge vector, weight) the oracle counts the monomial
 basis B as partitions and proves dim Q = |B| - rank I by two bounds, I
-spanned by every relation times every cofactor monomial.  Lower: the
-certificates of ``twisted`` give dim Q >= c* = |B(m, w - delta)|, the
-twisted module's count, delta = m^T A m / 2 - sum_i m_i * start_i.  Upper:
+spanned by every relation times every cofactor monomial.  Lower: certificate
+(b) of ``twisted`` gives dim Q >= c* = |B(m, w - delta)|, the twisted
+module's count, delta = m^T A m / 2 - sum_i m_i * start_i.  Upper:
 rank I >= |B| - c* mod the split prime (eta -> omega).  Where a bound fails,
 or the character coefficient differs from c*, exact elimination over the
 cyclotomic field gives the rank.
@@ -192,8 +192,8 @@ class _Slices:
     mod the split prime with least keys (``family_mod_p``), each memoized
     once, and (row count, rank) of I(m, w) by (charge, weight).
     Key fields are ``width`` bits, for charge entries up to ``top``; ``bound``
-    is the window's weight bound.  ``factors``: the pair factors, once
-    certificate (a) held."""
+    is the window's weight bound.  ``factors``, F's factor by ordered orbit
+    pair (``pair_factors``), is set by ``compare_with_character``."""
 
     def __init__(self, orbits: OrbitData, tables: PairingTables, top: int = 2,
                  bound: int = 0):
@@ -319,8 +319,9 @@ def _blocks(slices: _Slices, charge: tuple[int, ...], weight: int) -> tuple[list
     if max(charge) >> slices.width:
         raise PreconditionViolated(f"charge {charge} overflows {slices.width}-bit keys")
     blocks, n_rows = [], 0
-    for i in range(slices.orbits.d):
-        for j in range(slices.orbits.d):
+    support = [a for a, c in enumerate(charge) if c]  # orbits a cofactor can drop
+    for i in support:
+        for j in support:
             cof_charge = tuple(c - (a == i) - (a == j) for a, c in enumerate(charge))
             if min(cof_charge) < 0:
                 continue
@@ -359,7 +360,7 @@ def _oracle_rank(
     when the distinct leading keys number target ("leads") or, when they
     fall short, the rank mod p of the rows reaches it ("mod p"); otherwise,
     and for target < 0, it comes from exact elimination ("exact")."""
-    if slices.factors is not None and target >= 0:
+    if target >= 0:
         blocks, n_rows = _blocks(slices, charge, weight)
         if all(slices.family_mod_p(key) is not None for _, key in blocks):
             leads = len({cof + lead for cofs, key in blocks
@@ -404,14 +405,12 @@ class OracleCell(NamedTuple):
 
 
 class OracleReport(NamedTuple):
-    # Not in the JSON: whether certificate (a) held, how many ranks the two
-    # one-prime bounds proved (of them, how many by leading monomials alone)
-    # and how many came from exact elimination.
+    # Not in the JSON: the ranks the two one-prime bounds proved (of them, by
+    # leading monomials alone) and those from exact elimination.
     charge_total: int
     weight_bound: int
     cells: tuple[OracleCell, ...]
     empty_cells: int
-    certified: bool = False
     proved: int = 0
     exact: int = 0
     leads: int = 0
@@ -454,10 +453,17 @@ class OracleReport(NamedTuple):
 def _charges_up_to(lows: list[int], total: int, bound: int) -> list[tuple[int, ...]]:
     """Charge vectors m with entry sum <= total and lowest weight
     sum_i m_i * lows[i] <= bound, in lexicographic order."""
-    if not lows:
-        return [()]
-    return [(v,) + rest for v in range(min(total, bound // lows[0]) + 1)
-            for rest in _charges_up_to(lows[1:], total - v, bound - v * lows[0])]
+    # Depth first without recursion: m, then m raised at one orbit past its
+    # last nonzero entry, popped last orbit and smallest value first.
+    out, stack = [], [((0,) * len(lows), 0, total, bound)]
+    while stack:
+        m, first, left, room = stack.pop()
+        out.append(m)
+        if left:
+            stack += [(m[:i] + (v,) + m[i + 1:], i + 1, left - v, room - v * lows[i])
+                      for i in range(first, len(lows))
+                      for v in range(min(left, room // lows[i]), 0, -1)]
+    return out
 
 
 def compare_with_character(
@@ -498,8 +504,7 @@ def compare_with_character(
     empty = comb(charge_total + orbits.d, orbits.d) * (weight_bound + 1) - len(cells)
     return OracleReport(
         charge_total, weight_bound, tuple(cells), empty,
-        slices.factors is not None, methods["leads"] + methods["mod p"],
-        methods["exact"], methods["leads"],
+        methods["leads"] + methods["mod p"], methods["exact"], methods["leads"],
     )
 
 

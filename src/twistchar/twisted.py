@@ -9,25 +9,35 @@ y_a = x_a^(1/n) and h = n / l_i, let P_ij(y1, y2) = prod_{r < l_i}
 E = exp(sum_a sum_s a_o(a)(s) (n / s) y_a^s), s over the positive multiples
 of n / l_o(a), the a_i(s) free symbols.  Phi(monomial) is the coefficient
 of prod_a y_a^((w_a - start_o(a)) / 2) in
-F = prod_{a<b} P_o(a)o(b)(y_a, y_b) E, the variables in sorted order.
+F = prod_{a<b} P_o(a)o(b)(y_a, y_b) E, the variables in sorted order, so
+o(a) <= o(b): F's factor in y1 of orbit i and y2 of orbit j is F_ij =
+P_ij(y1, y2) for i <= j, P_ji(y2, y1) for i > j (``pair_factors``).
 
-Certificates: (a) P_ji(y2, y1) = +-P_ij(y1, y2), with + when i = j, so F
-is symmetric in each orbit's variables and Phi is well defined.  (b) Each
-relation generator g of the pair (i, j), read as the functional
+P_ii is symmetric: swapping y1 and y2 turns the factor of r into
+-zeta^(-r) times the factor of l - r (l = l_i), of the same power
+rotated[i][i][r] = rotated[i][i][l - r] (``analyze``), and these scalars
+multiply to 1: r and l - r != r give zeta^(-l) = 1 to one power, r = 0
+gives -1 to an even diagonal entry, r = l / 2 gives -zeta^(-l/2) = 1.  So F
+is symmetric in each orbit's variables.  Exponents stay on their lattices:
+sigma^(l_j) fixes rep_j, so rotated[i][j][r] = (sigma^r rep_i, rep_j) has
+period g = gcd(l_i, l_j), and the factors of r, r + g, ... multiply to
+y1^(n/g) - zeta^(-r l_i / g) y2^(n/g) (zeta^(-g) has order l_i / g), n / g
+a multiple of both orbits' steps n / l_i and n / l_j.
+
+Certificate (b): each relation generator g of the pair (i, j), read as
 lambda_g(f) = sum over its terms c x_i(w1) x_j(w2) of c [y1^e1 y2^e2] f,
-e = (w - start) / 2, vanishes on P_ij y1^a y2^b for all a, b >= 0, on
-P_ii (y1^a y2^b + y1^b y2^a) when i = j.  Then Phi(cof * g) = 0 for every
-cofactor: fixing cof's exponents in F leaves +-P_ij(y_u, y_v) S(y_u, y_v)
-in g's two variables, S symmetric when i = j, so Phi(cof * g) =
-+-lambda_g(P_ij S) = 0 monomial by monomial of S.  So Phi(I) = 0 at every
-charge at once.
+e = (w - start) / 2, vanishes on F_ij y1^a y2^b for all a, b >= 0, on
+F_ii (y1^a y2^b + y1^b y2^a) when i = j.  Fixing a cofactor's exponents in
+F leaves F_ij(y_u, y_v) S(y_u, y_v) in g's two variables, S symmetric when
+i = j, so Phi(cof * g) = lambda_g(F_ij S) = 0 monomial by monomial of S, and
+Phi(I) = 0 at every charge at once.
 
 rank Phi(B(m, w)) is the character coefficient: the [a^mu] E are products
 of each orbit's power sums in steps of h, which span the polynomials
 symmetric in each orbit's y^h, of dimension the number of partition tuples
 [q^t] prod_i 1 / (q^s_i; q^s_i)_(m_i).  Multiplying by the nonzero prod P
-is injective, and by (a) keeps every exponent on its orbit's lattice, so
-the coefficients at B's exponents determine the product.  As
+is injective and keeps every exponent on its orbit's lattice, so the
+coefficients at B's exponents determine the product.  As
 2 deg P_ij = 2h sum_r rotated[i][j][r] = A_ij, the shift is m^T A m / 2.
 """
 
@@ -54,24 +64,23 @@ def pair_factor(orbits: OrbitData, tables: PairingTables, i: int, j: int) -> Fac
     return {((top - t) * h, t * h): c for t, c in enumerate(coeffs) if c}
 
 
-def pair_factors(orbits: OrbitData, tables: PairingTables) -> dict | None:
-    """Every P_ij by orbit pair (i, j) when certificate (a) holds:
-    P_ji(y2, y1) = +-P_ij(y1, y2), with + when i = j.  Otherwise None."""
-    pairs = [(i, j) for i in range(orbits.d) for j in range(orbits.d)]
-    factors = {pair: pair_factor(orbits, tables, *pair) for pair in pairs}
-    for (i, j), factor in factors.items():
-        swapped = {(e2, e1): c for (e1, e2), c in factors[j, i].items()}
-        negated = {e: -c for e, c in factor.items()}
-        if swapped != factor and (i == j or swapped != negated):
-            return None
+def pair_factors(orbits: OrbitData, tables: PairingTables) -> dict[tuple, Factor]:
+    """F_ij by ordered orbit pair (i, j): P_ij for i <= j, P_ji with its
+    two exponents swapped for i > j, built once per unordered pair."""
+    factors = {}
+    for i in range(orbits.d):
+        for j in range(i, orbits.d):
+            factor = pair_factor(orbits, tables, i, j)
+            factors[j, i] = {(e2, e1): c for (e1, e2), c in factor.items()}
+            factors[i, j] = factor
     return factors
 
 
 def vanishes(gen, factor: Factor, starts: Sequence[int], symmetric: bool) -> bool:
     """Certificate (b) for one ``quotient.RelationGenerator``."""
     i, j = gen.orbit_pair
-    # acc[a] = lambda_g(P_ij y1^a y2^b), b = free - a, at every a where some
-    # term meets P_ij's support; every other a gives 0.
+    # acc[a] = lambda_g(F_ij y1^a y2^b), b = free - a, at every a where some
+    # term meets F_ij's support; every other a gives 0.
     acc: dict[int, CyclotomicScalar] = {}
     for c, mono in gen.terms:
         v1, v2 = mono if mono[0].orbit == i else mono[::-1]

@@ -4,13 +4,18 @@ Seeded draws: each takes a random permutation of n <= 5 letters and gives
 each orbit of unordered index pairs under it one Gram value: 2 or 4 on the
 diagonal, 0, 1 or 2 off it.  A draw is kept when ``analyze`` accepts it
 and k <= 12.  The wide draws go up to n = 7 and keep every valid draw.
+The two-3-cycle draws fix the permutation (1 2 3)(4 5 6) and keep the
+first valid ones.
 
-The census of rank <= 3: every Gram matrix with diagonal in {2, 4} and
-off-diagonal entries in {0, 1, 2, 3}, with every permutation that
-preserves it, one pair per relabelling class, kept when ``analyze``
-accepts it.
+The census of rank <= CENSUS_RANK: every Gram matrix with diagonal in
+{2, 4} and off-diagonal entries in {0, 1, 2, 3}, with every permutation
+that preserves it, one pair per relabelling class, kept when ``analyze``
+accepts it.  CENSUS_RANK is 3 unless the environment variable
+TWISTCHAR_CENSUS_RANK sets it (rank 4 takes about 40 s: run
+``TWISTCHAR_CENSUS_RANK=4 python -m pytest -q -k census tests/``).
 """
 
+import os
 import random
 from itertools import combinations, permutations, product
 
@@ -18,13 +23,14 @@ import pytest
 
 from twistchar.lattice import LatticeError, LatticeInput, analyze
 
-SEED, KEPT, MAX_DRAWS, WIDE = 5, 25, 1000, 2000
+SEED, KEPT, MAX_DRAWS, WIDE, TWO_THREE_CYCLES = 5, 25, 1000, 2000, 15
 
 
-def _draw(rng, max_rank=5):
-    n = rng.randint(2, max_rank)
-    perm = list(range(n))
-    rng.shuffle(perm)
+def _draw(rng, max_rank=5, perm=None):
+    if perm is None:
+        perm = list(range(rng.randint(2, max_rank)))
+        rng.shuffle(perm)
+    n = len(perm)
     gram = [[None] * n for _ in range(n)]
     for a, b in product(range(n), repeat=2):
         if gram[a][b] is None:
@@ -60,13 +66,12 @@ def random_lattices(random_inputs):
     return [analyze(inp) for inp in random_inputs]
 
 
-@pytest.fixture(scope="session")
-def wide_inputs():
-    """WIDE valid draws of rank <= 7, with no bound on k."""
+def _valid_draws(count, **draw_args):
+    # The first count draws that analyze accepts, as lattice inputs.
     rng = random.Random(SEED)
     kept = []
-    while len(kept) < WIDE:
-        inp = LatticeInput.make(*_draw(rng, max_rank=7))
+    while len(kept) < count:
+        inp = LatticeInput.make(*_draw(rng, **draw_args))
         try:
             analyze(inp)
         except LatticeError:
@@ -75,7 +80,20 @@ def wide_inputs():
     return kept
 
 
-CENSUS_RANK = 3
+@pytest.fixture(scope="session")
+def wide_inputs():
+    """WIDE valid draws of rank <= 7, with no bound on k."""
+    return _valid_draws(WIDE, max_rank=7)
+
+
+@pytest.fixture(scope="session")
+def two_three_cycle_inputs():
+    """The first TWO_THREE_CYCLES valid draws of rank 6 with the isometry
+    (1 2 3)(4 5 6)."""
+    return _valid_draws(TWO_THREE_CYCLES, perm=[1, 2, 0, 4, 5, 3])
+
+
+CENSUS_RANK = int(os.environ.get("TWISTCHAR_CENSUS_RANK", "3"))
 
 
 def _relabelled(gram, perm, pi):

@@ -61,8 +61,8 @@ def test_tracer_sees_the_oracle_layers():
 
 
 def test_tracer_sees_the_oracle_fallback_rank(monkeypatch):
-    # With certificate (a) forced to fail, every rank falls back to
-    # ExactMatrix.rank, which the tracer still sees.
-    monkeypatch.setattr(quotient, "pair_factors", lambda orbits, tables: None)
+    # With certificate (b) forced to fail, every cell with row blocks takes
+    # its rank from ExactMatrix.rank, which the tracer still sees.
+    monkeypatch.setattr(quotient, "family_mod_p", lambda *args: None)
     names = _oracle_span_names()
     assert {"quotient.enumerate_monomials", "cyclotomic.rank"} <= names

@@ -580,7 +580,7 @@ def test_oracle_ranks_are_all_certified(data, random_lattices, monkeypatch):
     windows += [(lattice, 3, 20) for lattice in random_lattices]
     for (orbits, tables), charge_total, weight_bound in windows:
         report = compare_with_character(orbits, tables, charge_total, weight_bound)
-        assert report.all_ok and report.certified and not report.exact
+        assert report.all_ok and not report.exact
         assert report.proved == sum(1 for c in report.cells if c.monomials)
 
 
@@ -593,21 +593,50 @@ TWO_THREE_CYCLES = {
 }
 
 
-def test_uneven_three_cycles_fail_certificate_a_and_fall_back_to_exact():
+def test_uneven_three_cycles_need_no_exact_elimination():
     # P_10(y2, y1) is P_01(y1, y2) times eta^2, a cube root of unity and not
-    # +-1, so certificate (a) fails on a lattice of the paper's class and
-    # every rank comes from exact elimination.
+    # +-1.  F holds the pair as P_01 only, and certificate (b) against that
+    # factor lets leads or mod p prove every rank: (leads, mod p, exact).
     orbits, tables = analyze(lattice_from_config(TWO_THREE_CYCLES))
     assert (tables.rotated[0][1], tables.rotated[1][0]) == ((2, 0, 2), (2, 2, 0))
     p01, p10 = (twisted.pair_factor(orbits, tables, *pair) for pair in ((0, 1), (1, 0)))
     eta2 = get_field(orbits.k).eta_to(2)
     assert {(e1, e2): c for (e2, e1), c in p10.items()} == {
         e: eta2 * c for e, c in p01.items()}
-    assert twisted.pair_factors(orbits, tables) is None
-    report = compare_with_character(orbits, tables, 2, 16)
-    assert (len(report.cells), report.certified, report.proved, report.exact) == (
-        22, False, 0, 22)
-    assert report.all_ok
+    for charge_total, weight_bound, counts in ((2, 16, (17, 5, 0)), (3, 24, (41, 17, 0))):
+        report = compare_with_character(orbits, tables, charge_total, weight_bound)
+        assert (report.leads, report.proved - report.leads, report.exact) == counts
+        assert report.all_ok
+
+
+def _swaps_to_plus_or_minus(orbits, tables):
+    # The symmetry the oracle once required of every ordered pair before it
+    # used either bound: P_ji(y2, y1) = +-P_ij(y1, y2), with + when i = j.
+    for i in range(orbits.d):
+        for j in range(orbits.d):
+            factor = twisted.pair_factor(orbits, tables, i, j)
+            swapped = {(e2, e1): c for (e1, e2), c
+                       in twisted.pair_factor(orbits, tables, j, i).items()}
+            negated = {e: -c for e, c in factor.items()}
+            if swapped != factor and (i == j or swapped != negated):
+                return False
+    return True
+
+
+def test_lattices_without_the_plus_minus_symmetry_need_no_exact_elimination(
+    two_three_cycle_inputs, wide_inputs, monkeypatch
+):
+    # The 15 two-3-cycle draws, and the wide draws whose cross factors swap
+    # to a root of unity other than +-1: at (2, 16) no rank is exact, and the
+    # JSON is the all-exact oracle's.
+    uneven = [inp for inp in wide_inputs if not _swaps_to_plus_or_minus(*analyze(inp))]
+    assert len(uneven) == 13
+    lattices = [analyze(inp) for inp in two_three_cycle_inputs + uneven]
+    assert sum(not _swaps_to_plus_or_minus(*lattice) for lattice in lattices) == 21
+    for orbits, tables in lattices:
+        report = compare_with_character(orbits, tables, 2, 16)
+        assert report.all_ok and report.proved and not report.exact
+        assert report.to_json_dict() == _all_exact_json(orbits, tables, 2, 16, monkeypatch)
 
 
 def test_an_overstated_coefficient_is_a_mismatch(data, monkeypatch):
@@ -707,6 +736,64 @@ def test_proved_cells_walk_their_blocks_once(name, charge_total, weight_bound,
     assert len(walks) == len(set(walks)) == populated
 
 
+def _reference_blocks(slices, charge, weight):
+    # The all-pairs scan that _blocks replaced: every ordered orbit pair,
+    # skipped where the cofactor charge goes negative.
+    blocks = []
+    for i in range(slices.orbits.d):
+        for j in range(slices.orbits.d):
+            cof_charge = tuple(c - (a == i) - (a == j) for a, c in enumerate(charge))
+            if min(cof_charge) < 0:
+                continue
+            top = weight - slices.start_step[i][0] - slices.start_step[j][0]
+            sizes = slices.sizes(cof_charge, max(top, slices.bound))
+            blocks += [(slices.basis(cof_charge, cof_weight), (i, j, weight - cof_weight))
+                       for cof_weight in range(slices.lowest(cof_charge), top + 1)
+                       if sizes[cof_weight]]
+    return blocks
+
+
+def test_blocks_equal_the_all_pairs_reference(data, census):
+    lattices = [(data[name], 4, 36) for name in PRESETS]
+    lattices += [(analyze(inp), 3, 20) for inp in census]
+    cells = 0
+    for (orbits, tables), charge_total, weight_bound in lattices:
+        slices = quotient._Slices(orbits, tables, charge_total, weight_bound)
+        starts = [start for start, _ in slices.start_step]
+        for charge in quotient._charges_up_to(starts, charge_total, weight_bound):
+            for weight in range(slices.lowest(charge), weight_bound + 1):
+                blocks = quotient._blocks(slices, charge, weight)[0]
+                assert blocks == _reference_blocks(slices, charge, weight), (charge, weight)
+                cells += bool(blocks)
+    assert cells
+
+
+def _reference_charges(lows, total, bound):
+    # The recursion that _charges_up_to replaced: the first entry, then every
+    # charge of the rest.
+    if not lows:
+        return [()]
+    return [(v,) + rest for v in range(min(total, bound // lows[0]) + 1)
+            for rest in _reference_charges(lows[1:], total - v, bound - v * lows[0])]
+
+
+def test_charges_up_to_equals_the_recursive_reference():
+    checked = 0
+    for d in range(1, 5):
+        for lows in product((1, 2, 3, 5), repeat=d):
+            for total, bound in product(range(5), range(0, 16, 3)):
+                charges = quotient._charges_up_to(list(lows), total, bound)
+                assert charges == _reference_charges(list(lows), total, bound)
+                checked += len(charges)
+    assert checked
+
+
+def test_charges_up_to_needs_no_recursion_for_many_orbits():
+    # 3000 orbits would pass the recursion limit one level per orbit.
+    units = [(0,) * i + (1,) + (0,) * (2999 - i) for i in reversed(range(3000))]
+    assert quotient._charges_up_to([1] * 3000, 1, 1) == [(0,) * 3000] + units
+
+
 def test_keyed_family_is_memoized(data):
     slices = quotient._Slices(*data["x3"])
     key = 0, 1, 18
@@ -750,7 +837,6 @@ def _check_keyed_rows(orbits, tables, charge_total, weight_bound):
     # reference rows entry for entry once keys are mapped to positions.
     slices = quotient._Slices(orbits, tables, charge_total)
     slices.factors = twisted.pair_factors(orbits, tables)
-    assert slices.factors is not None
     starts = [start for start, _ in slices.start_step]
     split = root_prime(orbits.k)
 
@@ -856,18 +942,19 @@ def test_rows_are_built_from_nonempty_cofactor_bases_only(
     monkeypatch.setattr(quotient, "enumerate_monomials", enumerate_counted)
     compare_with_character(*data[name], charge_total, weight_bound)
     new_relations_sweep(*data[name])
-    monkeypatch.setattr(quotient, "pair_factors", lambda orbits, tables: None)
+    monkeypatch.setattr(quotient, "family_mod_p", lambda *args: None)
     report = compare_with_character(*data[name], 3, 20)
     assert report.exact and not empty
 
 
 def _all_exact_json(orbits, tables, charge_total, weight_bound, monkeypatch):
-    # The oracle with certificate (a) forced to fail: every rank by exact
-    # elimination.
+    # The oracle with certificate (b) forced to fail: every cell with row
+    # blocks takes its rank from exact elimination.  Only a cell with none
+    # is proved, by its empty lead count.
     with monkeypatch.context() as patch:
-        patch.setattr(quotient, "pair_factors", lambda orbits, tables: None)
+        patch.setattr(quotient, "family_mod_p", lambda *args: None)
         report = compare_with_character(orbits, tables, charge_total, weight_bound)
-    assert not report.certified and not report.proved
+    assert report.exact and report.proved == report.leads
     return report.to_json_dict()
 
 
@@ -895,7 +982,7 @@ def test_certificate_b_sends_mutated_relations_to_exact_ranks(mutation, data, mo
     orbits, tables = data["swap2"]
     _mutate(monkeypatch, mutation)
     report = compare_with_character(orbits, tables, 3, 24)
-    assert report.certified and report.exact
+    assert report.exact
     assert report.to_json_dict() == _all_exact_json(orbits, tables, 3, 24, monkeypatch)
 
 
@@ -905,7 +992,7 @@ def test_the_upper_bound_sees_the_root_one_mutation(data, monkeypatch):
     orbits, tables = data["swap2"]
     _mutate(monkeypatch, lambda r, m: (0, m))
     report = compare_with_character(orbits, tables, 3, 24)
-    assert report.certified and report.mismatches
+    assert report.mismatches
     assert report.exact >= len(report.mismatches)
     assert report.to_json_dict() == _all_exact_json(orbits, tables, 3, 24, monkeypatch)
 

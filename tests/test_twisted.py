@@ -1,16 +1,17 @@
-"""The twisted-module lower bound: pair factors, certificates (a) and (b),
-and a reference Phi on whole bases.
+"""The twisted-module lower bound: pair factors, the two facts the
+``twisted`` docstring proves of them, certificate (b), and a reference Phi
+on whole bases.
 
 ``_phi`` is the functional model written out in full: the coefficient of
 prod_a y_a^e_a in prod_{a<b} P(y_a, y_b) * E, as a polynomial in the
 Heisenberg symbols a_i(s).  On whole windows, rank Phi(B) must equal the
 character coefficient and every relation row must map to 0, which is
-what certificates (a) and (b) prove without building Phi.
+what certificate (b) proves without building Phi.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -19,7 +20,6 @@ from twistchar.cyclotomic import ExactMatrix, get_field
 from twistchar.lattice import analyze
 from twistchar.presets import preset
 from twistchar.qseries import character
-from twistchar import twisted
 from twistchar.twisted import pair_factor, pair_factors, vanishes
 
 PRESETS = ("rank1", "swap2", "x3", "x4")
@@ -76,25 +76,50 @@ def test_pair_factor_degrees_are_half_the_character_matrix(data, random_lattices
             assert {sum(e) for e in factor} == {tables.char_matrix[i][j] // 2}
 
 
-def test_certificate_a_holds_with_the_expected_signs(data, random_lattices):
-    for orbits, tables in [data[n] for n in PRESETS] + random_lattices:
-        assert pair_factors(orbits, tables) is not None
-    # x3's cross pair swaps to -P: y1^2 - y2^2 against y2^2 - y1^2.
-    factors = pair_factors(*data["x3"])
-    assert {(b, a): c for (a, b), c in factors[1, 0].items()} == {
-        e: -c for e, c in factors[0, 1].items()
-    }
+def test_pair_factors_below_the_diagonal_are_the_swapped_upper_factors(data):
+    # x3: F holds its cross pair as P_01 = y1^2 - y2^2, y1 of orbit 0.  In
+    # orbit 1's coordinates first that is y2^2 - y1^2, not P_10 = y1^2 - y2^2.
+    orbits, tables = data["x3"]
+    field = get_field(orbits.k)
+    factors = pair_factors(orbits, tables)
+    assert factors[0, 1] == pair_factor(orbits, tables, 0, 1) == {
+        (2, 0): field.one(), (0, 2): field.from_rational(-1)}
+    assert factors[1, 0] == {(0, 2): field.one(), (2, 0): field.from_rational(-1)}
+    assert pair_factor(orbits, tables, 1, 0) == {
+        (2, 0): field.one(), (0, 2): field.from_rational(-1)}
 
 
-def test_certificate_a_catches_an_unsymmetric_factor(data, monkeypatch):
-    real = twisted.pair_factor
+# ------------------------------------------- the two facts of the docstring
 
-    def pair_factor_without_top(orbits, tables, i, j):
-        factor = real(orbits, tables, i, j)
-        return {e: c for e, c in factor.items() if e != (3, 0)}
 
-    monkeypatch.setattr(twisted, "pair_factor", pair_factor_without_top)
-    assert pair_factors(*data["swap2"]) is None
+@pytest.fixture(scope="module")
+def all_lattices(data, random_lattices, census, wide_inputs):
+    """The presets, the draws, the census and the wide draws, each with its
+    pair factors."""
+    lattices = [data[n] for n in PRESETS] + random_lattices
+    lattices += [analyze(inp) for inp in census + wide_inputs]
+    return [(orbits, tables, pair_factors(orbits, tables)) for orbits, tables in lattices]
+
+
+def test_diagonal_factors_equal_their_swap(all_lattices):
+    for orbits, tables, factors in all_lattices:
+        for i in range(orbits.d):
+            assert factors[i, i] == {(e2, e1): c for (e1, e2), c in factors[i, i].items()}
+
+
+def test_pairings_have_the_period_of_both_cycles(all_lattices):
+    for orbits, tables, _ in all_lattices:
+        for i, row in enumerate(tables.rotated):
+            for j, pairings in enumerate(row):
+                g = gcd(orbits.lengths[i], orbits.lengths[j])
+                assert pairings == tuple(pairings[r % g] for r in range(len(pairings)))
+
+
+def test_factor_exponents_lie_on_their_orbit_lattices(all_lattices):
+    for orbits, tables, factors in all_lattices:
+        steps = [orbits.nu_order // length for length in orbits.lengths]
+        for (i, j), factor in factors.items():
+            assert all(e1 % steps[i] == 0 and e2 % steps[j] == 0 for e1, e2 in factor)
 
 
 # -------------------------------------------------------------- certificate b
