@@ -5,9 +5,9 @@ unity: phi(k) integer numerators of its coefficient vector, reduced modulo
 the k-th cyclotomic polynomial Phi_k by synthetic division, over one
 positive denominator coprime to them.  The form is canonical, so equality
 and zero tests are integer comparisons; sums and products are integer work
-plus one gcd.  The inverse of a is the product of its Galois conjugates
-a(eta**j), j a unit mod k other than 1, divided by the norm of a.  Nothing
-here ever touches floating point.
+plus one gcd.  The inverse of an irrational a is the product of its Galois
+conjugates a(eta**j), j a unit mod k other than 1, divided by the norm of
+a.  Nothing here ever touches floating point.
 
 Matrix rank, determinant, solving and inversion all run one exact
 elimination over Q(eta).
@@ -19,8 +19,12 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .modular import prime_factors
+from .qseries import BudgetExceeded
 
 Rational = Union[int, Fraction]
+# get_field refuses, before Phi_k is built, a field of degree phi(k) above
+# this; a product costs phi(k)^2 integer products.  Q(eta_9240) has 1920.
+MAX_FIELD_DEGREE = 2000
 
 
 class NotADivisor(ValueError):
@@ -105,6 +109,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def get_field(conductor: int) -> "CyclotomicField":
+    primes = prime_factors(conductor)
+    degree = conductor // math.prod(primes) * math.prod(q - 1 for q in primes)
+    if degree > MAX_FIELD_DEGREE:
+        raise BudgetExceeded(f"the field Q(eta_{conductor}) has degree {degree}, "
+                             f"over the budget of {MAX_FIELD_DEGREE}")
     return CyclotomicField(conductor)
 
 
@@ -117,15 +126,7 @@ class CyclotomicField:
         self.degree = len(modulus) - 1
         self._terms = _lower_terms(modulus)
         self._zero = CyclotomicScalar(self, (0,) * self.degree, 1)
-        # eta**e for 0 <= e < conductor, each eta times the last (numerators
-        # shifted up, the top one folded back), and the units j > 1.
-        powers = [self._reduce([1])]
-        for _ in range(conductor - 1):
-            powers.append(self._reduce([0] + powers[-1]))
-        self._eta_powers = tuple(CyclotomicScalar(self, tuple(v), 1) for v in powers)
-        self._units = tuple(
-            j for j in range(2, conductor) if math.gcd(j, conductor) == 1
-        )
+        self._powers = {0: self.from_rational(1)}  # eta**e by e < k, as asked for
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.conductor})"
@@ -141,7 +142,7 @@ class CyclotomicField:
         return self._zero
 
     def one(self) -> "CyclotomicScalar":
-        return self._eta_powers[0]
+        return self._powers[0]
 
     def from_rational(self, value: Rational) -> "CyclotomicScalar":
         nums = (value.numerator,) + (0,) * (self.degree - 1)
@@ -169,8 +170,18 @@ class CyclotomicField:
         return self.eta_to(self.conductor // order)
 
     def eta_to(self, e: int) -> "CyclotomicScalar":
-        """eta**e for any integer e."""
-        return self._eta_powers[e % self.conductor]
+        """eta**e for any integer e, memoized: the nearest memoized power below
+        e mod conductor times eta, numerators shifted up, the top folded back."""
+        e %= self.conductor
+        if e not in self._powers:
+            base = e
+            while base not in self._powers:
+                base -= 1
+            nums = list(self._powers[base].nums)
+            for _ in range(base, e):
+                nums = self._reduce([0] + nums)
+            self._powers[e] = CyclotomicScalar(self, tuple(nums), 1)
+        return self._powers[e]
 
     @property
     def eta(self) -> "CyclotomicScalar":
@@ -252,18 +263,18 @@ class CyclotomicScalar:
     def inverse(self) -> "CyclotomicScalar":
         if not self:
             raise ZeroDivisionError("cyclotomic scalar is zero")
+        field = self.field
+        if self.is_rational:
+            return field._make((self.den,) + self.nums[1:], self.nums[0])
         # adj is the product of the Galois conjugates of a, sigma_j: eta ->
         # eta**j for the units j > 1; a * adj is the norm of a, a rational.
-        field = self.field
-        adj = None
-        for j in field._units:
-            conj = [0] * field.conductor
+        adj, k = None, field.conductor
+        for j in filter(lambda j: math.gcd(j, k) == 1, range(2, k)):
+            conj = [0] * k
             for e, c in enumerate(self.nums):
-                conj[j * e % field.conductor] = c
+                conj[j * e % k] = c
             conj = field._make(field._reduce(conj), self.den)
             adj = conj if adj is None else adj * conj
-        if adj is None:
-            return field._make((self.den,), self.nums[0])
         norm = self * adj
         return field._make([c * norm.den for c in adj.nums], adj.den * norm.nums[0])
 

@@ -163,12 +163,8 @@ def _q_stage_matrix(field: CyclotomicField, w: Rational, n: int, p: int) -> Exac
 
 
 def _assert_equal(identity: str, got: ExactMatrix, expected: ExactMatrix) -> None:
-    if got.nrows != expected.nrows or got.ncols != expected.ncols:
-        raise PascalIdentityError(
-            identity, -1, -1, got.field.zero(), expected.field.zero()
-        )
-    diff = got.first_difference(expected)
-    if diff is not None:
+    # Each caller builds both sides from one (p, q) or (n, s, t): shapes agree.
+    if (diff := got.first_difference(expected)) is not None:
         raise PascalIdentityError(identity, *diff)
 
 

@@ -37,23 +37,23 @@ leading keys are read.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicScalar, ExactMatrix, get_field, rational_binomial
 from .lattice import OrbitData, PairingTables
-from .modular import prime_factors, rank_mod, root_prime
+from .modular import rank_mod, root_prime
 from .pascal import PascalSpec, stacked_with_root
 from .qseries import BudgetExceeded, _partition_series, character
-from .twisted import family_mod_p, pair_factors
+from .twisted import family_mod_p, ordered_factor
 
 # Refusal thresholds per bidegree: monomials (matrix columns) and relation
 # rows.
 MAX_COLUMNS = 2000
 MAX_ROWS = 20000
-# The most numerators, k * phi(k), of the eta-power table of Q(eta_k), about
-# 16 bytes each: k = 9240 needs 1.77 * 10^7.
-MAX_FIELD_TABLE = 2 * 10 ** 7
+# The most membership instances per sweep, about 100 s of work: c (c + 1) / 2
+# per orbit pair, c its pairing sum; Gram [[60]] has 1830, in 19 s.
+MAX_MEMBERSHIPS = 4000
 
 
 class PreconditionViolated(ValueError):
@@ -190,26 +190,20 @@ class _Slices:
     sizes, relation coefficients by (i, r, m, w1), relation families by (i,
     j, relation weight) with their two keyed forms, exact (``keyed``) and
     mod the split prime with least keys (``family_mod_p``), each memoized
-    once, and (row count, rank) of I(m, w) by (charge, weight).
-    Key fields are ``width`` bits, for charge entries up to ``top``; ``bound``
-    is the window's weight bound.  ``factors``, F's factor by ordered orbit
-    pair (``pair_factors``), is set by ``compare_with_character``."""
+    once, (row count, rank) of I(m, w) by (charge, weight), and F's factor
+    by ordered orbit pair (``factor``, ``ordered_factor``) where
+    ``family_mod_p`` first needs it.  Key fields are ``width`` bits, for
+    charge entries up to ``top``; ``bound`` is the window's weight bound."""
 
     def __init__(self, orbits: OrbitData, tables: PairingTables, top: int = 2,
                  bound: int = 0):
         self.orbits, self.tables, self.bound = orbits, tables, bound
-        k, primes = orbits.k, prime_factors(orbits.k)
-        phi = k // prod(primes) * prod(q - 1 for q in primes)
-        if k * phi > MAX_FIELD_TABLE:
-            raise BudgetExceeded(
-                f"the field Q(eta_{k}) needs a table of {k * phi} numerators, "
-                f"over the budget of {MAX_FIELD_TABLE}"
-            )
-        self.field = get_field(k)
+        self.field = get_field(orbits.k)
         self.bases, self.families, self.ranks = {}, {}, {}
         self.exact, self.residues, self.leads = {}, {}, {}
-        self.counts, self.factors, self.width = {}, None, max(top, 2).bit_length()
+        self.counts, self.width = {}, max(top, 2).bit_length()
         self.coeff = lru_cache(None)(lambda *key: _relation_coeff(orbits, tables, *key))
+        self.factor = lru_cache(None)(lambda i, j: ordered_factor(orbits, tables, i, j))
         self.start_step = [_var_start_step(orbits, tables, i) for i in range(orbits.d)]
 
     def key(self, mono: Monomial) -> int:
@@ -280,7 +274,7 @@ class _Slices:
         least keys into ``leads``; None where certificate (b) fails."""
         if key not in self.residues:
             starts = [start for start, _ in self.start_step]
-            gens = family_mod_p(self.family(*key), self.factors[key[:2]], starts,
+            gens = family_mod_p(self.family(*key), self.factor(*key[:2]), starts,
                                 *root_prime(self.orbits.k))
             gens = self.residues[key] = gens and [
                 [(r, self.key(m)) for r, m in terms] for terms in gens]
@@ -477,7 +471,6 @@ def compare_with_character(
     """
     table = character(orbits, tables, weight_bound)
     slices = _Slices(orbits, tables, charge_total, weight_bound)
-    slices.factors = pair_factors(orbits, tables)
     # Pairings are non-negative, so delta = m^T A m / 2 - sum_i m_i * start_i
     # >= 0: a character series (it starts at q^(m^T A m / 2)) and a basis are
     # both zero below their charge's lowest weight, where no cell is visited.
@@ -565,7 +558,12 @@ class MembershipCell(NamedTuple):
 def new_relations_sweep(
     orbits: OrbitData, tables: PairingTables
 ) -> tuple[MembershipCell, ...]:
-    """Membership over the full allowed (s, t) range of every orbit pair."""
+    """Membership over the full allowed (s, t) range of every orbit pair;
+    BudgetExceeded before any work past MAX_MEMBERSHIPS instances."""
+    instances = sum(c * (c + 1) // 2 for row in tables.rotated for c in map(sum, row))
+    if instances > MAX_MEMBERSHIPS:
+        raise BudgetExceeded(f"the membership sweep has {instances} instances, "
+                             f"over the budget of {MAX_MEMBERSHIPS}")
     slices = _Slices(orbits, tables)
     cells = []
     for i in range(orbits.d):

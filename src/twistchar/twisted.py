@@ -11,7 +11,7 @@ of n / l_o(a), the a_i(s) free symbols.  Phi(monomial) is the coefficient
 of prod_a y_a^((w_a - start_o(a)) / 2) in
 F = prod_{a<b} P_o(a)o(b)(y_a, y_b) E, the variables in sorted order, so
 o(a) <= o(b): F's factor in y1 of orbit i and y2 of orbit j is F_ij =
-P_ij(y1, y2) for i <= j, P_ji(y2, y1) for i > j (``pair_factors``).
+P_ij(y1, y2) for i <= j, P_ji(y2, y1) for i > j (``ordered_factor``).
 
 P_ii is symmetric: swapping y1 and y2 turns the factor of r into
 -zeta^(-r) times the factor of l - r (l = l_i), of the same power
@@ -64,16 +64,10 @@ def pair_factor(orbits: OrbitData, tables: PairingTables, i: int, j: int) -> Fac
     return {((top - t) * h, t * h): c for t, c in enumerate(coeffs) if c}
 
 
-def pair_factors(orbits: OrbitData, tables: PairingTables) -> dict[tuple, Factor]:
-    """F_ij by ordered orbit pair (i, j): P_ij for i <= j, P_ji with its
-    two exponents swapped for i > j, built once per unordered pair."""
-    factors = {}
-    for i in range(orbits.d):
-        for j in range(i, orbits.d):
-            factor = pair_factor(orbits, tables, i, j)
-            factors[j, i] = {(e2, e1): c for (e1, e2), c in factor.items()}
-            factors[i, j] = factor
-    return factors
+def ordered_factor(orbits: OrbitData, tables: PairingTables, i: int, j: int) -> Factor:
+    """F_ij: P_ij for i <= j, P_ji with its two exponents swapped for i > j."""
+    factor = pair_factor(orbits, tables, min(i, j), max(i, j))
+    return factor if i <= j else {(e2, e1): c for (e1, e2), c in factor.items()}
 
 
 def vanishes(gen, factor: Factor, starts: Sequence[int], symmetric: bool) -> bool:

@@ -494,29 +494,102 @@ def _capped_memory():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-@pytest.mark.parametrize("check", ["--oracle", "--new-relations"])
-def test_field_too_large_to_build_exits_2(tmp_path, check):
-    # Cycles (2)(3)(5)(7)(11)(13): k = 60060 and phi(k) = 11520, so the
-    # eta-power table of Q(eta_k) would hold 6.9 * 10^8 numerators.  The
-    # memory cap and the timeout make a regression fail fast.
+def _lattice_config(tmp_path, gram, cycles):
+    cfg = tmp_path / "lattice.json"
+    cfg.write_text(json.dumps({"rank": len(gram), "perm": cycles, "gram": gram}))
+    return str(cfg)
+
+
+def _permutation_lattice(tmp_path, lengths):
+    # Gram 2I, the isometry one cycle per length.
     cycles, start = "", 1
-    for length in (2, 3, 5, 7, 11, 13):
+    for length in lengths:
         cycles += "(" + " ".join(map(str, range(start, start + length))) + ")"
         start += length
-    cfg = tmp_path / "rank41.json"
-    cfg.write_text(json.dumps({"rank": 41, "perm": cycles, "gram": [
-        [2 * (i == j) for j in range(41)] for i in range(41)]}))
-    src = Path(twistchar.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "twistchar.cli", "verify", "--config", str(cfg), check],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-        preexec_fn=_capped_memory, timeout=60, check=False,
-    )
+    rank = start - 1
+    return _lattice_config(
+        tmp_path, [[2 * (i == j) for j in range(rank)] for i in range(rank)], cycles)
+
+
+@pytest.mark.parametrize("check", ["--oracle", "--new-relations"])
+def test_field_too_large_to_build_exits_2(tmp_path, check):
+    # Cycles (2)(3)(5)(7)(11)(13): k = 60060 and phi(k) = 11520, refused
+    # before Phi_k is built.
+    cfg = _permutation_lattice(tmp_path, (2, 3, 5, 7, 11, 13))
+    proc = _cli_process("verify", "--config", cfg, check)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr == (
-        "error: the field Q(eta_60060) needs a table of 691891200 numerators, "
-        "over the budget of 20000000\n"
+        "error: the field Q(eta_60060) has degree 11520, over the budget of 2000\n"
     )
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_rank_30_window_builds_only_what_it_uses(tmp_path):
+    # Cycles (4)(3)(5)(7)(11): k = 9240 and phi(k) = 1920.  With all k powers
+    # of eta built up front the window peaked at 288 MB.  The child reports
+    # its own peak, VmHWM in KiB: Linux carries the test runner's peak into
+    # a child's ru_maxrss across fork and exec.  The JSON names the config by
+    # the path given, so the child runs where the config is.
+    _permutation_lattice(tmp_path, (4, 3, 5, 7, 11))
+    code = (
+        "import contextlib, hashlib, io, re, sys\n"
+        "from twistchar.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(sys.argv[1:])\n"
+        "peak = re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1]\n"
+        "print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), peak)\n"
+    )
+    src = Path(twistchar.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", "--config", "lattice.json", "--oracle",
+         "--charge-bound", "2", "--weight-bound", "24", "--format", "json"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=tmp_path, timeout=60, check=False,
+    )
+    exit_code, digest, peak_kib = proc.stdout.split()
+    assert (exit_code, digest) == (
+        "0", "5d6bea72a2ba27a9ef19bead32420bec4e4c3a616217aa313b7b3e1b3ad07929"
+    ), proc.stderr
+    assert int(peak_kib) < 40 * 1024
+
+
+# Valid lattices whose pairings are too large to expand: the oracle's window
+# reaches none of their large pairs, and the membership sweep is refused by
+# its instance count.
+LARGE_PAIRINGS = {
+    "huge": [[10 ** 30, 0], [0, 2]],
+    "mega": [[2 * 10 ** 6, 10 ** 6], [10 ** 6, 2 * 10 ** 6]],
+    "g200": [[200, 100], [100, 200]],
+}
+
+
+@pytest.mark.parametrize("name, charges", [
+    # Only orbit 1 of huge has weights <= 24: charges (0, m), m <= 3.
+    ("huge", {(0, m) for m in range(4)}),
+    ("mega", {(0, 0)}),
+])
+def test_oracle_builds_no_factor_of_a_pair_out_of_its_window(tmp_path, name, charges):
+    cfg = _lattice_config(tmp_path, LARGE_PAIRINGS[name], "(1)(2)")
+    proc = _cli_process("verify", "--config", cfg, "--oracle",
+                            "--format", "json", timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    report = json.loads(proc.stdout)["checks"][0]["detail"]
+    assert report["all_ok"]
+    assert {tuple(c["charge"]) for c in report["cells"]} == charges
+
+
+@pytest.mark.parametrize("name, instances", [
+    ("huge", 10 ** 30 * (10 ** 30 + 1) // 2 + 3),
+    ("mega", 2 * (2 * 10 ** 6 * (2 * 10 ** 6 + 1) // 2 + 10 ** 6 * (10 ** 6 + 1) // 2)),
+    ("g200", 50300),
+])
+def test_membership_sweep_over_its_instance_budget_exits_2(tmp_path, name, instances):
+    cfg = _lattice_config(tmp_path, LARGE_PAIRINGS[name], "(1)(2)")
+    proc = _cli_process("verify", "--config", cfg, "--new-relations", timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == (f"error: the membership sweep has {instances} instances, "
+                           "over the budget of 4000\n")
 
 
 def test_argparse_rejects_unknown_preset(capsys):
@@ -554,13 +627,15 @@ PASCAL_ARGS = ["--pascal", "--max-k", "1", "--max-n", "2", "--samples", "1",
                "--proof-samples", "0"]
 
 
-def _cli_process(*argv):
-    # A fresh interpreter, so that -v configures logging as it does for a user.
+def _cli_process(*argv, timeout=60):
+    # A fresh interpreter, as a user runs one, under a 1 GiB memory cap and a
+    # timeout, so that a regression fails fast.
     src = Path(twistchar.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
         [sys.executable, "-m", "twistchar.cli", *argv],
-        capture_output=True, text=True, env=env, check=False,
+        capture_output=True, text=True, env=env, preexec_fn=_capped_memory,
+        timeout=timeout, check=False,
     )
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from twistchar import modular, quotient, twisted
 from twistchar.cyclotomic import (
+    CyclotomicField,
     DimensionMismatch,
     ExactMatrix,
     NoSolution,
@@ -27,7 +28,6 @@ from twistchar.cyclotomic import (
 from twistchar.lattice import analyze
 from twistchar.presets import preset
 from twistchar.qseries import character
-from twistchar.twisted import pair_factors
 
 CONDUCTORS = (2, 3, 4, 6, 12)
 # Arithmetic is also checked at degrees 1, 4, 4 and 8, where the inverse
@@ -171,19 +171,38 @@ def test_eta_powers_are_the_reduced_monomials(k):
         assert field.eta_to(e).den == 1
 
 
+@pytest.mark.parametrize("k", (1, 2, 12, 60, 420))
+def test_eta_powers_asked_in_any_order_are_the_reduced_monomials(k):
+    # A fresh field, powers asked for out of order and past either end of
+    # 0..k-1: each steps up from the nearest power built before it.
+    field = CyclotomicField(k)
+    for e in [7 * k // 9, k - 1, k // 3, 5 * k + 2, -1, -4 * k - 3, 1, k, 0]:
+        assert field.eta_to(e).nums == tuple(field._reduce([0] * (e % k) + [1])), e
+    assert field.eta_to(5 * k + 2) == field.eta_to(2) == field.eta_to(-k + 2)
+
+
 def test_eta_powers_take_linear_time_in_the_conductor():
     # k = 9240 = lcm(2, ..., 11), the order of a rank-30 permutation lattice's
     # isometry.  Reducing each x**e from scratch is quadratic in k and took
-    # minutes; the recurrence is linear, and the cyclotomic polynomial
-    # takes most of the time left.
+    # minutes; asked for in turn, each power is one step from the last.
     src = str(Path(modular.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))
     )}
-    code = "from twistchar.cyclotomic import get_field\nprint(get_field(9240).degree)\n"
+    code = (
+        "from twistchar.cyclotomic import get_field\n"
+        "k = 9240\n"
+        "field = get_field(k)\n"
+        "powers = [field.eta_to(e) for e in range(k)]\n"
+        "ok = all(list(field.eta_to(e).nums) == field._reduce([0] * e + [1])\n"
+        "         for e in (k, k + 1, 2 * k - 1, 2 * k + 5))\n"
+        "ok = ok and all(list(field.eta_to(-e).nums) == field._reduce([0] * (k - e) + [1])\n"
+        "                for e in (1, 2, k - 1))\n"
+        "print(field.degree, len(set(p.nums for p in powers)), ok)\n"
+    )
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=20)
-    assert (run.returncode, run.stdout) == (0, "1920\n"), run.stderr
+    assert (run.returncode, run.stdout) == (0, "1920 9240 True\n"), run.stderr
 
 
 @pytest.mark.parametrize("conductor", (1, 2, 3, 4, 5, 6, 8, 12))
@@ -254,6 +273,15 @@ def test_division_and_inverse_hand_case():
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         get_field(4).zero().inverse()
+
+
+@pytest.mark.parametrize("k", (1, 2, 12, 9240))
+def test_rational_inverse_is_its_reciprocal(k):
+    # No Galois conjugate is formed: in Q(eta_9240) there are 1919 of them.
+    field = get_field(k)
+    for x in (1, -1, 2, Fraction(-3, 7), Fraction(10 ** 20 + 1, 6)):
+        assert field.from_rational(x).inverse() == field.from_rational(1 / Fraction(x))
+        assert (field.from_rational(x) ** -2).rational_value() == Fraction(x) ** -2
 
 
 def test_mixed_arithmetic_with_ints_and_fractions():
@@ -585,12 +613,11 @@ def test_solve_returns_actual_solutions(data):
 
 def _oracle_cells(name_or_lattice, charge_total, weight_bound):
     # The window's cells with monomials, as compare_with_character visits
-    # them: (memo with the pair factors, charge, weight, |B|, coefficient).
+    # them: (memo, charge, weight, |B|, coefficient).
     if isinstance(name_or_lattice, str):
         name_or_lattice = analyze(preset(name_or_lattice))
     orbits, tables = name_or_lattice
     slices = quotient._Slices(orbits, tables, charge_total)
-    slices.factors = pair_factors(orbits, tables)
     table = character(orbits, tables, weight_bound)
     lows = [start for start, _ in slices.start_step]
     for charge in quotient._charges_up_to(lows, charge_total, weight_bound):

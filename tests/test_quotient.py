@@ -505,6 +505,17 @@ def test_membership_sweeps(name, total, trivial, data):
     assert set(sample) == {"pair", "s", "t", "member", "trivial"}
 
 
+def test_membership_sweep_refuses_past_its_budget_before_any_work(data, monkeypatch):
+    # x4 has 13 instances: admitted at a budget of 13, refused at 12 before
+    # its memo (and the field) is built.
+    monkeypatch.setattr(quotient, "MAX_MEMBERSHIPS", 13)
+    assert len(new_relations_sweep(*data["x4"])) == 13
+    monkeypatch.setattr(quotient, "MAX_MEMBERSHIPS", 12)
+    monkeypatch.setattr(quotient, "_Slices", None)
+    with pytest.raises(BudgetExceeded, match="13 instances, over the budget of 12"):
+        new_relations_sweep(*data["x4"])
+
+
 def _mode_target(orbits, tables, i, j, s, t):
     # x_i(-a_i - s/l_i) * x_j(-a_j - t/l_i) from the mode formula (weight
     # -n * k), or None when the second mode is not admissible for orbit j.
@@ -666,7 +677,6 @@ def _lead_cells(orbits, tables, charge_total, weight_bound):
     # Per populated cell: the lead count, the number of distinct least keys
     # of the rows mod p, and the rank mod p of those rows.
     slices = quotient._Slices(orbits, tables, charge_total)
-    slices.factors = twisted.pair_factors(orbits, tables)
     p, _ = root_prime(orbits.k)
     starts = [start for start, _ in slices.start_step]
     for charge in quotient._charges_up_to(starts, charge_total, weight_bound):
@@ -836,7 +846,6 @@ def _check_keyed_rows(orbits, tables, charge_total, weight_bound):
     # Every cell of the window: the keyed rows, exact and mod p, equal the
     # reference rows entry for entry once keys are mapped to positions.
     slices = quotient._Slices(orbits, tables, charge_total)
-    slices.factors = twisted.pair_factors(orbits, tables)
     starts = [start for start, _ in slices.start_step]
     split = root_prime(orbits.k)
 
@@ -844,7 +853,7 @@ def _check_keyed_rows(orbits, tables, charge_total, weight_bound):
         return [g.terms for g in slices.family(*key)]
 
     def residues(key):
-        factor = slices.factors[key[:2]]
+        factor = slices.factor(*key[:2])
         return twisted.family_mod_p(slices.family(*key), factor, starts, *split)
 
     rows = 0

@@ -129,6 +129,23 @@ def test_random_lattices_see_the_relation_roots(random_lattices, monkeypatch):
     assert caught == sees
 
 
+def _membership_instances(tables):
+    # c (c + 1) / 2 per ordered orbit pair, c the sum of its rotated pairings.
+    return sum(c * (c + 1) // 2 for row in tables.rotated for c in map(sum, row))
+
+
+def test_membership_sweeps_stay_under_their_budget(
+    random_lattices, census, wide_inputs
+):
+    # The count the budget reads is the sweep's length; every lattice the
+    # tests sweep is far under it.
+    for orbits, tables in random_lattices[:5]:
+        assert len(new_relations_sweep(orbits, tables)) == _membership_instances(tables)
+    counts = [_membership_instances(tables) for _, tables in random_lattices]
+    counts += [_membership_instances(analyze(inp)[1]) for inp in census + wide_inputs]
+    assert max(counts) * 10 < quotient.MAX_MEMBERSHIPS
+
+
 def test_census_passes_the_oracle_the_sweep_and_both_recursions(census):
     for inp in census:
         orbits, tables = analyze(inp)

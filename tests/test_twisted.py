@@ -20,7 +20,7 @@ from twistchar.cyclotomic import ExactMatrix, get_field
 from twistchar.lattice import analyze
 from twistchar.presets import preset
 from twistchar.qseries import character
-from twistchar.twisted import pair_factor, pair_factors, vanishes
+from twistchar.twisted import ordered_factor, pair_factor, vanishes
 
 PRESETS = ("rank1", "swap2", "x3", "x4")
 
@@ -44,8 +44,14 @@ def _starts(tables):
     return [row[i] // 2 for i, row in enumerate(tables.char_matrix)]
 
 
+def _factors(orbits, tables):
+    # F_ij by every ordered orbit pair.
+    return {(i, j): ordered_factor(orbits, tables, i, j)
+            for i in range(orbits.d) for j in range(orbits.d)}
+
+
 def _failures(orbits, tables, weight_bound, symmetrize=True):
-    factors = pair_factors(orbits, tables)
+    factors = _factors(orbits, tables)
     starts = _starts(tables)
     return sum(
         not vanishes(gen, factors[i, j], starts, symmetrize and i == j)
@@ -72,7 +78,7 @@ def test_pair_factor_hand_values(data):
 
 def test_pair_factor_degrees_are_half_the_character_matrix(data, random_lattices):
     for orbits, tables in [data[n] for n in PRESETS] + random_lattices:
-        for (i, j), factor in pair_factors(orbits, tables).items():
+        for (i, j), factor in _factors(orbits, tables).items():
             assert {sum(e) for e in factor} == {tables.char_matrix[i][j] // 2}
 
 
@@ -81,10 +87,10 @@ def test_pair_factors_below_the_diagonal_are_the_swapped_upper_factors(data):
     # orbit 1's coordinates first that is y2^2 - y1^2, not P_10 = y1^2 - y2^2.
     orbits, tables = data["x3"]
     field = get_field(orbits.k)
-    factors = pair_factors(orbits, tables)
-    assert factors[0, 1] == pair_factor(orbits, tables, 0, 1) == {
+    assert ordered_factor(orbits, tables, 0, 1) == pair_factor(orbits, tables, 0, 1) == {
         (2, 0): field.one(), (0, 2): field.from_rational(-1)}
-    assert factors[1, 0] == {(0, 2): field.one(), (2, 0): field.from_rational(-1)}
+    assert ordered_factor(orbits, tables, 1, 0) == {
+        (0, 2): field.one(), (2, 0): field.from_rational(-1)}
     assert pair_factor(orbits, tables, 1, 0) == {
         (2, 0): field.one(), (0, 2): field.from_rational(-1)}
 
@@ -98,7 +104,7 @@ def all_lattices(data, random_lattices, census, wide_inputs):
     pair factors."""
     lattices = [data[n] for n in PRESETS] + random_lattices
     lattices += [analyze(inp) for inp in census + wide_inputs]
-    return [(orbits, tables, pair_factors(orbits, tables)) for orbits, tables in lattices]
+    return [(orbits, tables, _factors(orbits, tables)) for orbits, tables in lattices]
 
 
 def test_diagonal_factors_equal_their_swap(all_lattices):
@@ -239,7 +245,7 @@ def _phi(orbits, tables, factors, mono):
 
 def _check_phi_window(orbits, tables, charge_total, weight_bound):
     # Every populated cell: rank Phi(B) = coefficient, Phi(rows) = 0.
-    factors = pair_factors(orbits, tables)
+    factors = _factors(orbits, tables)
     field = get_field(orbits.k)
     table = character(orbits, tables, weight_bound)
     slices = quotient._Slices(orbits, tables, charge_total)
