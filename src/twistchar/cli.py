@@ -15,6 +15,7 @@ Exit codes: 0 on success, 1 when a requested check fails, 2 on bad input.
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -130,6 +131,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     inp = cfg.lattice()
     orbits, tables = analyze(inp)
+    # Printed only: three scalings of c_ij that no run reads (PairingTables).
+    k, a = orbits.k, tables.char_matrix
+    min_degree = [Fraction(a[i][i], 2 * k) for i in range(orbits.d)]
+    twisted_gram = [[orbits.lengths[j] * sum(pairs) for j, pairs in enumerate(row)]
+                    for row in tables.rotated]
     if cfg.out_format == "json":
         payload = {
             "rank": inp.rank,
@@ -144,13 +150,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     "evenness": orbits.evenness[i],
                     "root_order": orbits.root_orders[i],
                     "mode_offset": str(orbits.mode_offsets[i]),
-                    "min_degree": str(tables.a_half[i]),
+                    "min_degree": str(min_degree[i]),
                 }
                 for i in range(orbits.d)
             ],
             "char_matrix": [list(r) for r in tables.char_matrix],
-            "zero_mode": [[str(x) for x in r] for r in tables.zero_mode],
-            "twisted_gram": [list(r) for r in tables.twisted_gram],
+            "zero_mode": [[str(Fraction(x, k)) for x in r] for r in a],
+            "twisted_gram": twisted_gram,
             # The orbit sums have disjoint supports, so validate's positive
             # definiteness carries over to their Gram matrix.
             "twisted_gram_invertible": True,
@@ -173,12 +179,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"evenness {'yes' if orbits.evenness[i] else 'no'}, "
             f"root order {orbits.root_orders[i]}, modes "
             f"{orbits.mode_offsets[i]} + (1/{orbits.lengths[i]})Z, "
-            f"min degree {tables.a_half[i]}"
+            f"min degree {min_degree[i]}"
         )
     lines.append("character matrix (k times zero-mode pairings):")
     lines.append(_int_rows(tables.char_matrix))
     lines.append("summed twisted Gram matrix:")
-    lines.append(_int_rows(tables.twisted_gram))
+    lines.append(_int_rows(twisted_gram))
     lines.append("twisted Gram invertible: yes")
     for i in range(orbits.d):
         for j in range(orbits.d):

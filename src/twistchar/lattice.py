@@ -5,7 +5,7 @@ definite, entrywise non-negative) together with a permutation of the basis
 that preserves the Gram form.  From the permutation's cycle structure the
 module derives everything downstream components need: cycle lengths, the
 doubled order k, the per-orbit evenness flags, the allowed mode sets, the
-zero-mode pairing and character matrices, and the vacuum weight.
+rotated pairings, the character matrix and the vacuum weight.
 """
 
 import re
@@ -146,21 +146,20 @@ class OrbitData(NamedTuple):
 
 
 class PairingTables(NamedTuple):
-    """Zero-mode pairings of the orbit representatives.
+    """Zero-mode pairings of the orbit representatives, as integers.
 
     ``rotated[i][j][r]`` is the pairing of the r-th rotation of orbit i's
     representative with orbit j's representative, and c_ij is its sum over
-    r.  Every other table is c_ij scaled: ``zero_mode`` c_ij / l_i,
-    ``char_matrix`` (k / l_i) c_ij, ``twisted_gram`` (the Gram sums over
-    both cycles) l_j c_ij, and ``a_half[i]`` c_ii / (2 l_i), the lowest
-    admissible variable degree of orbit i, negated.  ``analyze`` proves
-    these equal the definitions.
+    r.  ``char_matrix`` is A = (k / l_i) c_ij.  These two are all that runs
+    read; ``analyze --format json`` prints three more scalings of c_ij,
+    formed at print time: the zero-mode pairing c_ij / l_i = A_ij / k, the
+    twisted Gram matrix (the Gram sums over both cycles) l_j c_ij, and the
+    minimal degree a_i = c_ii / (2 l_i) = A_ii / (2k) of orbit i's lowest
+    admissible variable, negated.  ``analyze`` proves these equal the
+    definitions.
     """
 
-    zero_mode: tuple[tuple[Fraction, ...], ...]
     char_matrix: tuple[tuple[int, ...], ...]
-    twisted_gram: tuple[tuple[int, ...], ...]
-    a_half: tuple[Fraction, ...]
     rotated: tuple[tuple[tuple[int, ...], ...], ...]
 
 
@@ -184,10 +183,11 @@ def _cycles_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _check_positive_definite(gram: Sequence[Sequence[int]]) -> None:
     # Sylvester's criterion from one elimination without row swaps: while
     # every earlier leading minor is positive, the leading minor of order r
-    # is the product of the first r pivots.
+    # is the product of the first r pivots.  Rows stay ints until one is
+    # eliminated.
     n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    minor = Fraction(1)
+    m = [list(row) for row in gram]
+    minor = 1
     for col in range(n):
         pivot = m[col][col]
         minor *= pivot
@@ -197,7 +197,7 @@ def _check_positive_definite(gram: Sequence[Sequence[int]]) -> None:
             )
         for r in range(col + 1, n):
             if m[r][col]:
-                f = m[r][col] / pivot
+                f = Fraction(m[r][col]) / pivot
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
 
@@ -284,39 +284,34 @@ def analyze(inp: LatticeInput) -> tuple[OrbitData, PairingTables]:
     """Validate the input and derive the pairing tables of its orbits.
 
     Write sigma for the isometry, rep_i for orbit i's representative, l_i
-    for its cycle length and c_ij = sum_r (sigma^r rep_i, rep_j).  Three
-    facts make every table a scaling of c_ij, with no check left to run:
+    for its cycle length and c_ij = sum_r (sigma^r rep_i, rep_j), the sum of
+    ``rotated[i][j]``.  Three facts make A and every table that
+    ``analyze --format json`` prints a scaling of c_ij, with no check left
+    to run:
 
     - The isometry gives every vector sigma^t rep_j of cycle j the pairing
       sum c_ij with cycle i (sigma^-t permutes cycle i).  So the Gram sum
-      over both cycles is l_j c_ij, and the zero-mode pairing, that sum
-      over l_i l_j, is c_ij / l_i.
+      over both cycles, the printed twisted Gram matrix, is l_j c_ij, and
+      the zero-mode pairing, that sum over l_i l_j, is c_ij / l_i = A_ij / k.
     - k / l_i = 2 lcm(l) / l_i is an even integer, so A = (k / l_i) c_ij is
       integral with an even diagonal, and every norm m^T A m is even.
     - Rotations r and l_i - r pair equally with rep_i (apply sigma^-r, then
       symmetry), and the r = 0 term is an even diagonal entry.  So c_ii is
       even for odd l_i, and c_ii = (rep_i, sigma^(l_i/2) rep_i) (mod 2) for
       even l_i: c_ii is even exactly when ``validate`` sets orbit i's
-      evenness flag.  Hence -a_i = -c_ii / (2 l_i) lies in the mode set
-      offset + (1/l_i) Z, and a_i times the root order is an integer.
+      evenness flag.  Hence -a_i, a_i = c_ii / (2 l_i) = A_ii / (2k) the
+      printed minimal degree, lies in the mode set offset + (1/l_i) Z, and
+      a_i times the root order is an integer.
     """
     orbits = validate(inp)
-    lengths, d = orbits.lengths, orbits.d
     rotated = tuple(
         tuple(tuple(inp.gram[a][rep] for a in cycle) for rep in orbits.reps)
         for cycle in orbits.cycles
     )
-    c = [[sum(pairs) for pairs in row] for row in rotated]
     return orbits, PairingTables(
-        zero_mode=tuple(
-            tuple(Fraction(x, lengths[i]) for x in c[i]) for i in range(d)
-        ),
         char_matrix=tuple(
-            tuple(orbits.k // lengths[i] * x for x in c[i]) for i in range(d)
+            tuple(orbits.k // len(cycle) * sum(pairs) for pairs in row)
+            for cycle, row in zip(orbits.cycles, rotated)
         ),
-        twisted_gram=tuple(
-            tuple(lengths[j] * x for j, x in enumerate(c[i])) for i in range(d)
-        ),
-        a_half=tuple(Fraction(c[i][i], 2 * lengths[i]) for i in range(d)),
         rotated=rotated,
     )

@@ -303,7 +303,7 @@ def character(
         )
     steps = tuple(orbits.k // l for l in orbits.lengths)
     table = CharacterTable(d=orbits.d, k=orbits.k, truncation=truncation,
-                           charge_matrix=tuple(tuple(row) for row in matrix),
+                           charge_matrix=matrix,
                            steps=steps, entries={})
     # (charge, last raised orbit, norm, product coefficients in x = q^2); a
     # stack, not recursion, so deep trees cannot hit the recursion limit.

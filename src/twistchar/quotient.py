@@ -70,10 +70,6 @@ class TwistedVariable(NamedTuple):
 Monomial = tuple[TwistedVariable, ...]
 
 
-def monomial_charge(mono: Monomial, d: int) -> tuple[int, ...]:
-    return tuple(sum(v.orbit == i for v in mono) for i in range(d))
-
-
 class RelationGenerator(NamedTuple):
     """One relation: labels (orbit pair, rotation r, power m) plus the
     expanded terms in the two-variable monomial basis at its weight."""
@@ -515,23 +511,24 @@ def new_relations_membership(
     ideal's bidegree slice leaves their rank over the cyclotomic field
     unchanged.
     """
-    return _membership(_Slices(orbits, tables), i, j, s, t)
-
-
-def _membership(slices: _Slices, i: int, j: int, s: int, t: int) -> bool:
-    orbits, tables = slices.orbits, slices.tables
     # lengths[i] times the zero-mode pairing of i with j: the number of
     # (rotation, power) relation labels of the pair.
     bound = sum(tables.rotated[i][j])
     if s < 0 or t < 0 or s + t > bound - 1:
         raise PreconditionViolated(
             f"(s, t) = ({s}, {t}) outside the range s, t >= 0, s + t <= {bound - 1}")
+    return _membership(_Slices(orbits, tables), i, j, s, t)
+
+
+def _membership(slices: _Slices, i: int, j: int, s: int, t: int) -> bool:
+    # (s, t) in the allowed range: new_relations_membership checks it, and
+    # the sweep walks only that range.
     (start_i, s_i), (start_j, s_j) = slices.start_step[i], slices.start_step[j]
     if t * s_i % s_j:
         return True
     w1, w2 = start_i + s * s_i, start_j + t * s_i
     target = TwistedVariable(i, w1), TwistedVariable(j, w2)
-    charge = monomial_charge(target, orbits.d)
+    charge = tuple((a == i) + (a == j) for a in range(slices.orbits.d))
     # The target call first: it builds the rows once and memoizes the rank
     # without the target, which the second call reads.
     with_target = slices.rank(charge, w1 + w2, slices.key(target))[1]
@@ -560,20 +557,21 @@ def new_relations_sweep(
 ) -> tuple[MembershipCell, ...]:
     """Membership over the full allowed (s, t) range of every orbit pair;
     BudgetExceeded before any work past MAX_MEMBERSHIPS instances."""
-    instances = sum(c * (c + 1) // 2 for row in tables.rotated for c in map(sum, row))
+    # Only pairs with a nonzero pairing sum c have instances: c (c + 1) / 2.
+    pairs = [(i, j, c) for i, row in enumerate(tables.rotated)
+             for j, c in enumerate(map(sum, row)) if c]
+    instances = sum(c * (c + 1) // 2 for *_, c in pairs)
     if instances > MAX_MEMBERSHIPS:
         raise BudgetExceeded(f"the membership sweep has {instances} instances, "
                              f"over the budget of {MAX_MEMBERSHIPS}")
     slices = _Slices(orbits, tables)
     cells = []
-    for i in range(orbits.d):
-        for j in range(orbits.d):
-            bound = sum(tables.rotated[i][j])
-            s_i, s_j = slices.start_step[i][1], slices.start_step[j][1]
-            for s in range(bound):
-                for t in range(bound - s):
-                    member = _membership(slices, i, j, s, t)
-                    cells.append(MembershipCell(i, j, s, t, member, t * s_i % s_j != 0))
+    for i, j, bound in pairs:
+        s_i, s_j = slices.start_step[i][1], slices.start_step[j][1]
+        for s in range(bound):
+            for t in range(bound - s):
+                member = _membership(slices, i, j, s, t)
+                cells.append(MembershipCell(i, j, s, t, member, t * s_i % s_j != 0))
     return tuple(cells)
 
 
@@ -624,7 +622,7 @@ def membership_pascal_spec(
     orbits: OrbitData, tables: PairingTables, i: int, j: int
 ) -> PascalSpec:
     """Block spec whose stacked matrix certifies the membership argument."""
-    a_i = tables.a_half[i]
+    a_i = Fraction(tables.char_matrix[i][i], 2 * orbits.k)
     gram_ii = Fraction(tables.rotated[i][i][0], 2)
     return PascalSpec(
         conductor=orbits.lengths[i],

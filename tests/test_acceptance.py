@@ -210,7 +210,8 @@ def test_criterion_8():
         for i in range(orbits.d):
             for j in range(orbits.d):
                 matrix = membership_matrix(orbits, tables, i, j)
-                expected = orbits.lengths[i] * tables.zero_mode[i][j]
+                # l_i times the zero-mode pairing A_ij / k.
+                expected = orbits.lengths[i] * tables.char_matrix[i][j] // orbits.k
                 assert matrix.nrows == matrix.ncols == expected
                 assert matrix.det(), f"{name} pair ({i}, {j}) is singular"
                 scalars, pascal_form = membership_matrix_decomposition(

@@ -1,10 +1,17 @@
 """Lattice validation and derived orbit data, pinned against hand values."""
 
+import contextlib
+import io
+import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from twistchar import lattice
+from twistchar.cli import main
 from twistchar.cyclotomic import ExactMatrix, get_field
 from twistchar.lattice import (
     LatticeError,
@@ -15,7 +22,6 @@ from twistchar.lattice import (
     NotPositiveDefinite,
     NotSymmetric,
     OrbitData,
-    PairingTables,
     analyze,
     eigenspace_dim,
     parse_permutation,
@@ -72,8 +78,26 @@ def test_cycle_string_roundtrip():
     assert inp.cycle_string() == "(1)(2 3)"
 
 
+def _printed(inp):
+    """``analyze --format json`` of inp, run in process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "lattice.json")
+        path.write_text(json.dumps(
+            {"rank": inp.rank, "gram": inp.gram, "perm": [p + 1 for p in inp.perm]}
+        ))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", "--config", str(path), "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def _min_degrees(printed):
+    return [Fraction(o["min_degree"]) for o in printed["orbits"]]
+
+
 def test_rank1_invariants():
     orbits, tables = analyze(preset("rank1"))
+    printed = _printed(preset("rank1"))
     assert orbits.k == 2
     assert orbits.cycles == ((0,),)
     assert orbits.evenness == (True,)
@@ -81,13 +105,14 @@ def test_rank1_invariants():
     assert orbits.mode_offsets == (Fraction(0),)
     assert orbits.vacuum_weight == 0
     assert tables.char_matrix == ((4,),)
-    assert tables.twisted_gram == ((2,),)
-    assert tables.a_half == (Fraction(1),)
+    assert printed["twisted_gram"] == [[2]]
+    assert _min_degrees(printed) == [1]
     assert tables.rotated == (((2,),),)
 
 
 def test_swap2_invariants():
     orbits, tables = analyze(preset("swap2"))
+    printed = _printed(preset("swap2"))
     assert orbits.k == 4
     assert orbits.cycles == ((0, 1),)
     assert orbits.evenness == (False,)
@@ -95,34 +120,36 @@ def test_swap2_invariants():
     assert orbits.mode_offsets == (Fraction(1, 4),)
     assert orbits.vacuum_weight == Fraction(1, 16)
     assert tables.char_matrix == ((6,),)
-    assert tables.zero_mode == ((Fraction(3, 2),),)
-    assert tables.a_half == (Fraction(3, 4),)
+    assert printed["zero_mode"] == [["3/2"]]
+    assert _min_degrees(printed) == [Fraction(3, 4)]
     assert tables.rotated == (((2, 1),),)
 
 
 def test_x3_invariants():
     orbits, tables = analyze(preset("x3"))
+    printed = _printed(preset("x3"))
     assert orbits.k == 4
     assert orbits.cycles == ((0,), (1, 2))
     assert orbits.evenness == (True, True)
     assert orbits.root_orders == (1, 2)
     assert orbits.vacuum_weight == Fraction(1, 16)
     assert tables.char_matrix == ((8, 4), (4, 4))
-    assert tables.twisted_gram == ((2, 2), (2, 4))
-    assert tables.a_half == (Fraction(1), Fraction(1, 2))
+    assert printed["twisted_gram"] == [[2, 2], [2, 4]]
+    assert _min_degrees(printed) == [1, Fraction(1, 2)]
     assert tables.rotated == (((2,), (1,)), ((1, 1), (2, 0)))
 
 
 def test_x4_invariants():
     orbits, tables = analyze(preset("x4"))
+    printed = _printed(preset("x4"))
     assert orbits.k == 6
     assert orbits.cycles == ((0,), (1, 2, 3))
     assert orbits.evenness == (True, True)
     assert orbits.root_orders == (1, 3)
     assert orbits.vacuum_weight == Fraction(1, 9)
     assert tables.char_matrix == ((12, 6), (6, 4))
-    assert tables.twisted_gram == ((2, 3), (3, 6))
-    assert tables.a_half == (Fraction(1), Fraction(1, 3))
+    assert printed["twisted_gram"] == [[2, 3], [3, 6]]
+    assert _min_degrees(printed) == [1, Fraction(1, 3)]
     assert tables.rotated == (((2,), (1,)), ((1, 1, 1), (2, 0, 0)))
 
 
@@ -191,8 +218,21 @@ def _reference_minors_check(gram):
     return None
 
 
+def _positive_definite_outcome(gram):
+    expected = _reference_minors_check(gram)
+    inp = LatticeInput.make(gram, list(range(1, len(gram) + 1)))
+    if expected is None:
+        validate(inp)
+        return "accepted"
+    with pytest.raises(NotPositiveDefinite) as err:
+        validate(inp)
+    assert str(err.value) == expected, gram
+    return "zero minor" if expected.endswith(" is 0") else "negative minor"
+
+
 def test_positive_definite_check_matches_per_minor_reference():
     rng = random.Random(20180424)
+    all_outcomes = {"accepted", "zero minor", "negative minor"}
     outcomes = set()
     for _ in range(600):
         n = rng.randint(1, 5)
@@ -201,17 +241,40 @@ def test_positive_definite_check_matches_per_minor_reference():
             gram[i][i] = 2 * rng.randint(1, 4)
             for j in range(i + 1, n):
                 gram[i][j] = gram[j][i] = rng.randint(0, 6)
-        expected = _reference_minors_check(gram)
-        inp = LatticeInput.make(gram, list(range(1, n + 1)))
-        if expected is None:
-            validate(inp)
-            outcomes.add("accepted")
-            continue
-        with pytest.raises(NotPositiveDefinite) as err:
-            validate(inp)
-        assert str(err.value) == expected, gram
-        outcomes.add("zero minor" if expected.endswith(" is 0") else "negative minor")
-    assert outcomes == {"accepted", "zero minor", "negative minor"}
+        outcomes.add(_positive_definite_outcome(gram))
+    assert outcomes == all_outcomes
+    # Sparse draws, n <= 8: about one off-diagonal entry in four is nonzero,
+    # and none across the cut (block diagonal when cut < n).  Rows that no
+    # pivot above reaches are never eliminated and stay ints.
+    outcomes = set()
+    for _ in range(600):
+        n, cut = rng.randint(1, 8), rng.randint(1, 8)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * rng.randint(1, 4)
+            for j in range(i + 1, n):
+                if (i < cut) == (j < cut) and rng.randrange(4) == 0:
+                    gram[i][j] = gram[j][i] = rng.randint(1, 6)
+        outcomes.add(_positive_definite_outcome(gram))
+    assert outcomes == all_outcomes
+
+
+def test_analyze_makes_no_fraction_per_gram_entry(monkeypatch):
+    # Gram 2 I of rank d under the identity: validate makes d mode offsets
+    # and the vacuum weight; the positive-definiteness check, which
+    # eliminates no row, and the tables make none.
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(lattice, "Fraction", counting)
+    d = 300
+    gram = [[2 * (i == j) for j in range(d)] for i in range(d)]
+    orbits, tables = analyze(LatticeInput.make(gram, list(range(1, d + 1))))
+    assert orbits.d == d and tables.char_matrix[0][:2] == (4, 0)
+    assert len(made) <= d + 1
 
 
 def test_not_isometry():
@@ -328,20 +391,27 @@ def _reference_tables(inp, orbits):
         tuple(tuple(gram[a][orbits.reps[j]] for a in orbits.cycles[i]) for j in range(d))
         for i in range(d)
     )
-    return PairingTables(
-        zero_mode=zero_mode,
-        char_matrix=tuple(tuple(int(x) for x in row) for row in scaled),
-        twisted_gram=tuple(map(tuple, twisted)),
-        a_half=a_half,
-        rotated=rotated,
-    )
+    return {
+        "char_matrix": tuple(tuple(int(x) for x in row) for row in scaled),
+        "rotated": rotated,
+        "zero_mode": [[str(x) for x in row] for row in zero_mode],
+        "twisted_gram": twisted,
+        "min_degree": [str(x) for x in a_half],
+    }
 
 
 def _assert_reference_tables(inputs):
+    # A and the rotated pairings as ``analyze`` returns them; the three
+    # scalings that only ``analyze --format json`` prints, as it prints them.
     for inp in inputs:
         orbits, tables = analyze(inp)
         assert orbits == validate(inp)
-        assert tables == _reference_tables(inp, orbits), inp
+        reference = _reference_tables(inp, orbits)
+        assert tables == (reference["char_matrix"], reference["rotated"]), inp
+        printed = _printed(inp)
+        assert printed["zero_mode"] == reference["zero_mode"], inp
+        assert printed["twisted_gram"] == reference["twisted_gram"], inp
+        assert [o["min_degree"] for o in printed["orbits"]] == reference["min_degree"], inp
 
 
 def test_analyze_equals_the_reference_on_presets_draws_and_census(random_inputs, census):

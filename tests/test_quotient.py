@@ -27,7 +27,6 @@ from twistchar.quotient import (
     membership_matrix,
     membership_matrix_decomposition,
     membership_pascal_spec,
-    monomial_charge,
     new_relations_membership,
     new_relations_sweep,
     quotient_dimension,
@@ -54,14 +53,12 @@ def V(orbit, weight):
     return TwistedVariable(orbit, weight)
 
 
+def _a_half(orbits, tables, i):
+    # a_i = c_ii / (2 l_i), c_ii the sum of orbit i's rotated self-pairings.
+    return Fraction(sum(tables.rotated[i][i]), 2 * orbits.lengths[i])
+
+
 # ------------------------------------------------------------------- monomials
-
-
-def test_monomial_helpers():
-    mono = (V(0, 2), V(1, 3), V(0, 4))
-    assert sum(v.weight for v in mono) == 9
-    assert monomial_charge(mono, 2) == (2, 1)
-    assert monomial_charge((), 3) == (0, 0, 0)
 
 
 def test_enumerate_monomials_single_orbit(data):
@@ -85,7 +82,7 @@ def test_enumerate_monomials_bidegrees_are_exact(name, data):
     for weight in range(12):
         for mono in enumerate_monomials(orbits, tables, charge, weight):
             assert sum(v.weight for v in mono) == weight
-            assert monomial_charge(mono, d) == charge
+            assert tuple(sum(v.orbit == i for v in mono) for i in range(d)) == charge
             assert tuple(sorted(mono)) == mono
 
 
@@ -190,7 +187,7 @@ def _mode_family(orbits, tables, i, j, weight):
     # -t = n1 + n2 into admissible modes of orbits i and j, t = weight / k.
     k, l_i = orbits.k, orbits.lengths[i]
     t = Fraction(weight, k)
-    a_i, a_j = tables.a_half[i], tables.a_half[j]
+    a_i, a_j = _a_half(orbits, tables, i), _a_half(orbits, tables, j)
     pairs = []
     s1 = 0
     while a_i + Fraction(s1, l_i) <= t - a_j:
@@ -233,7 +230,7 @@ def test_weights_match_the_mode_formulas(name, data):
                 ]
                 assert family == _mode_family(orbits, tables, i, j, weight)
                 nonempty += any(terms for *_, terms in family)
-            l_i, a_i = orbits.lengths[i], tables.a_half[i]
+            l_i, a_i = orbits.lengths[i], _a_half(orbits, tables, i)
             matrix = membership_matrix(orbits, tables, i, j)
             assert matrix.rows == tuple(
                 tuple(
@@ -452,7 +449,8 @@ def test_sweep_ranks_each_relation_slice_once(name, data, monkeypatch):
     bidegrees = set()
     for c in cells:
         target = _mode_target(orbits, tables, c.i, c.j, c.s, c.t)
-        bidegrees.add((monomial_charge(target, orbits.d), sum(v.weight for v in target)))
+        charge = tuple(sum(v.orbit == a for v in target) for a in range(orbits.d))
+        bidegrees.add((charge, sum(v.weight for v in target)))
     assert len(ranked) == len(cells) + len(bidegrees)
 
 
@@ -520,8 +518,8 @@ def _mode_target(orbits, tables, i, j, s, t):
     # x_i(-a_i - s/l_i) * x_j(-a_j - t/l_i) from the mode formula (weight
     # -n * k), or None when the second mode is not admissible for orbit j.
     l_i, k = orbits.lengths[i], orbits.k
-    n1 = -tables.a_half[i] - Fraction(s, l_i)
-    n2 = -tables.a_half[j] - Fraction(t, l_i)
+    n1 = -_a_half(orbits, tables, i) - Fraction(s, l_i)
+    n2 = -_a_half(orbits, tables, j) - Fraction(t, l_i)
     if not orbits.contains_mode(j, n2):
         return None
     return tuple(sorted((V(i, int(-n1 * k)), V(j, int(-n2 * k)))))
@@ -533,7 +531,7 @@ def _solve_membership(orbits, tables, i, j, s, t):
     target = _mode_target(orbits, tables, i, j, s, t)
     if target is None:
         return True
-    charge = monomial_charge(target, orbits.d)
+    charge = tuple(sum(v.orbit == a for v in target) for a in range(orbits.d))
     weight = sum(v.weight for v in target)
     slices = quotient._Slices(orbits, tables)
     monomials = [slices.key(m) for m in enumerate_monomials(orbits, tables, charge, weight)]
