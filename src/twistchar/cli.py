@@ -131,25 +131,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     inp = cfg.lattice()
     orbits, tables = analyze(inp)
-    # Printed only: three scalings of c_ij that no run reads (PairingTables).
-    k, a = orbits.k, tables.char_matrix
+    # Printed only: closed forms in the lengths and c_ij that no run reads,
+    # proved equal to their definitions in lattice.analyze.
+    k, a, lengths = orbits.k, tables.char_matrix, orbits.lengths
     min_degree = [Fraction(a[i][i], 2 * k) for i in range(orbits.d)]
-    twisted_gram = [[orbits.lengths[j] * sum(pairs) for j, pairs in enumerate(row)]
+    twisted_gram = [[lengths[j] * sum(pairs) for j, pairs in enumerate(row)]
                     for row in tables.rotated]
+    evenness = [sum(tables.rotated[i][i]) % 2 == 0 for i in range(orbits.d)]
+    root_order = [l if even else 2 * l for l, even in zip(lengths, evenness)]
+    mode_offset = [Fraction(0 if even else 1, 2 * l) for l, even in zip(lengths, evenness)]
+    vacuum_weight = sum(Fraction(l * l - 1, 24 * l) for l in lengths)
     if cfg.out_format == "json":
         payload = {
             "rank": inp.rank,
             "isometry": inp.cycle_string(),
-            "isometry_order": orbits.nu_order,
-            "k": orbits.k,
-            "vacuum_weight": str(orbits.vacuum_weight),
+            "isometry_order": k // 2,
+            "k": k,
+            "vacuum_weight": str(vacuum_weight),
             "orbits": [
                 {
                     "cycle": [x + 1 for x in orbits.cycles[i]],
-                    "length": orbits.lengths[i],
-                    "evenness": orbits.evenness[i],
-                    "root_order": orbits.root_orders[i],
-                    "mode_offset": str(orbits.mode_offsets[i]),
+                    "length": lengths[i],
+                    "evenness": evenness[i],
+                    "root_order": root_order[i],
+                    "mode_offset": str(mode_offset[i]),
                     "min_degree": str(min_degree[i]),
                 }
                 for i in range(orbits.d)
@@ -169,16 +174,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 0
     lines = [
         f"lattice rank {inp.rank}, isometry {inp.cycle_string()} of order "
-        f"{orbits.nu_order}, k = {orbits.k}",
-        f"vacuum weight {orbits.vacuum_weight}",
+        f"{k // 2}, k = {k}",
+        f"vacuum weight {vacuum_weight}",
     ]
     for i in range(orbits.d):
         cycle = "(" + " ".join(str(x + 1) for x in orbits.cycles[i]) + ")"
         lines.append(
-            f"orbit {i}: cycle {cycle}, length {orbits.lengths[i]}, "
-            f"evenness {'yes' if orbits.evenness[i] else 'no'}, "
-            f"root order {orbits.root_orders[i]}, modes "
-            f"{orbits.mode_offsets[i]} + (1/{orbits.lengths[i]})Z, "
+            f"orbit {i}: cycle {cycle}, length {lengths[i]}, "
+            f"evenness {'yes' if evenness[i] else 'no'}, "
+            f"root order {root_order[i]}, modes "
+            f"{mode_offset[i]} + (1/{lengths[i]})Z, "
             f"min degree {min_degree[i]}"
         )
     lines.append("character matrix (k times zero-mode pairings):")

@@ -2,10 +2,11 @@
 
 The input is an integer Gram matrix (symmetric, even diagonal, positive
 definite, entrywise non-negative) together with a permutation of the basis
-that preserves the Gram form.  From the permutation's cycle structure the
-module derives everything downstream components need: cycle lengths, the
-doubled order k, the per-orbit evenness flags, the allowed mode sets, the
-rotated pairings, the character matrix and the vacuum weight.
+that preserves the Gram form.  The module keeps what runs read: the cycles,
+their lengths and the doubled order k (``OrbitData``), and the rotated
+pairings with the character matrix (``PairingTables``).  The evenness flags,
+mode sets and vacuum weight are closed forms in these, which only
+``analyze`` prints (``cli.cmd_analyze``).
 """
 
 import re
@@ -118,31 +119,22 @@ class LatticeInput(NamedTuple):
 
 
 class OrbitData(NamedTuple):
-    """Cycle structure of the isometry and the derived mode-set data.
+    """Cycle structure of the isometry: the cycles, their lengths l_i and
+    k = 2 lcm(l_i), twice the isometry's order.
 
-    ``root_orders[i]`` is the order of the root of unity attached to orbit
-    i's modes (the cycle length, doubled when the evenness condition
-    fails), and ``mode_offsets[i]`` is the offset of the allowed mode set
-    inside (1/length) * Z: allowed modes are mode_offsets[i] + (1/length) * Z.
+    Orbit i's representative is ``cycles[i][0]``.  Its evenness flag, root
+    order, mode offset and the twisted vacuum weight are closed forms in
+    the lengths and the rotated pairings; ``analyze`` prints them and
+    proves the forms.
     """
 
     cycles: tuple[tuple[int, ...], ...]
-    reps: tuple[int, ...]
     lengths: tuple[int, ...]
-    nu_order: int
     k: int
-    evenness: tuple[bool, ...]
-    root_orders: tuple[int, ...]
-    mode_offsets: tuple[Fraction, ...]
-    vacuum_weight: Fraction
 
     @property
     def d(self) -> int:
         return len(self.cycles)
-
-    def contains_mode(self, i: int, n: Fraction) -> bool:
-        """Whether n lies in orbit i's allowed mode set."""
-        return ((Fraction(n) - self.mode_offsets[i]) * self.lengths[i]).denominator == 1
 
 
 class PairingTables(NamedTuple):
@@ -227,67 +219,18 @@ def validate(inp: LatticeInput) -> OrbitData:
                 raise NotIsometry(f"pairing of ({i}, {j}) not preserved")
 
     cycles = _cycles_of(perm)
-    reps = tuple(c[0] for c in cycles)
     lengths = tuple(len(c) for c in cycles)
-    nu_order = lcm(*lengths)
-    k = 2 * nu_order
-
-    evenness = []
-    for cyc, rep, length in zip(cycles, reps, lengths):
-        if length % 2:
-            evenness.append(True)
-        else:
-            half = cyc[length // 2]
-            evenness.append(gram[rep][half] % 2 == 0)
-    evenness = tuple(evenness)
-
-    root_orders = tuple(
-        l if even else 2 * l for l, even in zip(lengths, evenness)
-    )
-    mode_offsets = tuple(
-        Fraction(0) if even else Fraction(1, 2 * l)
-        for l, even in zip(lengths, evenness)
-    )
-
-    dims = _eigenspace_dims(lengths, k)
-    weight = Fraction(
-        sum(j * (k - j) * dims[j] for j in range(1, k)), 4 * k * k
-    )
-
-    return OrbitData(
-        cycles=cycles,
-        reps=reps,
-        lengths=lengths,
-        nu_order=nu_order,
-        k=k,
-        evenness=evenness,
-        root_orders=root_orders,
-        mode_offsets=mode_offsets,
-        vacuum_weight=weight,
-    )
-
-
-def _eigenspace_dims(lengths: Sequence[int], k: int) -> list[int]:
-    return [
-        sum(1 for l in lengths if j % (k // l) == 0) for j in range(k)
-    ]
-
-
-def eigenspace_dim(orbits: OrbitData, j: int) -> int:
-    """Dimension of the eta^j eigenspace of the isometry on the ambient space."""
-    if not 0 <= j < orbits.k:
-        raise ValueError(f"eigenvalue exponent {j} outside 0..{orbits.k - 1}")
-    return _eigenspace_dims(orbits.lengths, orbits.k)[j]
+    return OrbitData(cycles=cycles, lengths=lengths, k=2 * lcm(*lengths))
 
 
 def analyze(inp: LatticeInput) -> tuple[OrbitData, PairingTables]:
     """Validate the input and derive the pairing tables of its orbits.
 
-    Write sigma for the isometry, rep_i for orbit i's representative, l_i
-    for its cycle length and c_ij = sum_r (sigma^r rep_i, rep_j), the sum of
-    ``rotated[i][j]``.  Three facts make A and every table that
-    ``analyze --format json`` prints a scaling of c_ij, with no check left
-    to run:
+    Write sigma for the isometry, rep_i = ``cycles[i][0]`` for orbit i's
+    representative, l_i for its cycle length and c_ij = sum_r
+    (sigma^r rep_i, rep_j), the sum of ``rotated[i][j]``.  Four facts make
+    A and every number that ``analyze`` prints a closed form in the lengths
+    and c_ij, with no check left to run:
 
     - The isometry gives every vector sigma^t rep_j of cycle j the pairing
       sum c_ij with cycle i (sigma^-t permutes cycle i).  So the Gram sum
@@ -295,17 +238,25 @@ def analyze(inp: LatticeInput) -> tuple[OrbitData, PairingTables]:
       the zero-mode pairing, that sum over l_i l_j, is c_ij / l_i = A_ij / k.
     - k / l_i = 2 lcm(l) / l_i is an even integer, so A = (k / l_i) c_ij is
       integral with an even diagonal, and every norm m^T A m is even.
-    - Rotations r and l_i - r pair equally with rep_i (apply sigma^-r, then
-      symmetry), and the r = 0 term is an even diagonal entry.  So c_ii is
-      even for odd l_i, and c_ii = (rep_i, sigma^(l_i/2) rep_i) (mod 2) for
-      even l_i: c_ii is even exactly when ``validate`` sets orbit i's
-      evenness flag.  Hence -a_i, a_i = c_ii / (2 l_i) = A_ii / (2k) the
-      printed minimal degree, lies in the mode set offset + (1/l_i) Z, and
-      a_i times the root order is an integer.
+    - Orbit i is even when l_i is odd or (rep_i, sigma^(l_i/2) rep_i) is
+      even; then its root order is l_i and its modes are (1/l_i) Z, and
+      otherwise 2 l_i and 1/(2 l_i) + (1/l_i) Z.  Rotations r and l_i - r
+      pair equally with rep_i (apply sigma^-r, then symmetry), and the
+      r = 0 term is an even diagonal entry.  So c_ii is even for odd l_i,
+      and c_ii = (rep_i, sigma^(l_i/2) rep_i) (mod 2) for even l_i: orbit i
+      is even exactly when c_ii is.  Hence -a_i, a_i = c_ii / (2 l_i) =
+      A_ii / (2k) the printed minimal degree, lies in orbit i's mode set,
+      and a_i times the root order is an integer.
+    - The twisted vacuum weight is (1/4k^2) sum_j j (k - j) dim h_(j), h_(j)
+      the eta^j eigenspace of sigma (Lepowsky).  A cycle of length l spans
+      one eigenvector for each exponent j = t k / l, t < l, and
+      sum_(t<l) t (l - t) = l (l^2 - 1) / 6, so the weight is
+      sum_i (l_i^2 - 1) / (24 l_i).
     """
     orbits = validate(inp)
+    reps = [cycle[0] for cycle in orbits.cycles]
     rotated = tuple(
-        tuple(tuple(inp.gram[a][rep] for a in cycle) for rep in orbits.reps)
+        tuple(tuple(inp.gram[a][rep] for a in cycle) for rep in reps)
         for cycle in orbits.cycles
     )
     return orbits, PairingTables(

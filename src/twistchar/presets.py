@@ -45,8 +45,8 @@ def lattice_from_config(data: dict) -> LatticeInput:
         perm = data["perm"]
     except KeyError as missing:
         raise LatticeError(f"config missing key {missing}") from None
-    if not isinstance(rank, int) or isinstance(rank, bool):
-        raise LatticeError(f"rank must be an integer, got {rank!r}")
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+        raise LatticeError(f"rank must be a positive integer, got {rank!r}")
     if not isinstance(gram, list):
         raise LatticeError(f"gram must be an array, got {gram!r}")
     if gram and not isinstance(gram[0], list):

@@ -54,7 +54,7 @@ Factor = dict[tuple[int, int], CyclotomicScalar]
 def pair_factor(orbits: OrbitData, tables: PairingTables, i: int, j: int) -> Factor:
     """P_ij(y1, y2), homogeneous in y1^h and y2^h with h = n / l_i."""
     field, l_i = get_field(orbits.k), orbits.lengths[i]
-    h, zero = orbits.nu_order // l_i, field.zero()
+    h, zero = orbits.k // (2 * l_i), field.zero()
     coeffs = [field.one()]  # coeffs[t]: the coefficient of y1^((N-t)h) y2^(th)
     for r, power in enumerate(tables.rotated[i][j]):
         root = field.eta_to(-r * (orbits.k // l_i))

@@ -357,6 +357,16 @@ def test_malformed_config_values_exit_2(capsys, tmp_path, override):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rank", [0, -1])
+def test_config_rank_below_one_exits_2(capsys, tmp_path, rank):
+    # Refused before the Gram array is measured against the rank.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"rank": rank, "gram": [2], "perm": "(1)"}))
+    code, out, err = run(capsys, "analyze", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: rank must be a positive integer, got {rank}\n"
+
+
 _JSON = st.recursive(
     st.none()
     | st.booleans()
@@ -520,6 +530,23 @@ def test_field_too_large_to_build_exits_2(tmp_path, check):
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr == (
         "error: the field Q(eta_60060) has degree 11520, over the budget of 2000\n"
+    )
+
+
+def test_large_isometry_order_is_analyzed_and_refused_at_once(tmp_path):
+    # Cycles (2)(3)(5)...(19), rank 77: k = 19399380.  The orbit data that
+    # analyze prints are closed forms in the cycle lengths; a sum over all k
+    # eigenvalue exponents took 15 s before either command could answer.
+    cfg = _permutation_lattice(tmp_path, (2, 3, 5, 7, 11, 13, 17, 19))
+    proc = _cli_process("analyze", "--config", cfg, timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "15c83b6a523e5aee658c6becb6f3f7d7efbaaa64156be5308db2e83b9db8386d"
+    )
+    proc = _cli_process("verify", "--config", cfg, "--oracle", timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == (
+        "error: the field Q(eta_19399380) has degree 3317760, over the budget of 2000\n"
     )
 
 

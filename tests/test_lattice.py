@@ -23,7 +23,6 @@ from twistchar.lattice import (
     NotSymmetric,
     OrbitData,
     analyze,
-    eigenspace_dim,
     parse_permutation,
     validate,
 )
@@ -91,8 +90,17 @@ def _printed(inp):
     return json.loads(out.getvalue())
 
 
+def _orbit_column(printed, key):
+    return [o[key] for o in printed["orbits"]]
+
+
 def _min_degrees(printed):
-    return [Fraction(o["min_degree"]) for o in printed["orbits"]]
+    return [Fraction(m) for m in _orbit_column(printed, "min_degree")]
+
+
+def _in_mode_set(offset, length, n):
+    """Whether n lies in offset + (1/length) Z, an orbit's mode set."""
+    return ((Fraction(n) - Fraction(offset)) * length).denominator == 1
 
 
 def test_rank1_invariants():
@@ -100,10 +108,10 @@ def test_rank1_invariants():
     printed = _printed(preset("rank1"))
     assert orbits.k == 2
     assert orbits.cycles == ((0,),)
-    assert orbits.evenness == (True,)
-    assert orbits.root_orders == (1,)
-    assert orbits.mode_offsets == (Fraction(0),)
-    assert orbits.vacuum_weight == 0
+    assert _orbit_column(printed, "evenness") == [True]
+    assert _orbit_column(printed, "root_order") == [1]
+    assert _orbit_column(printed, "mode_offset") == ["0"]
+    assert printed["vacuum_weight"] == "0"
     assert tables.char_matrix == ((4,),)
     assert printed["twisted_gram"] == [[2]]
     assert _min_degrees(printed) == [1]
@@ -115,10 +123,10 @@ def test_swap2_invariants():
     printed = _printed(preset("swap2"))
     assert orbits.k == 4
     assert orbits.cycles == ((0, 1),)
-    assert orbits.evenness == (False,)
-    assert orbits.root_orders == (4,)
-    assert orbits.mode_offsets == (Fraction(1, 4),)
-    assert orbits.vacuum_weight == Fraction(1, 16)
+    assert _orbit_column(printed, "evenness") == [False]
+    assert _orbit_column(printed, "root_order") == [4]
+    assert _orbit_column(printed, "mode_offset") == ["1/4"]
+    assert printed["vacuum_weight"] == "1/16"
     assert tables.char_matrix == ((6,),)
     assert printed["zero_mode"] == [["3/2"]]
     assert _min_degrees(printed) == [Fraction(3, 4)]
@@ -130,9 +138,9 @@ def test_x3_invariants():
     printed = _printed(preset("x3"))
     assert orbits.k == 4
     assert orbits.cycles == ((0,), (1, 2))
-    assert orbits.evenness == (True, True)
-    assert orbits.root_orders == (1, 2)
-    assert orbits.vacuum_weight == Fraction(1, 16)
+    assert _orbit_column(printed, "evenness") == [True, True]
+    assert _orbit_column(printed, "root_order") == [1, 2]
+    assert printed["vacuum_weight"] == "1/16"
     assert tables.char_matrix == ((8, 4), (4, 4))
     assert printed["twisted_gram"] == [[2, 2], [2, 4]]
     assert _min_degrees(printed) == [1, Fraction(1, 2)]
@@ -144,9 +152,9 @@ def test_x4_invariants():
     printed = _printed(preset("x4"))
     assert orbits.k == 6
     assert orbits.cycles == ((0,), (1, 2, 3))
-    assert orbits.evenness == (True, True)
-    assert orbits.root_orders == (1, 3)
-    assert orbits.vacuum_weight == Fraction(1, 9)
+    assert _orbit_column(printed, "evenness") == [True, True]
+    assert _orbit_column(printed, "root_order") == [1, 3]
+    assert printed["vacuum_weight"] == "1/9"
     assert tables.char_matrix == ((12, 6), (6, 4))
     assert printed["twisted_gram"] == [[2, 3], [3, 6]]
     assert _min_degrees(printed) == [1, Fraction(1, 3)]
@@ -260,9 +268,9 @@ def test_positive_definite_check_matches_per_minor_reference():
 
 
 def test_analyze_makes_no_fraction_per_gram_entry(monkeypatch):
-    # Gram 2 I of rank d under the identity: validate makes d mode offsets
-    # and the vacuum weight; the positive-definiteness check, which
-    # eliminates no row, and the tables make none.
+    # Gram 2 I of rank d under the identity: validate keeps no Fraction,
+    # and the positive-definiteness check, which eliminates no row, and the
+    # tables make none.
     made = []
 
     def counting(*args):
@@ -274,7 +282,7 @@ def test_analyze_makes_no_fraction_per_gram_entry(monkeypatch):
     gram = [[2 * (i == j) for j in range(d)] for i in range(d)]
     orbits, tables = analyze(LatticeInput.make(gram, list(range(1, d + 1))))
     assert orbits.d == d and tables.char_matrix[0][:2] == (4, 0)
-    assert len(made) <= d + 1
+    assert made == []
 
 
 def test_not_isometry():
@@ -289,51 +297,57 @@ def test_orbit_data_is_immutable():
     assert orbits._replace(k=2).k == 2 and orbits.k != 2
 
 
+def _eigenspace_dims(inp, orbits):
+    """Nullity of P - eta^j I for each j < k, P the isometry's permutation
+    matrix, by exact elimination."""
+    field, n = get_field(orbits.k), inp.rank
+    dims = []
+    for j in range(orbits.k):
+        eta_j = field.eta_to(j)
+        rows = []
+        for r in range(n):
+            row = []
+            for c in range(n):
+                entry = field.one() if inp.perm[c] == r else field.zero()
+                if r == c:
+                    entry = entry - eta_j
+                row.append(entry)
+            rows.append(row)
+        dims.append(n - ExactMatrix.from_rows(field, rows).rank())
+    return dims
+
+
 def test_eigenspace_dims_sum_to_rank():
     for name in PRESET_NAMES:
         inp = preset(name)
-        orbits = validate(inp)
-        assert sum(eigenspace_dim(orbits, j) for j in range(orbits.k)) == inp.rank
+        assert sum(_eigenspace_dims(inp, validate(inp))) == inp.rank
 
 
 def test_eigenspace_dims_match_kernel_ranks():
-    """dim of each isometry eigenspace agrees with an exact nullity computation."""
+    """Each eigenspace dimension, an exact nullity, is the number of cycles
+    of length l with k / l dividing j, and the printed vacuum weight, a
+    closed form in the cycle lengths, is (1/4k^2) sum_j j (k - j) dim h_(j)."""
     for name in ("swap2", "x3", "x4"):
         inp = preset(name)
         orbits = validate(inp)
-        field = get_field(orbits.k)
-        n = inp.rank
-        for j in range(orbits.k):
-            eta_j = field.eta_to(j)
-            rows = []
-            for r in range(n):
-                row = []
-                for c in range(n):
-                    entry = field.one() if inp.perm[c] == r else field.zero()
-                    if r == c:
-                        entry = entry - eta_j
-                    row.append(entry)
-                rows.append(row)
-            nullity = n - ExactMatrix.from_rows(field, rows).rank()
-            assert nullity == eigenspace_dim(orbits, j), (name, j)
+        k, dims = orbits.k, _eigenspace_dims(inp, orbits)
+        assert dims == [sum(j % (k // l) == 0 for l in orbits.lengths) for j in range(k)]
+        weight = Fraction(sum(j * (k - j) * dims[j] for j in range(k)), 4 * k * k)
+        assert _printed(inp)["vacuum_weight"] == str(weight), name
 
 
-def test_eigenspace_dim_rejects_out_of_range():
-    orbits = validate(preset("rank1"))
-    with pytest.raises(ValueError):
-        eigenspace_dim(orbits, orbits.k)
-
-
-def test_contains_mode():
-    orbits = validate(preset("swap2"))
-    assert orbits.contains_mode(0, Fraction(-3, 4))
-    assert orbits.contains_mode(0, Fraction(1, 4))
-    assert not orbits.contains_mode(0, Fraction(-1, 2))
-    x3 = validate(preset("x3"))
-    assert x3.contains_mode(1, Fraction(-1, 2))
-    assert x3.contains_mode(1, -1)
-    assert not x3.contains_mode(1, Fraction(-1, 4))
-    assert not x3.contains_mode(0, Fraction(-1, 2))
+def test_mode_sets():
+    swap2 = _printed(preset("swap2"))["orbits"]
+    modes = [(o["mode_offset"], o["length"]) for o in swap2]
+    assert _in_mode_set(*modes[0], Fraction(-3, 4))
+    assert _in_mode_set(*modes[0], Fraction(1, 4))
+    assert not _in_mode_set(*modes[0], Fraction(-1, 2))
+    x3 = _printed(preset("x3"))["orbits"]
+    modes = [(o["mode_offset"], o["length"]) for o in x3]
+    assert _in_mode_set(*modes[1], Fraction(-1, 2))
+    assert _in_mode_set(*modes[1], -1)
+    assert not _in_mode_set(*modes[1], Fraction(-1, 4))
+    assert not _in_mode_set(*modes[0], Fraction(-1, 2))
 
 
 def test_orbit_relabeling_leaves_invariants_alone():
@@ -352,10 +366,11 @@ def test_orbit_relabeling_leaves_invariants_alone():
     one, two = glue(block_a, block_b), glue(block_b, block_a)
     orb1, tab1 = analyze(one)
     orb2, tab2 = analyze(two)
+    printed1, printed2 = _printed(one), _printed(two)
     assert orb1.k == orb2.k
-    assert orb1.vacuum_weight == orb2.vacuum_weight
-    assert sorted(orb1.evenness) == sorted(orb2.evenness)
-    assert sorted(orb1.root_orders) == sorted(orb2.root_orders)
+    assert printed1["vacuum_weight"] == printed2["vacuum_weight"]
+    for key in ("evenness", "root_order"):
+        assert sorted(_orbit_column(printed1, key)) == sorted(_orbit_column(printed2, key))
     swap = [1, 0]
     assert all(
         tab1.char_matrix[i][j] == tab2.char_matrix[swap[i]][swap[j]]
@@ -370,9 +385,22 @@ def test_orbit_relabeling_leaves_invariants_alone():
 
 def _reference_tables(inp, orbits):
     """The tables as the Gram double sums over both cycles, scaled by
-    Fractions: the computation ``analyze`` made before it derived every
-    table from the rotated pairings."""
-    gram, d = inp.gram, orbits.d
+    Fractions, and the orbit data from their definitions: the computations
+    ``analyze`` made before it derived every table from the rotated
+    pairings and every orbit number from a closed form."""
+    gram, d, k = inp.gram, orbits.d, orbits.k
+    reps = [cycle[0] for cycle in orbits.cycles]
+    evenness = [
+        l % 2 == 1 or gram[rep][cycle[l // 2]] % 2 == 0
+        for rep, cycle, l in zip(reps, orbits.cycles, orbits.lengths)
+    ]
+    root_orders = [l if even else 2 * l for l, even in zip(orbits.lengths, evenness)]
+    mode_offsets = [
+        Fraction(0) if even else Fraction(1, 2 * l)
+        for l, even in zip(orbits.lengths, evenness)
+    ]
+    dims = [sum(1 for l in orbits.lengths if j % (k // l) == 0) for j in range(k)]
+    weight = Fraction(sum(j * (k - j) * dims[j] for j in range(1, k)), 4 * k * k)
     twisted = [[sum(gram[a][b] for a in orbits.cycles[i] for b in orbits.cycles[j])
                 for j in range(d)] for i in range(d)]
     zero_mode = tuple(
@@ -385,10 +413,10 @@ def _reference_tables(inp, orbits):
     assert all(scaled[i][i] % 2 == 0 for i in range(d))
     a_half = tuple(zero_mode[i][i] / 2 for i in range(d))
     for i in range(d):
-        assert orbits.contains_mode(i, -a_half[i])
-        assert (a_half[i] * orbits.root_orders[i]).denominator == 1
+        assert _in_mode_set(mode_offsets[i], orbits.lengths[i], -a_half[i])
+        assert (a_half[i] * root_orders[i]).denominator == 1
     rotated = tuple(
-        tuple(tuple(gram[a][orbits.reps[j]] for a in orbits.cycles[i]) for j in range(d))
+        tuple(tuple(gram[a][reps[j]] for a in orbits.cycles[i]) for j in range(d))
         for i in range(d)
     )
     return {
@@ -397,12 +425,18 @@ def _reference_tables(inp, orbits):
         "zero_mode": [[str(x) for x in row] for row in zero_mode],
         "twisted_gram": twisted,
         "min_degree": [str(x) for x in a_half],
+        "evenness": evenness,
+        "root_order": root_orders,
+        "mode_offset": [str(x) for x in mode_offsets],
+        "isometry_order": k // 2,
+        "vacuum_weight": str(weight),
     }
 
 
 def _assert_reference_tables(inputs):
     # A and the rotated pairings as ``analyze`` returns them; the three
-    # scalings that only ``analyze --format json`` prints, as it prints them.
+    # scalings and the orbit numbers that only ``analyze --format json``
+    # prints, as it prints them.
     for inp in inputs:
         orbits, tables = analyze(inp)
         assert orbits == validate(inp)
@@ -411,7 +445,10 @@ def _assert_reference_tables(inputs):
         printed = _printed(inp)
         assert printed["zero_mode"] == reference["zero_mode"], inp
         assert printed["twisted_gram"] == reference["twisted_gram"], inp
-        assert [o["min_degree"] for o in printed["orbits"]] == reference["min_degree"], inp
+        for key in ("min_degree", "evenness", "root_order", "mode_offset"):
+            assert _orbit_column(printed, key) == reference[key], (key, inp)
+        for key in ("isometry_order", "vacuum_weight"):
+            assert printed[key] == reference[key], (key, inp)
 
 
 def test_analyze_equals_the_reference_on_presets_draws_and_census(random_inputs, census):
@@ -426,4 +463,5 @@ def test_analyze_equals_the_reference_on_wide_draws(wide_inputs):
     _assert_reference_tables(wide_inputs)
     orbits = [validate(inp) for inp in wide_inputs]
     assert max(o.k for o in orbits) >= 12 and max(inp.rank for inp in wide_inputs) == 7
-    assert {e for o in orbits for e in o.evenness} == {True, False}
+    printed = [_printed(inp) for inp in wide_inputs]
+    assert {e for p in printed for e in _orbit_column(p, "evenness")} == {True, False}

@@ -58,6 +58,19 @@ def _a_half(orbits, tables, i):
     return Fraction(sum(tables.rotated[i][i]), 2 * orbits.lengths[i])
 
 
+def _root_order(orbits, tables, i):
+    # l_i, doubled when l_i is even and (rep_i, sigma^(l_i/2) rep_i) is odd.
+    l_i = orbits.lengths[i]
+    return 2 * l_i if l_i % 2 == 0 and tables.rotated[i][i][l_i // 2] % 2 else l_i
+
+
+def _in_mode_set(orbits, tables, i, n):
+    # Orbit i's modes: (1/l_i) Z, shifted by 1/(2 l_i) when its root order is 2 l_i.
+    l_i = orbits.lengths[i]
+    shift = Fraction(1, 2 * l_i) if _root_order(orbits, tables, i) != l_i else 0
+    return ((n - shift) * l_i).denominator == 1
+
+
 # ------------------------------------------------------------------- monomials
 
 
@@ -174,7 +187,7 @@ def _mode_coeff(orbits, tables, i, r, m, n):
     # Reference coefficient of x_i(n) in relation (r, m): the root of order
     # L_i at mode n, eta^(r * (n * L_i) * (k / L_i)), times
     # binomial(-n - gram_ii/2, m - 1).
-    k, big_l = orbits.k, orbits.root_orders[i]
+    k, big_l = orbits.k, _root_order(orbits, tables, i)
     exponent = r * (n * big_l) * (k // big_l)
     assert exponent.denominator == 1
     return get_field(k).eta_to(int(exponent)) * rational_binomial(
@@ -192,7 +205,7 @@ def _mode_family(orbits, tables, i, j, weight):
     s1 = 0
     while a_i + Fraction(s1, l_i) <= t - a_j:
         n1 = -a_i - Fraction(s1, l_i)
-        if orbits.contains_mode(j, -t - n1):
+        if _in_mode_set(orbits, tables, j, -t - n1):
             pairs.append(n1)
         s1 += 1
     if not pairs:
@@ -520,7 +533,7 @@ def _mode_target(orbits, tables, i, j, s, t):
     l_i, k = orbits.lengths[i], orbits.k
     n1 = -_a_half(orbits, tables, i) - Fraction(s, l_i)
     n2 = -_a_half(orbits, tables, j) - Fraction(t, l_i)
-    if not orbits.contains_mode(j, n2):
+    if not _in_mode_set(orbits, tables, j, n2):
         return None
     return tuple(sorted((V(i, int(-n1 * k)), V(j, int(-n2 * k)))))
 

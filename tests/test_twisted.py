@@ -123,7 +123,7 @@ def test_pairings_have_the_period_of_both_cycles(all_lattices):
 
 def test_factor_exponents_lie_on_their_orbit_lattices(all_lattices):
     for orbits, tables, factors in all_lattices:
-        steps = [orbits.nu_order // length for length in orbits.lengths]
+        steps = [orbits.k // 2 // length for length in orbits.lengths]
         for (i, j), factor in factors.items():
             assert all(e1 % steps[i] == 0 and e2 % steps[j] == 0 for e1, e2 in factor)
 
@@ -231,10 +231,10 @@ def _phi(orbits, tables, factors, mono):
     for e, c in product.items():
         terms = {(): c}
         for v, x, y in zip(mono, e, exps):
-            step = orbits.nu_order // orbits.lengths[v.orbit]
+            step = orbits.k // 2 // orbits.lengths[v.orbit]
             merged = {}
             for t, value in terms.items():
-                for parts, q in _exp_coefficient(step, orbits.nu_order, y - x).items():
+                for parts, q in _exp_coefficient(step, orbits.k // 2, y - x).items():
                     key = tuple(sorted(t + tuple((v.orbit, s) for s in parts)))
                     merged[key] = merged.get(key, field.zero()) + value * q
             terms = merged
