@@ -15,8 +15,9 @@ Exit codes: 0 on success, 1 when a requested check fails, 2 on bad input.
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
-from pathlib import Path
+from itertools import islice
 from typing import NamedTuple
 
 from .lattice import LatticeError, LatticeInput, analyze
@@ -115,12 +116,18 @@ def _info(cfg: RunConfig, message: str) -> None:
         print(f"INFO twistchar: {message}", file=sys.stderr)
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
+def _emit(report: str | dict, cfg: RunConfig) -> None:
+    # A dict is indented JSON: json.dumps's bytes, streamed in batches of the
+    # encoder's chunks (json.dump writes each chunk alone, at twice the time).
+    with open(cfg.out_path, "w") if cfg.out_path else nullcontext(sys.stdout) as out:
+        if isinstance(report, str):
+            out.write(report)
+        else:
+            chunks = json.JSONEncoder(indent=2).iterencode(report)
+            out.writelines(iter(lambda: "".join(islice(chunks, 8192)), ""))
+        out.write("\n")
     if cfg.out_path:
-        Path(cfg.out_path).write_text(text + "\n")
         _info(cfg, f"wrote {cfg.out_path}")
-    else:
-        print(text)
 
 
 def _int_rows(rows) -> str:
@@ -170,7 +177,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 for i in range(orbits.d)
             ],
         }
-        _emit(json.dumps(payload, indent=2), cfg)
+        _emit(payload, cfg)
         return 0
     lines = [
         f"lattice rank {inp.rank}, isometry {inp.cycle_string()} of order "
@@ -406,16 +413,66 @@ def _add_output_args(sub: argparse.ArgumentParser) -> None:
 def _add_pascal_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-k", type=int, help="largest root order")
     sub.add_argument("--max-n", type=int, help="largest stacked matrix size")
-    sub.add_argument(
-        "--samples", type=int, help="random (z, w) draws per block shape"
-    )
+    sub.add_argument("--samples", type=int, help="random (z, w) draws per block shape")
     sub.add_argument(
         "--proof-samples", type=int, help="random instances for each proof replay"
     )
     sub.add_argument("--seed", type=int, help="sweep RNG seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_character_args(sub: argparse.ArgumentParser) -> None:
+    _add_source_args(sub)
+    sub.add_argument(
+        "-T", "--truncation", type=int,
+        help=f"largest retained normalized exponent (default {_DEFAULT.truncation})",
+    )
+    _add_output_args(sub)
+
+
+def _add_verify_args(sub: argparse.ArgumentParser) -> None:
+    _add_source_args(sub)
+    sub.add_argument(
+        "-T", "--truncation", type=int,
+        help="truncation for recursion and identity checks "
+        f"(default {_DEFAULT.truncation})",
+    )
+    for flag, help in (
+        ("--recursion", "check both character recursions (default when no check "
+         "is named)"),
+        ("--oracle", "compare character coefficients with brute-force quotient "
+         "dimensions"),
+        ("--identities", "compare the summed character with partition/product sides"),
+        ("--new-relations", "check the two-variable ideal membership over its full "
+         "range"),
+        ("--pascal", "run the Pascal-matrix sweep"),
+        ("--strict-identities", "require every recorded identity comparison to match"),
+    ):
+        sub.add_argument(flag, action="store_true", help=help)
+    sub.add_argument("--charge-bound", type=int, help="oracle: largest total "
+                     f"charge (default {_DEFAULT.charge_bound})")
+    sub.add_argument("--weight-bound", type=int, help="oracle: largest normalized "
+                     f"weight (default {_DEFAULT.weight_bound})")
+    _add_pascal_args(sub)
+    _add_output_args(sub)
+
+
+# Each subcommand: its handler, its line in the top-level help, its arguments.
+_COMMANDS = {
+    "analyze": (cmd_analyze, "validate the lattice and print derived invariants",
+                (_add_source_args, _add_output_args)),
+    "character": (cmd_character, "print the truncated character table",
+                  (_add_character_args,)),
+    "verify": (cmd_verify, "run consistency checks", (_add_verify_args,)),
+    "pascal-check": (cmd_pascal_check, "run the Pascal-matrix sweep on its own",
+                     (_add_pascal_args, _add_output_args)),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is registered, so the
+    top-level help and the invalid-choice error never change; given argv,
+    only the subcommand it names, its first word not starting with "-" (the
+    top-level options take no value), gets its arguments."""
     parser = argparse.ArgumentParser(
         prog="twistchar",
         description=(
@@ -427,84 +484,23 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="store_true", help="log progress to stderr"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, func, help: str) -> argparse.ArgumentParser:
+    named = next((word for word in argv or () if not word.startswith("-")), None)
+    for name, (func, help, adders) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        if argv is not None and name != named:
+            continue
         # Options not given stay out of the namespace (see _config_from_args);
         # -v is accepted after the subcommand too, listed only at the top.
-        sub = subs.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         sub.add_argument("-v", "--verbose", action="store_true", help=argparse.SUPPRESS)
         sub.set_defaults(func=func)
-        return sub
-
-    p_analyze = add_command(
-        "analyze", cmd_analyze, "validate the lattice and print derived invariants"
-    )
-    _add_source_args(p_analyze)
-    _add_output_args(p_analyze)
-
-    p_char = add_command(
-        "character", cmd_character, "print the truncated character table"
-    )
-    _add_source_args(p_char)
-    p_char.add_argument(
-        "-T", "--truncation", type=int,
-        help=f"largest retained normalized exponent (default {_DEFAULT.truncation})",
-    )
-    _add_output_args(p_char)
-
-    p_verify = add_command("verify", cmd_verify, "run consistency checks")
-    _add_source_args(p_verify)
-    p_verify.add_argument(
-        "-T", "--truncation", type=int,
-        help="truncation for recursion and identity checks "
-        f"(default {_DEFAULT.truncation})",
-    )
-    p_verify.add_argument(
-        "--recursion", action="store_true",
-        help="check both character recursions (default when no check is named)",
-    )
-    p_verify.add_argument(
-        "--oracle", action="store_true",
-        help="compare character coefficients with brute-force quotient dimensions",
-    )
-    p_verify.add_argument(
-        "--identities", action="store_true",
-        help="compare the summed character with partition/product sides",
-    )
-    p_verify.add_argument(
-        "--new-relations", action="store_true",
-        help="check the two-variable ideal membership over its full range",
-    )
-    p_verify.add_argument(
-        "--pascal", action="store_true", help="run the Pascal-matrix sweep"
-    )
-    p_verify.add_argument(
-        "--strict-identities", action="store_true",
-        help="require every recorded identity comparison to match",
-    )
-    p_verify.add_argument(
-        "--charge-bound", type=int,
-        help=f"oracle: largest total charge (default {_DEFAULT.charge_bound})",
-    )
-    p_verify.add_argument(
-        "--weight-bound", type=int,
-        help="oracle: largest normalized weight "
-        f"(default {_DEFAULT.weight_bound})",
-    )
-    _add_pascal_args(p_verify)
-    _add_output_args(p_verify)
-
-    p_pascal = add_command(
-        "pascal-check", cmd_pascal_check, "run the Pascal-matrix sweep on its own"
-    )
-    _add_pascal_args(p_pascal)
-    _add_output_args(p_pascal)
-
+        for add in adders:
+            add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (BudgetExceeded, LatticeError, InputError, OSError) as exc:

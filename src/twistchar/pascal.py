@@ -9,10 +9,12 @@ its determinant is the confluent Vandermonde closed form (Krattenthaler,
 prod_r (w*x_r)^C(N_r, 2) * prod_{r<s} (x_s - x_r)^(N_r*N_s).  This module
 proves det != 0 modulo a prime (``modular``), or exactly over the
 cyclotomic field where the residue is 0 or undefined; a residue that
-differs from the closed form's proves the determinant wrong.  It also
-replays, entry by entry, the two row-reduction arguments behind it.  A
-failed identity raises PascalIdentityError naming the first bad entry;
-nothing is ever patched to force agreement.
+differs from the closed form's proves the determinant wrong.  One kernel
+per block shape, built once with all that is free of z and w, maps their
+residues to det_p; only the specs it cannot settle meet Fractions.  The
+module also replays, entry by entry, the two row-reduction arguments
+behind it.  A failed identity raises PascalIdentityError naming the first
+bad entry; nothing is ever patched to force agreement.
 """
 
 import random
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cyclotomic import (
     CyclotomicField,
@@ -220,32 +222,14 @@ class InvertibilityResult(NamedTuple):
     method: str  # what proved `invertible`: "mod-p" or "exact"
 
 
-# maxsize=1 here and below: the sweep asks for each key ``samples`` times in a row.
+# maxsize=1 here and below: the sweep asks for each key in one run of calls,
+# the root powers once per (k, N) and the kernel once per shape.
 @lru_cache(maxsize=1)
 def _root_powers(p: int, omega: int, k: int, n: int) -> tuple[tuple[int, ...], ...]:
     # Row r < k holds omega^(r*c) mod p for the columns c < n.
     return tuple(tuple(pow(omega, r * c, p) for c in range(n)) for r in range(k))
 
 
-def _stacked_mod(
-    sizes: tuple[int, ...], z: int, w: int, p: int, omega: int
-) -> list[list[int]]:
-    # The stacked matrix mod p with eta -> omega: block r, row i, column c
-    # holds omega^(c*r) * binomial(z + c*w, i), i! a unit since i < N < p.
-    n = sum(sizes)
-    binoms = [[1] * n]
-    for i in range(1, max(sizes)):
-        inv = pow(i, -1, p)
-        binoms.append(
-            [b * (z + c * w - i + 1) * inv % p for c, b in enumerate(binoms[-1])]
-        )
-    rows = []
-    for xs, height in zip(_root_powers(p, omega, len(sizes), n), sizes):
-        rows += ([a * b % p for a, b in zip(xs, binoms[i])] for i in range(height))
-    return rows
-
-
-@lru_cache(maxsize=1)
 def _root_factor(k: int, sizes: tuple[int, ...]) -> int:
     # The closed form's part free of z and w, mod p, with x_r = omega^r:
     # prod_r x_r^C(N_r, 2) * prod_{r<s} (x_s - x_r)^(N_r*N_s).  A factor of
@@ -260,22 +244,42 @@ def _root_factor(k: int, sizes: tuple[int, ...]) -> int:
     return out
 
 
+@lru_cache(maxsize=1)
+def _kernel(k: int, sizes: tuple[int, ...]) -> Callable[[int, int], tuple[int, bool]]:
+    """The shape's mod-p check: residues (z, w) -> (det_p, whether det_p is
+    the closed form mod p), with everything free of z and w built once."""
+    p, omega = root_prime(k)
+    n, cols = sum(sizes), range(sum(sizes))
+    blocks = [(xs, h) for xs, h in zip(_root_powers(p, omega, k, n), sizes) if h]
+    invs = [pow(i, -1, p) for i in range(1, max(sizes))]
+    w_power, factor = sum(h * (h - 1) // 2 for h in sizes), _root_factor(k, sizes)
+
+    def kernel(z: int, w: int) -> tuple[int, bool]:
+        # Block r, row i, column c holds omega^(c*r) * binomial(z + c*w, i),
+        # i! a unit since i < N < p; row i + 1 of binomials from row i.
+        xs, binoms = [z + c * w for c in cols], [[1] * n]
+        for i, inv in enumerate(invs):
+            binoms.append([b * (x - i) * inv % p for b, x in zip(binoms[-1], xs)])
+        det = det_mod([[a * b % p for a, b in zip(row, binoms[i])]
+                       for row, h in blocks for i in range(h)], p)
+        return det, det == factor * pow(w, w_power, p) % p
+
+    return kernel
+
+
 def verify_invertible(spec: PascalSpec) -> InvertibilityResult:
     """Invertibility of the stacked matrix, proved mod p or exactly.
 
-    The matrix is built modulo the prime p of ``root_prime(k)``, and
-    det_p != 0 proves det != 0.  det_p is compared with the closed form mod
-    p.  When p divides the denominator of z or w, or det_p = 0, the exact
-    determinant over Q(eta) decides invertibility.
+    The matrix is built modulo the prime p of ``root_prime(k)`` by the
+    shape's kernel, and det_p != 0 proves det != 0.  det_p is compared with
+    the closed form mod p.  When p divides the denominator of z or w, or
+    det_p = 0, the exact determinant over Q(eta) decides invertibility.
     """
-    k, sizes = spec.conductor, spec.block_sizes
-    p, omega = root_prime(k)
+    p, omega = root_prime(spec.conductor)
     z, w = (image((x.numerator,), x.denominator, p, omega) for x in (spec.z, spec.w))
     if z is None or w is None:
         return InvertibilityResult(bool(build_stacked(spec).det()), None, "exact")
-    det = det_mod(_stacked_mod(sizes, z, w, p, omega), p)
-    w_power = sum(n * (n - 1) // 2 for n in sizes)
-    agrees = det == _root_factor(k, sizes) * pow(w, w_power, p) % p
+    det, agrees = _kernel(spec.conductor, spec.block_sizes)(z, w)
     invertible = bool(det) or bool(build_stacked(spec).det())
     return InvertibilityResult(invertible, agrees, "mod-p" if det else "exact")
 
@@ -489,11 +493,17 @@ def pascal_check(
 
     For every root order k <= max_k and every composition of every total
     N <= max_n into k blocks, draws ``samples`` random (z, w) pairs and
-    proves the stacked determinant nonzero (``verify_invertible``), failing
-    the spec as ``closed-form`` when it provably differs from the closed
-    form; then replays the factorization and two-stack arguments on
-    ``proof_samples`` random instances each.  Identical arguments produce
-    identical reports.
+    proves the stacked determinant nonzero, failing the spec as
+    ``closed-form`` when it provably differs from the closed form; then
+    replays the factorization and two-stack arguments on ``proof_samples``
+    random instances each.  Identical arguments produce identical reports.
+
+    The shape's kernel, the one ``verify_invertible`` uses, is built once.
+    Per sample, z and w are drawn as integers by choice(range(a, b + 1)),
+    which takes one _randbelow(b - a + 1) as random_rational's randint(a, b)
+    does on CPython 3.10-3.12, so the same specs are checked, and stay
+    residues.  Only a spec with det_p = 0 or det_p off the closed form is
+    built with Fractions, and ``verify_invertible`` gives its verdict.
 
     Raises BudgetExceeded before any work once the spec count, samples times
     sum_{k <= max_k} (C(max_n + k, k) - 1), summed in k, passes
@@ -511,66 +521,57 @@ def pascal_check(
     rng = random.Random(seed)
     failures: list[SweepFailure] = []
     methods = {"mod-p": 0, "exact": 0}
+    draw, nums, dens = rng.choice, range(-9, 10), range(1, 10)
     for k in range(1, max_k + 1):
+        p = root_prime(k)[0]
+        inv = [0] + [pow(d, -1, p) for d in dens]  # p > 9: each d is a unit
         for total in range(1, max_n + 1):
             for shape in compositions(total, k):
+                kernel = _kernel(k, shape)
                 for _ in range(samples):
-                    z = random_rational(rng)
-                    w = random_rational(rng, nonzero=True)
+                    a, b, c = draw(nums), draw(dens), 0
+                    while not c:
+                        c, d = draw(nums), draw(dens)
+                    det, agrees = kernel(a * inv[b] % p, c * inv[d] % p)
+                    if det and agrees:
+                        methods["mod-p"] += 1
+                        continue
+                    z, w = Fraction(a, b), Fraction(c, d)
                     result = verify_invertible(PascalSpec(k, shape, z, w))
                     methods[result.method] += 1
-                    if result.invertible and result.closed_form is not False:
-                        continue
                     params = f"k={k} blocks={shape} z={z} w={w}"
                     if not result.invertible:
-                        failures.append(SweepFailure(
-                            "invertibility", params, "determinant is zero"
-                        ))
+                        failures.append(SweepFailure("invertibility", params,
+                                                     "determinant is zero"))
                     if result.closed_form is False:
-                        failures.append(SweepFailure(
-                            "closed-form", params, "not the closed form mod p"
-                        ))
+                        failures.append(SweepFailure("closed-form", params,
+                                                     "not the closed form mod p"))
     for _ in range(proof_samples):
-        p = rng.randint(1, 6)
-        q = rng.randint(1, 6)
+        p, q = rng.randint(1, 6), rng.randint(1, 6)
         x = random_rational(rng, nonzero=True)
         z = random_rational(rng)
         w = random_rational(rng, nonzero=True)
         try:
             factorization_check(x, z, w, p, q)
         except PascalIdentityError as exc:
-            failures.append(
-                SweepFailure(
-                    "factorization", f"x={x} z={z} w={w} p={p} q={q}", str(exc)
-                )
-            )
+            failures.append(SweepFailure(
+                "factorization", f"x={x} z={z} w={w} p={p} q={q}", str(exc)))
     for _ in range(proof_samples):
         n = rng.randint(1, 6)
         s = rng.randint(0, n)
         t = rng.randint(0, min(s, n - s))
-        x = random_rational(rng, nonzero=True)
-        while True:
+        x = y = random_rational(rng, nonzero=True)
+        while y == x:
             y = random_rational(rng, nonzero=True)
-            if y != x:
-                break
         try:
             two_blocks_check(x, y, n, s, t)
         except PascalIdentityError as exc:
-            failures.append(
-                SweepFailure(
-                    "two-blocks", f"x={x} y={y} n={n} s={s} t={t}", str(exc)
-                )
-            )
+            failures.append(SweepFailure(
+                "two-blocks", f"x={x} y={y} n={n} s={s} t={t}", str(exc)))
     return PascalSweepReport(
-        max_k=max_k,
-        max_n=max_n,
-        samples=samples,
-        proof_samples=proof_samples,
-        seed=seed,
+        max_k, max_n, samples, proof_samples, seed,
         specs_checked=sum(methods.values()),
-        factorizations_checked=proof_samples,
-        two_blocks_checked=proof_samples,
+        factorizations_checked=proof_samples, two_blocks_checked=proof_samples,
         failures=tuple(failures),
-        proved_mod_p=methods["mod-p"],
-        proved_exact=methods["exact"],
+        proved_mod_p=methods["mod-p"], proved_exact=methods["exact"],
     )

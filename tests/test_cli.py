@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistchar
+from twistchar import cli
 from twistchar.cli import InputError, RunConfig, _config_from_args, build_parser, main
 
 
@@ -230,10 +231,13 @@ def test_oversized_pascal_sweep_exits_2(capsys, monkeypatch, argv, specs):
     # Refused from the closed-form spec count, before any spec is built.
     from twistchar import pascal
 
-    def refuse(spec):
+    def refuse(*args):
         pytest.fail("the sweep started before its budget refused it")
 
-    monkeypatch.setattr(pascal, "verify_invertible", refuse)
+    # A spec is proved by its shape's kernel, or by verify_invertible when
+    # the kernel cannot settle it.
+    for name in ("_kernel", "verify_invertible"):
+        monkeypatch.setattr(pascal, name, refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == (
@@ -267,7 +271,8 @@ def test_oversized_proof_samples_exit_2(capsys, monkeypatch, argv):
     def refuse(*args):
         pytest.fail("the sweep started before its budget refused it")
 
-    for name in ("verify_invertible", "factorization_check", "two_blocks_check"):
+    for name in ("_kernel", "verify_invertible", "factorization_check",
+                 "two_blocks_check"):
         monkeypatch.setattr(pascal, name, refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -646,6 +651,85 @@ def test_unset_options_take_run_config_defaults():
     assert _config_from_args(args) == RunConfig(
         "none", "", seed=7, out_format="json", out_path="r.json"
     )
+
+
+def _outcome(argv):
+    # (exit code, stdout, stderr) of main(argv), argparse's exits included.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+PARSER_ARGVS = [
+    ["--help"], ["-h"], ["-v"], [], ["bogus"], ["-v", "bogus", "--preset", "x3"],
+    ["analyze"], ["verify", "--bogus"], ["character", "-T"], ["pascal-check", "--seed", "x"],
+    ["-v", "pascal-check", "--max-k", "1", "--max-n", "2", "--samples", "1",
+     "--proof-samples", "0"],
+    ["pascal-check", "-v", "--max-k", "1", "--max-n", "2", "--samples", "1",
+     "--proof-samples", "0"],
+    ["--verbose", "analyze", "--preset", "swap2", "--out", "report.txt", "-v"],
+] + [[*before, name, *after, "--help"]
+     for name in ("analyze", "character", "verify", "pascal-check")
+     for before, after in (((), ()), (("-v",), ()), ((), ("-v",)))]
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+def test_parser_for_the_named_subcommand_prints_what_the_full_parser_does(
+    monkeypatch, tmp_path, columns
+):
+    # main builds only the named subcommand's arguments; every help text,
+    # usage error and run is byte-identical to the parser with all of them.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", columns)
+    lazy = [_outcome(argv) for argv in PARSER_ARGVS]
+    full_parser = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full_parser())
+    assert [_outcome(argv) for argv in PARSER_ARGVS] == lazy
+    assert lazy[0][0] == 0 and "{analyze,character,verify,pascal-check}" in lazy[0][1]
+    assert lazy[4][0] == 2 and "invalid choice: 'bogus'" in lazy[4][2]
+    assert lazy[10] == lazy[11] and "INFO twistchar: pascal sweep" in lazy[10][2]
+
+
+def test_only_the_named_subcommand_gets_arguments():
+    def filled(parser):
+        subs = next(a for a in parser._actions if a.dest == "command").choices
+        return {name for name, sub in subs.items() if len(sub._actions) > 1}
+
+    assert filled(build_parser(["-v", "character", "--preset", "x3"])) == {"character"}
+    assert filled(build_parser(["-v"])) == filled(build_parser(["bogus"])) == set()
+    assert len(filled(build_parser())) == 4
+
+
+@pytest.mark.parametrize("source", [
+    ("--preset", "rank1"), ("--preset", "swap2"), ("--preset", "x3"),
+    ("--preset", "x4"), "eye300"])
+def test_analyze_json_is_streamed_with_the_bytes_of_dumps(
+    capsys, monkeypatch, tmp_path, source
+):
+    # analyze writes its JSON through the encoder's chunks, never as one
+    # string; the bytes are json.dumps's, to stdout and to --out alike.
+    if source == "eye300":
+        source = ("--config", _permutation_lattice(tmp_path, (1,) * 300))
+
+    def refuse(*args, **kwargs):
+        pytest.fail("analyze built its whole JSON text")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    code, out, err = run(capsys, "analyze", *source, "--format", "json")
+    target = tmp_path / "report.json"
+    assert run(capsys, "analyze", *source, "--format", "json", "--out", str(target)) \
+        == (0, "", "")
+    monkeypatch.undo()
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n" == target.read_text()
+    if source[0] == "--config":
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3801d9b73ebabf88715affc4b2dd4cc9b7b4a06340eee9da38d8a76706582ed5"
+        )
 
 
 # --------------------------------------------------------------------- logging

@@ -12,6 +12,7 @@ from twistchar.cyclotomic import ExactMatrix, get_field
 from twistchar.pascal import (
     PascalIdentityError,
     PascalSpec,
+    SweepFailure,
     a_matrix,
     build_stacked,
     compositions,
@@ -351,13 +352,15 @@ def _image_mod_p(scalar, k):
     ) % p
 
 
-def _seeded_specs(seed, orders, max_n):
+def _seeded_specs(seed, orders, max_n, samples=1):
+    # The specs in the sweep's order, drawn by random_rational.
     rng = random.Random(seed)
     for k in orders:
         for total in range(1, max_n + 1):
             for shape in compositions(total, k):
-                z = random_rational(rng)
-                yield PascalSpec(k, shape, z, random_rational(rng, nonzero=True))
+                for _ in range(samples):
+                    z = random_rational(rng)
+                    yield PascalSpec(k, shape, z, random_rational(rng, nonzero=True))
 
 
 @pytest.mark.parametrize(
@@ -411,9 +414,9 @@ def test_det_mod_p_is_the_image_of_the_exact_det():
         p, omega = modular.root_prime(spec.conductor)
         z, w = (modular.image((x.numerator,), x.denominator, p, omega)
                 for x in (spec.z, spec.w))
-        rows = pascal._stacked_mod(spec.block_sizes, z, w, p, omega)
+        det_p, _ = pascal._kernel(spec.conductor, spec.block_sizes)(z, w)
         det = build_stacked(spec).det()
-        assert modular.det_mod(rows, p) == _image_mod_p(det, spec.conductor), spec
+        assert det_p == _image_mod_p(det, spec.conductor), spec
         assert verify_invertible(spec) == (True, True, "mod-p")
 
 
@@ -468,6 +471,58 @@ def test_forged_determinant_fails_the_sweep(monkeypatch):
     assert not forged.ok
     assert [f.kind for f in forged.failures] == ["closed-form"] * forged.specs_checked
     assert forged.to_json_dict()["failures"][0]["kind"] == "closed-form"
+
+
+@pytest.mark.parametrize("seed", (0, 5, 63))
+def test_forged_sweep_fails_exactly_the_reference_specs(monkeypatch, seed):
+    # The sweep draws integers by choice(range(...)); the reference draws
+    # Fractions by random_rational's randint.  Both take the same random
+    # stream, so with every residue forged, each of the 3250 specs fails, in
+    # order, as verify_invertible fails it.  A Python whose choice stream
+    # differs from randint's fails here.
+    monkeypatch.setattr(
+        pascal, "det_mod", lambda rows, p: 2 * modular.det_mod(rows, p) % p
+    )
+    expected = []
+    for spec in _seeded_specs(seed, range(1, 5), 6, samples=10):
+        k, shape, z, w = spec
+        result, params = verify_invertible(spec), f"k={k} blocks={shape} z={z} w={w}"
+        if not result.invertible:
+            expected.append(SweepFailure("invertibility", params, "determinant is zero"))
+        if result.closed_form is False:
+            expected.append(SweepFailure("closed-form", params, "not the closed form mod p"))
+    assert len(expected) == 3250
+    assert pascal_check(4, 6, 10, seed, 0).failures == tuple(expected)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_sweep_kernel_verdicts_equal_verify_invertibles(monkeypatch, seed):
+    # Each residue pair the sweep hands a shape's kernel is the image of the
+    # reference spec's z and w, and the kernel's (invertible, closed_form,
+    # method) is verify_invertible's for that spec.
+    seen, kernel_of = [], pascal._kernel
+
+    def recording(k, sizes):
+        kernel = kernel_of(k, sizes)
+
+        def recorded(z, w):
+            det, agrees = kernel(z, w)
+            seen.append((k, sizes, z, w, (bool(det), agrees, "mod-p" if det else "exact")))
+            return det, agrees
+
+        return recorded
+
+    monkeypatch.setattr(pascal, "_kernel", recording)
+    pascal_check(4, 6, 10, seed, 0)
+    monkeypatch.undo()
+    specs = list(_seeded_specs(seed, range(1, 5), 6, samples=10))
+    assert len(seen) == len(specs) == 3250
+    for spec, (k, sizes, z, w, verdict) in zip(specs, seen):
+        p, omega = modular.root_prime(k)
+        assert (k, sizes) == spec[:2]
+        assert (z, w) == tuple(modular.image((x.numerator,), x.denominator, p, omega)
+                               for x in spec[2:])
+        assert verdict == verify_invertible(spec), spec
 
 
 def _counting(monkeypatch, name):
